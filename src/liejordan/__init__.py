@@ -12,7 +12,7 @@ Three strands, all in exact arithmetic:
   Cayley tables or permutation generators.
 """
 from .bounds import (BoundExpr, ExactInt, GroupDims, Power, Product,
-                     SymbolicJ, bound_algebraic, bound_compact_complex,
+                     SymbolicJ, bound, bound_algebraic, bound_compact_complex,
                      bound_hyperbolic, bound_lie, bound_lie_connected,
                      bound_riemannian, consistency_check_bounds,
                      expr_from_json, expr_to_json, jordan_gl,
@@ -35,7 +35,7 @@ __all__ = [
     "BoundExpr", "CenterClass", "DominantWeight", "ExactInt", "FiniteGroup",
     "GroupDims", "OrderLimitError", "Power", "Product", "RankBudgetError",
     "RdimResult", "ResourceGuardError", "RootDatum", "SimpleType",
-    "Subgroup", "SymbolicJ", "WeightSet", "all_subgroups",
+    "Subgroup", "SymbolicJ", "WeightSet", "all_subgroups", "bound",
     "bound_algebraic", "bound_compact_complex", "bound_hyperbolic",
     "bound_lie", "bound_lie_connected", "bound_riemannian",
     "boundedness_constant", "build_root_datum", "cartan_matrix",

@@ -9,18 +9,61 @@ over symbolic J atoms, never a float.
 
 Dimension-zero groups are trivial, so J(0) = 1 by convention; callers
 that care can flag when that convention fired.
+
+Exact values are kept with up to ten times as many decimal digits as
+CPython's int->str limit (or its default, when the limit is off), and
+rendered with up to the limit itself; past either, ResourceGuardError.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+from .errors import ResourceGuardError
 
 _EXACT_SPORADIC = frozenset({63, 65, 67, 69})
 _EXACT_FROM = 71
+_FORMED_PER_PRINTED = 10
+
+
+def _digit_budget() -> int:
+    """Most decimal digits an exact bound may print with."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _digits_from_bits(bits: int) -> int:
+    """Decimal digits that every integer >= 2**bits has at least."""
+    return bits * 30102 // 100000 + 1  # 0.30102 < log10(2)
+
+
+def _refusal(digits, limit: int) -> ResourceGuardError:
+    budget = _digit_budget()
+    kept = "" if limit == budget else f"{limit}, {_FORMED_PER_PRINTED} times "
+    return ResourceGuardError(
+        f"the exact bound has at least {digits} decimal digits, more than {kept}the "
+        f"{budget} allowed by the int->str digit limit (raise it with PYTHONINTMAXSTRDIGITS)")
+
+
+def _within(value: int, limit: int) -> int:
+    """value, refused when it has more than limit decimal digits."""
+    if value.bit_length() > 3 * limit and value >= 10 ** limit:  # 8**limit < 10**limit
+        raise _refusal(max(limit + 1, _digits_from_bits(value.bit_length() - 1)), limit)
+    return value
+
+
+def _formed(bits_at_least: int, make) -> int:
+    """make(), refused before it runs when a result of at least that many bits
+    has more digits than exact values are kept with, and after if it has."""
+    limit, digits = _FORMED_PER_PRINTED * _digit_budget(), _digits_from_bits(bits_at_least)
+    if digits > limit:
+        raise _refusal(digits, limit)
+    return _within(make(), limit)
 
 
 class BoundExpr:
-    """Base class for exact bound values and symbolic bound expressions."""
+    """Base class for exact bound values and symbolic bound expressions;
+    render() takes an optional formatter for the exact integers in it."""
 
     __slots__ = ()
 
@@ -36,8 +79,8 @@ class ExactInt(BoundExpr):
         if self.value < 1:
             raise ValueError(f"bounds are positive integers, got {self.value}")
 
-    def render(self) -> str:
-        return str(self.value)
+    def render(self, fmt=str) -> str:
+        return fmt(_within(self.value, _digit_budget()))
 
 
 @dataclass(frozen=True)
@@ -49,7 +92,7 @@ class SymbolicJ(BoundExpr):
         if not (1 <= m < _EXACT_FROM) or m in _EXACT_SPORADIC:
             raise ValueError(f"J({m}) has a known exact value and must not stay symbolic")
 
-    def render(self) -> str:
+    def render(self, fmt=str) -> str:
         return f"J({self.arg})"
 
 
@@ -62,8 +105,8 @@ class Power(BoundExpr):
         if self.exponent < 2:
             raise ValueError(f"power nodes need exponent >= 2, got {self.exponent}")
 
-    def render(self) -> str:
-        base = self.base.render()
+    def render(self, fmt=str) -> str:
+        base = self.base.render(fmt)
         if isinstance(self.base, Product):
             base = f"({base})"
         return f"{base}^{self.exponent}"
@@ -78,24 +121,34 @@ class Product(BoundExpr):
             raise ValueError("product nodes need at least two operands")
         object.__setattr__(self, "operands", tuple(self.operands))
 
-    def render(self) -> str:
-        return " * ".join(op.render() for op in self.operands)
+    def render(self, fmt=str) -> str:
+        return " * ".join(op.render(fmt) for op in self.operands)
 
 
 def _power(base: BoundExpr, exponent: int) -> BoundExpr:
     if exponent == 1:
         return base
     if base.is_exact():
-        return ExactInt(base.value ** exponent)
+        x = base.value
+        return ExactInt(_formed(exponent * (x.bit_length() - 1), lambda: x ** exponent))
     return Power(base, exponent)
 
 
+def _product(factors) -> BoundExpr:
+    """Product of bound expressions, with nested products flattened and the
+    exact factors folded into one leading coefficient."""
+    ops = [op for f in factors for op in (f.operands if isinstance(f, Product) else (f,))]
+    coefficient, symbolic = 1, [op for op in ops if not op.is_exact()]
+    for x in (op.value for op in ops if op.is_exact()):
+        bits = coefficient.bit_length() + x.bit_length() - 2
+        coefficient = _formed(bits, lambda: coefficient * x)
+    if coefficient != 1 or not symbolic:
+        symbolic.insert(0, ExactInt(coefficient))
+    return symbolic[0] if len(symbolic) == 1 else Product(tuple(symbolic))
+
+
 def _scale(coefficient: int, expr: BoundExpr) -> BoundExpr:
-    if coefficient == 1:
-        return expr
-    if expr.is_exact():
-        return ExactInt(coefficient * expr.value)
-    return Product((ExactInt(coefficient), expr))
+    return expr if coefficient == 1 else _product((ExactInt(coefficient), expr))
 
 
 def jordan_gl(n: int) -> BoundExpr:
@@ -109,8 +162,35 @@ def jordan_gl(n: int) -> BoundExpr:
     if n == 0:
         return ExactInt(1)
     if n >= _EXACT_FROM or n in _EXACT_SPORADIC:
-        return ExactInt(math.factorial(n + 1))
+        # (n+1)! > ((n+1)/e)^(n+1) >= ((n+1)//3)^(n+1)
+        bits = (n + 1) * (((n + 1) // 3).bit_length() - 1)
+        return ExactInt(_formed(bits, lambda: math.factorial(n + 1)))
     return SymbolicJ(n)
+
+
+# Group dimension m of each family as a function of n; None marks the
+# hyperbolic stabilizer, which embeds linearly in dimension n and is
+# bounded by J(n) itself.
+FAMILIES = {
+    "lie": lambda n: n,
+    "lie-connected": lambda n: n,
+    "algebraic": lambda n: 2 * n,
+    "compact-complex": lambda n: 2 * n * n + n,
+    "hyperbolic": lambda n: n * n + 2 * n,
+    "hyperbolic-stabilizer": None,
+    "riemannian": lambda n: n * (n + 1) // 2,
+}
+# Families whose groups may have several components.
+WITH_COMPONENTS = ("lie", "algebraic")
+
+
+def _linear_cap(m: int) -> int:
+    """Dimension k of the faithful linear model used by the Lie-group bound,
+    refused before 2^m is formed when J(k) has too many digits to keep."""
+    limit = _FORMED_PER_PRINTED * _digit_budget()
+    if m >= limit.bit_length():  # then k > 2^m > limit, and J(k) = (k+1)! > 10^k
+        raise _refusal(f"2^{m}", limit)
+    return m * (2 ** m + 10)
 
 
 @dataclass(frozen=True)
@@ -121,91 +201,64 @@ class GroupDims:
     b: int = 1
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"dimension must be non-negative, got {self.n}")
-        if self.b < 1:
-            raise ValueError(f"component count must be positive, got {self.b}")
+        if not isinstance(self.n, int) or self.n < 0:
+            raise ValueError(f"dimension must be a non-negative integer, got {self.n!r}")
+        if not isinstance(self.b, int) or self.b < 1:
+            raise ValueError(f"component count must be a positive integer, got {self.b!r}")
 
 
-def _linear_cap(m: int) -> int:
-    """Dimension of the faithful linear model used by the Lie-group bound."""
-    return m * (2 ** m + 10)
-
-
-def _lie_arg(dims: GroupDims) -> int:
-    return _linear_cap(dims.n)
+def bound(family: str, n: int, components: int | None = None) -> BoundExpr:
+    """Jordan bound b * J(m(2^m + 10))^b for a group of the family with an
+    identity component of dimension m = FAMILIES[family](n) (the hyperbolic
+    stabilizer: J(n) itself) and b components; components (b, default 1)
+    applies to the WITH_COMPONENTS families only."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family of groups {family!r}")
+    if components is not None and family not in WITH_COMPONENTS:
+        raise ValueError(f"a component count does not apply to {family}")
+    b = GroupDims(n, 1 if components is None else components).b
+    group_dim = FAMILIES[family]
+    arg = n if group_dim is None else _linear_cap(group_dim(n))
+    return _scale(b, _power(jordan_gl(arg), b))
 
 
 def bound_lie(dims: GroupDims) -> BoundExpr:
-    """Jordan bound for a Lie group with n-dimensional identity component
-    and b components: b * J(n(2^n + 10))^b."""
-    return _scale(dims.b, _power(jordan_gl(_lie_arg(dims)), dims.b))
+    """Lie group with an n-dimensional identity component and b components."""
+    return bound("lie", dims.n, dims.b)
 
 
 def bound_lie_connected(n: int) -> BoundExpr:
-    """Jordan bound for a connected Lie group of dimension n."""
-    return bound_lie(GroupDims(n))
-
-
-def _algebraic_arg(dims: GroupDims) -> int:
-    return dims.n * (2 ** (2 * dims.n + 1) + 20)
+    """Connected Lie group of dimension n."""
+    return bound("lie-connected", n)
 
 
 def bound_algebraic(dims: GroupDims) -> BoundExpr:
-    """Jordan bound for a complex algebraic group with n-dimensional
-    identity component and b components: b * J(n(2^(2n+1) + 20))^b."""
-    return _scale(dims.b, _power(jordan_gl(_algebraic_arg(dims)), dims.b))
-
-
-def _compact_complex_arg(n: int) -> int:
-    return (2 * n * n + n) * (2 ** (2 * n * n + n) + 10)
+    """Complex algebraic group, n-dimensional identity component, b components."""
+    return bound("algebraic", dims.n, dims.b)
 
 
 def bound_compact_complex(n: int) -> BoundExpr:
-    """Jordan bound for the automorphism group of a compact complex
-    n-manifold, via its real dimension count 2n^2 + n."""
-    if n < 0:
-        raise ValueError(f"dimension must be non-negative, got {n}")
-    return jordan_gl(_compact_complex_arg(n))
-
-
-def _hyperbolic_arg(n: int) -> int:
-    return (2 * n + n * n) * (2 ** (2 * n + n * n) + 10)
+    """Automorphism group of a compact complex n-manifold."""
+    return bound("compact-complex", n)
 
 
 def bound_hyperbolic(n: int) -> BoundExpr:
-    """Jordan bound for the isometry group of hyperbolic n-space, which
-    embeds in the projective linear group of dimension (n+1)^2 - 1."""
-    if n < 0:
-        raise ValueError(f"dimension must be non-negative, got {n}")
-    return jordan_gl(_hyperbolic_arg(n))
+    """Isometry group of hyperbolic n-space, inside PGL of dimension (n+1)^2 - 1."""
+    return bound("hyperbolic", n)
 
 
 def stabilizer_bound_hyperbolic(n: int) -> BoundExpr:
-    """Jordan bound for a point stabilizer in the hyperbolic isometry
-    group: the stabilizer embeds linearly in dimension n."""
-    return jordan_gl(n)
-
-
-def _riemannian_arg(n: int) -> int:
-    return (n * n + n) * (2 ** ((n * n + n - 2) // 2) + 5)
+    """Point stabilizer in the hyperbolic isometry group: linear in dimension n."""
+    return bound("hyperbolic-stabilizer", n)
 
 
 def bound_riemannian(n: int) -> BoundExpr:
-    """Jordan bound for the isometry group of a compact Riemannian
-    n-manifold, whose dimension is at most n(n+1)/2."""
-    if n < 0:
-        raise ValueError(f"dimension must be non-negative, got {n}")
-    if n == 0:
-        # the exponent (n^2 + n - 2) / 2 is negative at n = 0; the manifold
-        # is a point and its isometry group is trivial
-        return ExactInt(1)
-    return jordan_gl(_riemannian_arg(n))
+    """Isometry group of a compact Riemannian n-manifold."""
+    return bound("riemannian", n)
 
 
 def consistency_check_bounds(n: int) -> bool:
-    """Check that each geometric bound argument agrees with the generic
-    Lie-group argument at the corresponding group dimension.
+    """Check the paper's literal J arguments against the family table.
 
     For the Riemannian case this is a genuine identity between two
     differently written expressions: with m = n(n+1)/2,
@@ -213,12 +266,15 @@ def consistency_check_bounds(n: int) -> bool:
     """
     if n < 1:
         raise ValueError(f"consistency checks need n >= 1, got {n}")
-    checks = [
-        _compact_complex_arg(n) == _linear_cap(2 * n * n + n),
-        _hyperbolic_arg(n) == _linear_cap(2 * n + n * n),
-        _riemannian_arg(n) == _linear_cap(n * (n + 1) // 2),
-    ]
-    return all(checks)
+    literal = {
+        "lie": n * (2 ** n + 10),
+        "algebraic": n * (2 ** (2 * n + 1) + 20),
+        "compact-complex": (2 * n * n + n) * (2 ** (2 * n * n + n) + 10),
+        "hyperbolic": (2 * n + n * n) * (2 ** (2 * n + n * n) + 10),
+        "riemannian": (n * n + n) * (2 ** ((n * n + n - 2) // 2) + 5),
+    }
+    return all(arg == m * (2 ** m + 10)
+               for family, arg in literal.items() for m in [FAMILIES[family](n)])
 
 
 def expr_to_json(expr: BoundExpr) -> dict:
@@ -228,7 +284,7 @@ def expr_to_json(expr: BoundExpr) -> dict:
     survive any JSON reader.
     """
     if isinstance(expr, ExactInt):
-        return {"kind": "exact", "value": str(expr.value)}
+        return {"kind": "exact", "value": expr.render()}
     if isinstance(expr, SymbolicJ):
         return {"kind": "symbolic_j", "arg": expr.arg}
     if isinstance(expr, Power):
@@ -240,37 +296,41 @@ def expr_to_json(expr: BoundExpr) -> dict:
     raise TypeError(f"not a bound expression: {expr!r}")
 
 
+def _field(data: dict, key: str, kind: type):
+    value = data.get(key)
+    if type(value) is not kind:
+        raise ValueError(f"{data['kind']} nodes need a {kind.__name__} {key!r}, got {value!r}")
+    return value
+
+
 def expr_from_json(data: dict) -> BoundExpr:
     """Parse a dict produced by expr_to_json; inverse of it on valid input.
 
-    Trees whose subexpressions are all exact are collapsed, so the
-    result always satisfies the constructor invariants.
+    Exact subtrees are collapsed and nested products flattened, so the
+    result satisfies the constructor invariants.  Malformed input raises
+    ValueError; an exact value past the digit limits, ResourceGuardError.
     """
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError(f"expected a bound-expression dict, got {data!r}")
     kind = data["kind"]
     if kind == "exact":
-        return ExactInt(int(data["value"]))
+        digits = _field(data, "value", str).lstrip("0")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"exact values are positive decimal strings, got {data['value']!r}")
+        if len(digits) > _digit_budget():
+            raise _refusal(len(digits), _digit_budget())
+        return ExactInt(int(digits))
     if kind == "symbolic_j":
-        return SymbolicJ(int(data["arg"]))
-    if kind == "power":
-        operands = data["operands"]
-        if len(operands) != 1:
-            raise ValueError("power nodes serialize exactly one operand")
-        return _power(expr_from_json(operands[0]), int(data["exponent"]))
+        return SymbolicJ(_field(data, "arg", int))
+    if kind not in ("power", "product"):
+        raise ValueError(f"unknown bound-expression kind {kind!r}")
+    operands = _field(data, "operands", list)
     if kind == "product":
-        parts = [expr_from_json(op) for op in data["operands"]]
-        if len(parts) < 2:
+        if len(operands) < 2:
             raise ValueError("product nodes need at least two operands")
-        coefficient = 1
-        symbolic = [p for p in parts if not p.is_exact()]
-        for p in parts:
-            if p.is_exact():
-                coefficient *= p.value
-        if not symbolic:
-            return ExactInt(coefficient)
-        if len(symbolic) == 1:
-            return _scale(coefficient, symbolic[0])
-        rest = Product(tuple(symbolic))
-        return _scale(coefficient, rest)
-    raise ValueError(f"unknown bound-expression kind {kind!r}")
+        return _product([expr_from_json(op) for op in operands])
+    exponent = _field(data, "exponent", int)
+    if len(operands) != 1 or exponent < 2:
+        raise ValueError(f"power nodes need one operand and an exponent >= 2, "
+                         f"got {len(operands)} and {exponent}")
+    return _power(expr_from_json(operands[0]), exponent)

@@ -33,19 +33,6 @@ def _fmt_int(value: int) -> str:
     return f"{s} ({len(s)} digits, ~{lead}e{len(s) - 1})"
 
 
-def _render_text(expr) -> str:
-    if isinstance(expr, bounds.ExactInt):
-        return _fmt_int(expr.value)
-    if isinstance(expr, bounds.SymbolicJ):
-        return expr.render()
-    if isinstance(expr, bounds.Power):
-        base = _render_text(expr.base)
-        if isinstance(expr.base, bounds.Product):
-            base = f"({base})"
-        return f"{base}^{expr.exponent}"
-    return " * ".join(_render_text(op) for op in expr.operands)
-
-
 def _csv_rows(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -76,10 +63,6 @@ def _parse_weights(text: str, rank: int) -> center.WeightSet:
     return center.WeightSet(tuple(_parse_weight(p, rank) for p in parts))
 
 
-def _witness_str(weight_set) -> str:
-    return str(weight_set)
-
-
 def _cmd_rdim(args) -> str:
     stype = _parse_type(args)
     result = minfaithful.rdim(rootdata.build_root_datum(stype))
@@ -93,7 +76,7 @@ def _cmd_rdim(args) -> str:
     if args.format == "csv":
         return _csv_rows(
             ["family", "rank", "rdim", "witness"],
-            [[stype.family, stype.rank, result.total_dim, _witness_str(result.witness)]])
+            [[stype.family, stype.rank, result.total_dim, str(result.witness)]])
     return str(result.total_dim)
 
 
@@ -108,9 +91,9 @@ def _cmd_table(args) -> str:
     if args.format == "csv":
         return _csv_rows(
             ["family", "rank", "rdim", "witness"],
-            [[t.family, t.rank, r.total_dim, _witness_str(r.witness)] for t, r in rows])
+            [[t.family, t.rank, r.total_dim, str(r.witness)] for t, r in rows])
     cells = [("type", "rank", "rdim", "witness")]
-    cells += [(str(t), str(t.rank), str(r.total_dim), _witness_str(r.witness))
+    cells += [(str(t), str(t.rank), str(r.total_dim), str(r.witness))
               for t, r in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(4)]
     return "\n".join(
@@ -172,51 +155,21 @@ def _cmd_faithful(args) -> str:
     return str(verdict).lower()
 
 
-_BOUND_FAMILIES = ("lie", "lie-connected", "algebraic", "compact-complex",
-                   "hyperbolic", "hyperbolic-stabilizer", "riemannian")
-_WITH_COMPONENTS = ("lie", "algebraic")
-
-
 def _cmd_bound(args) -> str:
-    fam = args.family_of_groups
-    n = args.n
-    if n < 0:
-        raise ValueError(f"--n must be non-negative, got {n}")
-    components = args.components
-    if components is not None and fam not in _WITH_COMPONENTS:
-        raise ValueError(f"--components does not apply to {fam}")
-    if components is None:
-        components = 1
-    if components < 1:
-        raise ValueError(f"--components must be positive, got {components}")
-    if fam == "lie":
-        expr = bounds.bound_lie(bounds.GroupDims(n, components))
-    elif fam == "lie-connected":
-        expr = bounds.bound_lie_connected(n)
-    elif fam == "algebraic":
-        expr = bounds.bound_algebraic(bounds.GroupDims(n, components))
-    elif fam == "compact-complex":
-        expr = bounds.bound_compact_complex(n)
-    elif fam == "hyperbolic":
-        expr = bounds.bound_hyperbolic(n)
-    elif fam == "hyperbolic-stabilizer":
-        expr = bounds.stabilizer_bound_hyperbolic(n)
-    else:
-        expr = bounds.bound_riemannian(n)
-    conventions = ["J(0)=1"] if n == 0 else []
+    fam, n = args.family_of_groups, args.n
+    expr = bounds.bound(fam, n, args.components)
+    components = (args.components or 1) if fam in bounds.WITH_COMPONENTS else ""
     if args.format == "json":
-        payload = {"family_of_groups": fam, "n": n}
-        if fam in _WITH_COMPONENTS:
-            payload["components"] = components
-        payload["bound"] = bounds.expr_to_json(expr)
-        payload["rendered"] = expr.render()
-        payload["conventions"] = conventions
-        return json.dumps(payload, indent=2)
+        return json.dumps({
+            "family_of_groups": fam, "n": n,
+            **({"components": components} if components else {}),
+            "bound": bounds.expr_to_json(expr), "rendered": expr.render(),
+            "conventions": ["J(0)=1"] if n == 0 else [],
+        }, indent=2)
     if args.format == "csv":
-        return _csv_rows(
-            ["family_of_groups", "n", "components", "bound"],
-            [[fam, n, components if fam in _WITH_COMPONENTS else "", expr.render()]])
-    return _render_text(expr)
+        return _csv_rows(["family_of_groups", "n", "components", "bound"],
+                         [[fam, n, components, expr.render()]])
+    return expr.render(_fmt_int)
 
 
 def _cmd_jordan_finite(args) -> str:
@@ -287,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated weights, e.g. '1,0,0;0,0,1'")
 
     p = sub("bound", _cmd_bound, help="Jordan constant bound formulas")
-    p.add_argument("--family-of-groups", required=True, choices=_BOUND_FAMILIES)
+    p.add_argument("--family-of-groups", required=True, choices=tuple(bounds.FAMILIES))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--components", type=int, default=None,
                    help="component count b (lie and algebraic only)")

@@ -1,8 +1,13 @@
 """Exact Jordan-bound expressions and their JSON form."""
+import functools
+import sys
+
 import pytest
 
-from liejordan.bounds import (BoundExpr, ExactInt, GroupDims, Power, Product,
-                              SymbolicJ, bound_algebraic,
+from liejordan import ResourceGuardError
+from liejordan.bounds import (FAMILIES, WITH_COMPONENTS, BoundExpr, ExactInt,
+                              GroupDims, Power, Product, SymbolicJ, bound,
+                              bound_algebraic,
                               bound_compact_complex, bound_hyperbolic,
                               bound_lie, bound_lie_connected, bound_riemannian,
                               consistency_check_bounds, expr_from_json,
@@ -207,3 +212,179 @@ def test_is_exact_flag():
     assert not SymbolicJ(7).is_exact()
     assert not bound_lie(GroupDims(3, 2)).is_exact()
     assert isinstance(bound_lie(GroupDims(3, 2)), BoundExpr)
+
+
+# --- the family table against the paper's literal formulas -------------------
+
+# J arguments exactly as the paper writes them, one expression per family.
+PAPER_ARGUMENTS = {
+    "lie": lambda n: n * (2 ** n + 10),
+    "lie-connected": lambda n: n * (2 ** n + 10),
+    "algebraic": lambda n: n * (2 ** (2 * n + 1) + 20),
+    "compact-complex": lambda n: (2 * n * n + n) * (2 ** (2 * n * n + n) + 10),
+    "hyperbolic": lambda n: (n * n + 2 * n) * (2 ** (n * n + 2 * n) + 10),
+    "hyperbolic-stabilizer": lambda n: n,
+    # the manifold of dimension 0 is a point: argument 0, J(0) = 1
+    "riemannian": lambda n: (n * n + n) * (2 ** ((n * n + n - 2) // 2) + 5) if n else 0,
+}
+# Past this factorial argument the oracle does not evaluate: 25001! has
+# about 99000 digits, more than any bound that is formed at the default
+# digit limit.
+ORACLE_MAX_FACTORIAL = 25001
+
+
+@functools.lru_cache(maxsize=None)
+def cached_slow_factorial(n):
+    return slow_factorial(n)
+
+
+def digits(value):
+    """Decimal digits of a positive integer, without str()."""
+    d = 1
+    while value >= 10 ** d:
+        d *= 2
+    lo, hi = d // 2, d
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value >= 10 ** mid:
+            lo = mid + 1
+        else:
+            hi = mid
+    return max(lo, 1)
+
+
+def paper_bound(family, n, b):
+    """("exact", value), ("symbolic", expr) or ("too big", None) from the
+    paper's literal formula b * J(arg)^b."""
+    arg = PAPER_ARGUMENTS[family](n)
+    if 1 <= arg < 71 and arg not in (63, 65, 67, 69):
+        j = SymbolicJ(arg)
+        return "symbolic", j if b == 1 else Product((ExactInt(b), Power(j, b)))
+    if arg + 1 > ORACLE_MAX_FACTORIAL:
+        return "too big", None
+    return "exact", b * cached_slow_factorial(arg + 1) ** b
+
+
+def test_family_table_matches_paper_formulas():
+    budget = sys.get_int_max_str_digits()
+    assert set(FAMILIES) == set(PAPER_ARGUMENTS)
+    for family in FAMILIES:
+        for n in range(7):
+            for b in ((1, 2, 3) if family in WITH_COMPONENTS else (None,)):
+                kind, expected = paper_bound(family, n, b or 1)
+                if kind == "too big":
+                    with pytest.raises(ResourceGuardError):
+                        bound(family, n, b)
+                    continue
+                try:
+                    got = bound(family, n, b)
+                except ResourceGuardError:
+                    # a refusal is allowed only past the digit limit
+                    assert kind == "exact" and digits(expected) > budget, (family, n, b)
+                    continue
+                if kind == "symbolic":
+                    assert got == expected, (family, n, b)
+                else:
+                    assert got == ExactInt(expected), (family, n, b)
+
+
+def test_bound_validates_its_arguments():
+    with pytest.raises(ValueError):
+        bound("no-such-family", 1)
+    with pytest.raises(ValueError):
+        bound("lie", -1)
+    with pytest.raises(ValueError):
+        bound("lie", 1.5)
+    with pytest.raises(ValueError):
+        bound("lie", 2, 0)
+    for family in set(FAMILIES) - set(WITH_COMPONENTS):
+        with pytest.raises(ValueError, match="does not apply"):
+            bound(family, 2, 1)
+    assert bound("lie", 3) == bound("lie", 3, 1) == SymbolicJ(54)
+
+
+def test_bounds_past_the_digit_limit_are_refused():
+    budget = sys.get_int_max_str_digits()
+    # 967! has 2469 digits and prints; twice its square has 4938
+    assert len(bound_lie_connected(7).render()) == 2469
+    with pytest.raises(ResourceGuardError, match="PYTHONINTMAXSTRDIGITS"):
+        bound("lie", 7, 2).render()
+    with pytest.raises(ResourceGuardError, match=f"{budget}"):
+        expr_to_json(bound_lie_connected(8))
+    for family in FAMILIES:
+        with pytest.raises(ResourceGuardError):
+            bound(family, 10 ** 6)
+    with pytest.raises(ResourceGuardError):
+        bound("lie", 7, 10 ** 6)
+    with pytest.raises(ResourceGuardError):
+        jordan_gl(10 ** 9)
+
+
+def test_render_formatter_applies_to_exact_integers_only():
+    expr = Product((ExactInt(12), Power(SymbolicJ(54), 3)))
+    assert expr.render(lambda v: f"<{v}>") == "<12> * J(54)^3"
+    assert expr.render() == "12 * J(54)^3"
+
+
+# --- expr_from_json --------------------------------------------------------
+
+def test_json_rejects_wrongly_typed_fields():
+    bad_payloads = [
+        {"kind": "exact"},
+        {"kind": "exact", "value": 5},
+        {"kind": "exact", "value": "five"},
+        {"kind": "exact", "value": " 5"},
+        {"kind": "exact", "value": "+5"},
+        {"kind": "exact", "value": "5_0"},
+        {"kind": "exact", "value": "000"},
+        {"kind": "symbolic_j"},
+        {"kind": "symbolic_j", "arg": 1.9},
+        {"kind": "symbolic_j", "arg": True},
+        {"kind": "symbolic_j", "arg": "7"},
+        {"kind": "power", "exponent": 2},
+        {"kind": "power", "operands": {"kind": "symbolic_j", "arg": 5}, "exponent": 2},
+        {"kind": "power", "operands": [{"kind": "symbolic_j", "arg": 5}]},
+        {"kind": "power", "operands": [{"kind": "symbolic_j", "arg": 5}], "exponent": 2.0},
+        {"kind": "power", "operands": [{"kind": "symbolic_j", "arg": 5}], "exponent": 1},
+        {"kind": "power", "operands": [{"kind": "exact", "value": "5"}], "exponent": 0},
+        {"kind": "product"},
+        {"kind": "product", "operands": "ab"},
+        {"kind": "product", "operands": [{"kind": "exact", "value": "2"}, 3]},
+    ]
+    for payload in bad_payloads:
+        with pytest.raises(ValueError):
+            expr_from_json(payload)
+
+
+def test_json_parse_flattens_nested_products():
+    j3, j5, j7 = ({"kind": "symbolic_j", "arg": k} for k in (3, 5, 7))
+    nested = {"kind": "product", "operands": [
+        {"kind": "exact", "value": "2"},
+        {"kind": "product", "operands": [{"kind": "exact", "value": "3"}, j3, j5]},
+        j7,
+    ]}
+    assert expr_from_json(nested) == Product(
+        (ExactInt(6), SymbolicJ(3), SymbolicJ(5), SymbolicJ(7)))
+
+
+def test_json_parse_refuses_huge_exact_values():
+    budget = sys.get_int_max_str_digits()
+    with pytest.raises(ResourceGuardError):
+        expr_from_json({"kind": "power", "operands": [{"kind": "exact", "value": "2"}],
+                        "exponent": 10 ** 12})
+    assert expr_from_json({"kind": "exact", "value": "0" + "9" * budget}) \
+        == ExactInt(10 ** budget - 1)
+    with pytest.raises(ResourceGuardError, match=f"at least {budget + 1} decimal digits"):
+        expr_from_json({"kind": "exact", "value": "1" + "0" * budget})
+
+
+def test_digit_limit_is_exact_and_follows_the_int_str_limit():
+    budget = sys.get_int_max_str_digits()
+    assert ExactInt(10 ** budget - 1).render() == "9" * budget
+    with pytest.raises(ResourceGuardError, match=f"has at least {budget + 1} decimal digits"):
+        ExactInt(10 ** budget).render()
+    try:
+        sys.set_int_max_str_digits(5000)
+        assert len(bound("lie", 7, 2).render()) == 4938
+    finally:
+        sys.set_int_max_str_digits(budget)

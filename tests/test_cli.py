@@ -1,8 +1,10 @@
 """Command-line interface: formats, exit codes, guards."""
+import argparse
 import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -346,3 +348,53 @@ def test_module_entry_point_smoke():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+def test_bound_choices_are_the_bounds_table():
+    from liejordan import bounds
+    from liejordan.cli import build_parser
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in subparsers.choices["bound"]._actions
+                  if a.dest == "family_of_groups")
+    assert tuple(action.choices) == tuple(bounds.FAMILIES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lie-connected", "--n", "8"],
+    ["algebraic", "--n", "4"],
+    ["compact-complex", "--n", "2"],
+    ["riemannian", "--n", "4"],
+    ["lie", "--n", "7", "--components", "2"],
+])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_bound_past_digit_limit_exits_3(capsys, argv, fmt):
+    code, out, err = run_cli(
+        capsys, "bound", "--family-of-groups", *argv, "--format", fmt)
+    assert (code, out) == (3, "")
+    budget = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    assert "PYTHONINTMAXSTRDIGITS" in err and str(budget) in err
+
+
+@pytest.mark.parametrize("argv", [
+    *(["--family-of-groups", family, "--n", "1000000"]
+      for family in ("lie", "lie-connected", "algebraic", "compact-complex",
+                     "hyperbolic", "hyperbolic-stabilizer", "riemannian")),
+    ["--family-of-groups", "lie", "--n", "7", "--components", "1000000"],
+])
+def test_huge_bound_refused_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "bound", *argv)
+    assert (code, out) == (3, "")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_bound_just_under_digit_limit_prints(capsys):
+    code, out, _ = run_cli(
+        capsys, "bound", "--family-of-groups", "lie-connected", "--n", "7")
+    assert code == 0
+    value = out.split(" ", 1)[0]
+    assert len(value) == 2469
+    assert out.endswith(" (2469 digits, ~" + value[0] + "." + value[1:6]
+                        + "e2468)\n")
