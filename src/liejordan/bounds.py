@@ -25,6 +25,10 @@ from .errors import ResourceGuardError
 _EXACT_SPORADIC = frozenset({63, 65, 67, 69})
 _EXACT_FROM = 71
 _FORMED_PER_PRINTED = 10
+# Deepest expression tree expr_from_json accepts; bound() builds depth 3,
+# and the limit keeps the recursive parse and render far from the
+# interpreter's recursion limit.
+_MAX_JSON_DEPTH = 100
 
 
 def _digit_budget() -> int:
@@ -126,8 +130,12 @@ class Product(BoundExpr):
 
 
 def _power(base: BoundExpr, exponent: int) -> BoundExpr:
+    """base^exponent, with an exact base evaluated and a power of a power
+    folded into one power, so (J(5)^2)^3 is J(5)^6."""
     if exponent == 1:
         return base
+    if isinstance(base, Power):
+        return _power(base.base, base.exponent * exponent)
     if base.is_exact():
         x = base.value
         return ExactInt(_formed(exponent * (x.bit_length() - 1), lambda: x ** exponent))
@@ -306,10 +314,18 @@ def _field(data: dict, key: str, kind: type):
 def expr_from_json(data: dict) -> BoundExpr:
     """Parse a dict produced by expr_to_json; inverse of it on valid input.
 
-    Exact subtrees are collapsed and nested products flattened, so the
-    result satisfies the constructor invariants.  Malformed input raises
-    ValueError; an exact value past the digit limits, ResourceGuardError.
+    Exact subtrees are collapsed, nested products flattened and powers of
+    powers folded, so the result satisfies the constructor invariants.
+    Malformed input, including a tree nested more than 100 levels deep,
+    raises ValueError; an exact value past the digit limits,
+    ResourceGuardError.
     """
+    return _from_json(data, _MAX_JSON_DEPTH)
+
+
+def _from_json(data: dict, depth: int) -> BoundExpr:
+    if depth < 1:
+        raise ValueError(f"bound expressions nest at most {_MAX_JSON_DEPTH} levels deep")
     if not isinstance(data, dict) or "kind" not in data:
         raise ValueError(f"expected a bound-expression dict, got {data!r}")
     kind = data["kind"]
@@ -328,9 +344,9 @@ def expr_from_json(data: dict) -> BoundExpr:
     if kind == "product":
         if len(operands) < 2:
             raise ValueError("product nodes need at least two operands")
-        return _product([expr_from_json(op) for op in operands])
+        return _product([_from_json(op, depth - 1) for op in operands])
     exponent = _field(data, "exponent", int)
     if len(operands) != 1 or exponent < 2:
         raise ValueError(f"power nodes need one operand and an exponent >= 2, "
                          f"got {len(operands)} and {exponent}")
-    return _power(expr_from_json(operands[0]), exponent)
+    return _power(_from_json(operands[0], depth - 1), exponent)

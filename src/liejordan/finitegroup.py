@@ -6,11 +6,17 @@ constant is the maximum over all subgroups F of the minimal index of a
 normal abelian subgroup of F; it is 1 exactly for abelian groups, and
 the group order itself is the trivial boundedness constant.
 
-Subgroup enumeration is the standard bottom-up closure: every subgroup
-arises from a smaller one by adjoining a single element, so repeatedly
-extending each known subgroup by each outside element finds the whole
-lattice.  Each subgroup keeps the generator list that built it, which
-makes normality checks cheap (conjugating generators suffices).
+In the lattice walk and the scan, subgroups are int bitmasks over the
+element indices, so a subset test is a & ~b == 0.  Enumeration is cyclic
+extension (Neubuser 1960; Holt, Eick & O'Brien, Handbook of
+Computational Group Theory, 2005): every subgroup is generated by its
+cyclic subgroups, so extending each known subgroup by each cyclic
+subgroup <g> not already inside it, breadth first from the trivial
+group, finds the whole lattice.  A join <H, g> is grown from H coset by
+coset.  Each subgroup keeps the generator list that built it, which
+makes the abelian test (generators commute) and normality (conjugates
+of generators stay inside) cheap; the minimal-index scan takes the
+abelian subgroups largest first, so the first normal one inside F wins.
 
 Both the permutation closure and the lattice walk are guarded by
 configurable order limits, since subgroup lattices explode quickly.
@@ -18,6 +24,7 @@ configurable order limits, since subgroup lattices explode quickly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import OrderLimitError
 
@@ -52,8 +59,8 @@ class FiniteGroup:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
             if frozenset(row) != everything:
                 raise ValueError(f"row {i} is not a permutation of 0..{n - 1}")
-        for j in range(n):
-            if frozenset(row[j] for row in self.mult) != everything:
+        for j, column in enumerate(zip(*self.mult)):
+            if frozenset(column) != everything:
                 raise ValueError(f"column {j} is not a permutation of 0..{n - 1}")
         if any(self.mult[0][j] != j for j in range(n)):
             raise ValueError("row 0 is not the identity")
@@ -103,24 +110,52 @@ def _parse_perm_line(line: str, degree: int, lineno: int) -> tuple[int, ...]:
     return images
 
 
-def _perm_closure(generators, degree: int, limit: int):
-    """All products of the generators, via breadth-first closure."""
+def _times(q):
+    """The map p -> p*q = p[q[.]]; itemgetter of one index returns a bare
+    item, so degree 1 (q the identity) gets the identity map."""
+    return itemgetter(*q) if len(q) > 1 else lambda p: p
+
+
+def _perm_closure(generators, degree: int, limit: int) -> dict:
+    """All products of the generators, breadth first, each mapped to the
+    (element, generator index) it was first reached from; None for the
+    identity, which comes first."""
+    rights = [_times(g) for g in generators]
     identity = tuple(range(degree))
-    elements = {identity}
+    reached: dict = {identity: None}
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
-            for g in generators:
-                q = tuple(p[g[x]] for x in range(degree))
-                if q not in elements:
-                    if len(elements) >= limit:
+            for k, right in enumerate(rights):
+                q = right(p)
+                if q not in reached:
+                    if len(reached) >= limit:
                         raise OrderLimitError(
                             f"permutation closure exceeded {limit} elements")
-                    elements.add(q)
+                    reached[q] = (p, k)
                     nxt.append(q)
         frontier = nxt
-    return elements
+    return reached
+
+
+def _perm_table(reached, generators) -> list:
+    """Cayley table of a permutation closure, identity first, the rest sorted.
+
+    Since (p*g)*q = p*(g*q), the row of p*g is the row of p read through
+    the row of g: one C-level itemgetter call per row, parents first.
+    """
+    identity, *rest = reached
+    ordered = [identity] + sorted(rest)
+    index = {p: i for i, p in enumerate(ordered)}
+    through = [_times(tuple(index[_times(q)(g)] for q in ordered)) for g in generators]
+    rows: list = [None] * len(ordered)
+    rows[0] = tuple(range(len(ordered)))
+    for q, step in reached.items():
+        if step is not None:
+            p, k = step
+            rows[index[q]] = through[k](rows[index[p]])
+    return rows
 
 
 def parse_group(text: str, closure_limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
@@ -154,14 +189,9 @@ def parse_group(text: str, closure_limit: int = DEFAULT_CLOSURE_LIMIT) -> Finite
     if kind == "perm":
         generators = [
             _parse_perm_line(ln, size, i + 2) for i, ln in enumerate(lines[1:])]
-        elements = _perm_closure(generators, size, closure_limit)
-        identity = tuple(range(size))
-        ordered = [identity] + sorted(elements - {identity})
-        index = {p: i for i, p in enumerate(ordered)}
-        mult = [
-            [index[tuple(p[q[x]] for x in range(size))] for q in ordered]
-            for p in ordered]
-        return FiniteGroup(mult, source="perm", check_associativity=False)
+        reached = _perm_closure(generators, size, closure_limit)
+        return FiniteGroup(_perm_table(reached, generators), source="perm",
+                           check_associativity=False)
 
     if kind == "table":
         rows = lines[1:]
@@ -181,92 +211,106 @@ def parse_group(text: str, closure_limit: int = DEFAULT_CLOSURE_LIMIT) -> Finite
     raise ValueError(f"unknown format {kind!r}, expected 'perm' or 'table'")
 
 
-def _closure_in_table(mult, seed) -> tuple[int, ...]:
-    """Subgroup generated by the seed elements; finite, so products suffice."""
-    elements = [0]
-    present = {0}
-    for s in seed:
-        if s not in present:
-            present.add(s)
-            elements.append(s)
-    i = 0
-    while i < len(elements):
-        a = elements[i]
-        row_a = mult[a]
-        j = 0
-        while j < len(elements):
-            b = elements[j]
-            for p in (row_a[b], mult[b][a]):
-                if p not in present:
-                    present.add(p)
-                    elements.append(p)
-            j += 1
-        i += 1
-    return tuple(sorted(present))
+def _cyclic_subgroups(mult, order) -> list[tuple[int, int]]:
+    """Every nontrivial cyclic subgroup as (mask, smallest generator)."""
+    cyclic: dict[int, int] = {}
+    for g in range(1, order):
+        mask, x = 1, g
+        while x:
+            mask |= 1 << x
+            x = mult[x][g]
+        cyclic.setdefault(mask, g)
+    return list(cyclic.items())
+
+
+def _join(mult, cols, bits, base, mask, gens) -> tuple[int, list[int]]:
+    """Mask and elements of the subgroup K generated by gens, which include
+    the generators of the subgroup H with elements base and mask.
+
+    K is grown as a union of right cosets Hy.  Such a union contains the
+    identity, and it is closed under right multiplication by the generators
+    (hence is K) once y*s lies in it for every coset representative y and
+    generator s, so the work is |K| + [K:H]*len(gens) table lookups.
+    """
+    elements = list(base)
+    reps = [0]
+    for x in reps:
+        row = mult[x]
+        for s in gens:
+            y = row[s]
+            if not mask >> y & 1:
+                coset = list(map(cols[y].__getitem__, base))
+                elements += coset
+                mask |= sum(map(bits.__getitem__, coset))
+                reps.append(y)
+    return mask, elements
 
 
 def all_subgroups(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> list[Subgroup]:
     """Every subgroup, sorted by order then element list.
 
-    Groups over max_order are refused; the lattice walk is quadratic in
-    the number of subgroups, which grows quickly.
+    Groups over max_order are refused: the lattice walk costs about
+    (number of subgroups) x (number of cyclic subgroups) joins.
     """
     if G.order > max_order:
         raise OrderLimitError(
             f"group order {G.order} exceeds limit {max_order}")
     mult = G.mult
-    trivial = (0,)
-    found: dict[tuple[int, ...], tuple[int, ...]] = {trivial: ()}
-    frontier = [trivial]
+    cols = tuple(zip(*mult))
+    bits = [1 << i for i in range(G.order)]
+    cyclic = _cyclic_subgroups(mult, G.order)
+    found: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
+    frontier = [1]
     while frontier:
         nxt = []
-        for elems in frontier:
-            gens = found[elems]
-            inside = set(elems)
-            for g in range(1, G.order):
-                if g in inside:
-                    continue
-                bigger = _closure_in_table(mult, elems + (g,))
-                if bigger not in found:
-                    found[bigger] = gens + (g,)
-                    nxt.append(bigger)
+        for mask in frontier:
+            base, gens = found[mask]
+            for cmask, g in cyclic:
+                if cmask & ~mask:
+                    grown = gens + (g,)
+                    bigger, elements = _join(mult, cols, bits, base, mask, grown)
+                    if bigger not in found:
+                        found[bigger] = (elements, grown)
+                        nxt.append(bigger)
         frontier = nxt
-    return [Subgroup(elems, found[elems])
-            for elems in sorted(found, key=lambda e: (len(e), e))]
+    subs = [Subgroup(tuple(sorted(elements)), gens)
+            for elements, gens in found.values()]
+    subs.sort(key=lambda s: (s.order, s.elements))
+    return subs
 
 
-def _is_abelian(mult, elements) -> bool:
-    return all(mult[a][b] == mult[b][a] for a in elements for b in elements)
+def _mask(elements) -> int:
+    return sum(1 << e for e in elements)
 
 
-def _is_normal_in(G: FiniteGroup, sub_elements: frozenset, ambient: Subgroup) -> bool:
-    """Whether the element set is closed under conjugation by the ambient
-    subgroup; checking the ambient generators suffices."""
-    conjugators = ambient.generators or ambient.elements
-    return all(
-        G.conjugate(g, a) in sub_elements
-        for g in conjugators for a in sub_elements)
+def _abelian_largest_first(G: FiniteGroup, lattice) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The abelian subgroups of the lattice as (mask, order, generators),
+    largest first: a subgroup is abelian when its generators commute."""
+    mult = G.mult
+    return [(_mask(A.elements), A.order, A.generators) for A in reversed(lattice)
+            if all(mult[a][b] == mult[b][a] for a in A.generators for b in A.generators)]
 
 
-def _min_index(G: FiniteGroup, F: Subgroup, lattice) -> int:
-    inside = frozenset(F.elements)
-    best = F.order  # the trivial subgroup is always normal and abelian
-    for A in lattice:
-        aset = frozenset(A.elements)
-        if not aset <= inside:
-            continue
-        index = F.order // A.order
-        if index >= best:
-            continue
-        if _is_abelian(G.mult, A.elements) and _is_normal_in(G, aset, F):
-            best = index
-    return best
+def _min_index(G: FiniteGroup, fmask: int, order: int, conjugators, abelian) -> int:
+    """Least index of a normal abelian subgroup of F, given by its mask, order
+    and a generating set.  The first abelian subgroup, largest first, that
+    lies in F and that every conjugator maps into itself (checking its
+    generators suffices) attains it."""
+    mult, inv = G.mult, G.inverses
+    for amask, aorder, agens in abelian:
+        if not amask & ~fmask and all(
+                amask >> mult[mult[g][a]][inv[g]] & 1
+                for g in conjugators for a in agens):
+            return order // aorder
+    return order
 
 
 def min_normal_abelian_index(F: Subgroup, G: FiniteGroup,
                              max_order: int = DEFAULT_JORDAN_LIMIT) -> int:
     """Smallest index of a normal abelian subgroup of F inside G."""
-    return _min_index(G, F, all_subgroups(G, max_order))
+    abelian = _abelian_largest_first(G, all_subgroups(G, max_order))
+    return _min_index(G, _mask(F.elements), F.order,
+                      F.generators or F.elements, abelian)
 
 
 def jordan_constant_with_witness(
@@ -275,13 +319,21 @@ def jordan_constant_with_witness(
     """Jordan constant of G plus the first subgroup attaining it.
 
     The witness is the first subgroup in (order, elements) order whose
-    minimal normal abelian index equals the maximum.
+    minimal normal abelian index equals the maximum.  The trivial subgroup
+    has index 1, an abelian F has index 1 and no F has an index above its
+    order, so only nonabelian F larger than the best so far are scanned.
     """
     lattice = all_subgroups(G, max_order)
-    best = 0
-    witness = lattice[0]
+    abelian = _abelian_largest_first(G, lattice)
+    abelian_masks = {mask for mask, _, _ in abelian}
+    best, witness = 1, lattice[0]
     for F in lattice:
-        value = _min_index(G, F, lattice)
+        if F.order <= best:
+            continue
+        fmask = _mask(F.elements)
+        if fmask in abelian_masks:
+            continue
+        value = _min_index(G, fmask, F.order, F.generators, abelian)
         if value > best:
             best = value
             witness = F

@@ -367,6 +367,32 @@ def test_json_parse_flattens_nested_products():
         (ExactInt(6), SymbolicJ(3), SymbolicJ(5), SymbolicJ(7)))
 
 
+def test_json_parse_folds_powers_of_powers():
+    j5 = {"kind": "symbolic_j", "arg": 5}
+    nested = {"kind": "power", "exponent": 3,
+              "operands": [{"kind": "power", "operands": [j5], "exponent": 2}]}
+    parsed = expr_from_json(nested)
+    assert parsed == Power(SymbolicJ(5), 6)
+    assert parsed.render() == "J(5)^6"
+    assert expr_to_json(parsed) == {"kind": "power", "operands": [j5], "exponent": 6}
+    product = {"kind": "product", "operands": [j5, {"kind": "symbolic_j", "arg": 7}]}
+    squared = {"kind": "power", "operands": [product], "exponent": 2}
+    assert expr_from_json({"kind": "power", "operands": [squared], "exponent": 2}) \
+        == Power(Product((SymbolicJ(5), SymbolicJ(7))), 4)
+
+
+def test_json_parse_refuses_very_deep_trees():
+    deep = {"kind": "symbolic_j", "arg": 5}
+    for _ in range(5000):
+        deep = {"kind": "power", "operands": [deep], "exponent": 2}
+    with pytest.raises(ValueError, match="nest at most 100 levels"):
+        expr_from_json(deep)
+    chain = {"kind": "symbolic_j", "arg": 5}
+    for _ in range(99):
+        chain = {"kind": "power", "operands": [chain], "exponent": 2}
+    assert expr_from_json(chain) == Power(SymbolicJ(5), 2 ** 99)
+
+
 def test_json_parse_refuses_huge_exact_values():
     budget = sys.get_int_max_str_digits()
     with pytest.raises(ResourceGuardError):

@@ -53,6 +53,21 @@ def test_json_round_trip_property(tree):
     assert expr_from_json(expr_to_json(parsed)) == parsed
 
 
+def has_nested_power(expr):
+    if isinstance(expr, Power):
+        return isinstance(expr.base, Power) or has_nested_power(expr.base)
+    if isinstance(expr, Product):
+        return any(has_nested_power(op) for op in expr.operands)
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees)
+def test_json_parse_folds_every_power_of_a_power(tree):
+    parsed = expr_from_json(expr_to_json(tree))
+    assert not has_nested_power(parsed)
+
+
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-3, 10 ** 12),
               st.floats(allow_nan=False), st.text(max_size=5),
