@@ -21,11 +21,10 @@ from .center import (CenterClass, WeightSet, center_classes, center_order,
                      is_faithful, pair)
 from .errors import OrderLimitError, RankBudgetError, ResourceGuardError
 from .finitegroup import (FiniteGroup, Subgroup, all_subgroups,
-                          boundedness_constant, jordan_constant,
-                          jordan_constant_with_witness,
+                          jordan_constant, jordan_constant_with_witness,
                           min_normal_abelian_index, parse_group,
                           subgroup_group)
-from .minfaithful import RdimResult, rdim, rdim_table, verify_dimension_cap
+from .minfaithful import RdimResult, rdim, rdim_table
 from .rootdata import (DominantWeight, RootDatum, SimpleType,
                        build_root_datum, cartan_matrix,
                        enumerate_dominant_weights, max_rank,
@@ -38,12 +37,11 @@ __all__ = [
     "Subgroup", "SymbolicJ", "WeightSet", "all_subgroups", "bound",
     "bound_algebraic", "bound_compact_complex", "bound_hyperbolic",
     "bound_lie", "bound_lie_connected", "bound_riemannian",
-    "boundedness_constant", "build_root_datum", "cartan_matrix",
-    "center_classes", "center_order", "consistency_check_bounds",
-    "enumerate_dominant_weights", "expr_from_json", "expr_to_json",
-    "is_faithful", "jordan_constant", "jordan_constant_with_witness",
-    "jordan_gl", "max_rank", "min_normal_abelian_index", "parse_group",
-    "positive_root_count", "rdim", "rdim_table",
-    "stabilizer_bound_hyperbolic", "subgroup_group", "verify_dimension_cap",
+    "build_root_datum", "cartan_matrix", "center_classes", "center_order",
+    "consistency_check_bounds", "enumerate_dominant_weights",
+    "expr_from_json", "expr_to_json", "is_faithful", "jordan_constant",
+    "jordan_constant_with_witness", "jordan_gl", "max_rank",
+    "min_normal_abelian_index", "parse_group", "positive_root_count", "rdim",
+    "rdim_table", "stabilizer_bound_hyperbolic", "subgroup_group",
     "weyl_dim",
 ]

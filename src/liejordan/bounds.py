@@ -45,7 +45,7 @@ def _refusal(digits, limit: int) -> ResourceGuardError:
     budget = _digit_budget()
     kept = "" if limit == budget else f"{limit}, {_FORMED_PER_PRINTED} times "
     return ResourceGuardError(
-        f"the exact bound has at least {digits} decimal digits, more than {kept}the "
+        f"the exact value has at least {digits} decimal digits, more than {kept}the "
         f"{budget} allowed by the int->str digit limit (raise it with PYTHONINTMAXSTRDIGITS)")
 
 

@@ -4,14 +4,16 @@ An element of the maximal torus is written x = sum mu_i alpha_i^vee with
 rational coefficients; it is central exactly when every simple root
 takes an integer value on it, i.e. when the Cartan matrix applied to mu
 is integral.  The center is therefore the finite group (C^-1 Z^l) / Z^l,
-and each nonidentity class is stored by its unique representative with
-all coordinates in [0, 1).
+of order d = det C.  Since C^-1 = adj(C) / d, every class is x/d mod 1
+for an integer vector x mod d, and the classes are kept in that form,
+computed once per root datum.  CenterClass shows a class by its unique
+representative with all coordinates in [0, 1).
 
-A weight evaluates on x to sum lambda_i mu_i mod 1, and a central
-element acts trivially in the irreducible representation of highest
-weight lambda exactly when that value is 0.  A set of weights is
-faithful when no nonidentity central class evaluates to 0 under all of
-them.
+A weight evaluates on the class x/d to sum lambda_i x_i / d mod 1, and a
+central element acts trivially in the irreducible representation of
+highest weight lambda exactly when sum lambda_i x_i is 0 mod d.  A set of
+weights is faithful when no nonidentity central class evaluates to 0
+under all of them.
 
 Convention note: for D of odd rank the center is cyclic of order 4 and
 the class representatives carry quarter coordinates on the two fork
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .rootdata import DominantWeight, RootDatum
 
@@ -76,86 +79,58 @@ class WeightSet:
         return ";".join(str(w) for w in self.weights)
 
 
-def _det(matrix) -> int:
-    """Determinant of an integer matrix by fraction-free elimination."""
-    n = len(matrix)
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+@lru_cache(maxsize=None)
+def _center(datum: RootDatum) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, classes): the Cartan determinant and the nonidentity central
+    classes as sorted integer vectors x mod d, x standing for x/d mod 1.
 
-
-def _inverse(matrix) -> list[list[Fraction]]:
-    """Exact inverse of an integer matrix via Gauss-Jordan over Fraction."""
-    n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] +
-           [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        factor = aug[col][col]
-        aug[col] = [x / factor for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def center_order(datum: RootDatum) -> int:
-    """Order of the center: the determinant of the Cartan matrix."""
-    return _det(datum.cartan)
-
-
-def _mod1(vec) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) % 1 for c in vec)
-
-
-def center_classes(datum: RootDatum) -> list[CenterClass]:
-    """All nonidentity central classes, sorted lexicographically.
-
-    The columns of the inverse Cartan matrix generate the center mod 1;
-    the closure under addition is tiny (at most the determinant), so a
-    plain worklist suffices.  The count is checked against the
-    determinant.
+    One fraction-free Gauss-Jordan elimination takes [C | I] to
+    [d*I | adj C].  It needs no pivoting: the pivot at step k is the k-th
+    leading principal minor, itself a positive Cartan determinant.  The
+    columns of adj C generate the center mod d; the closure under
+    addition has exactly d elements, which is checked.
     """
-    inv = _inverse(datum.cartan)
     rank = datum.rank
-    generators = [_mod1(tuple(inv[i][j] for i in range(rank))) for j in range(rank)]
-    zero = tuple(Fraction(0) for _ in range(rank))
+    aug = [list(row) + [int(i == j) for j in range(rank)]
+           for i, row in enumerate(datum.cartan)]
+    prev = 1
+    for k in range(rank):
+        pivot = aug[k]
+        for i, row in enumerate(aug):
+            if i != k:
+                f = row[k]
+                aug[i] = [(pivot[k] * a - f * b) // prev for a, b in zip(row, pivot)]
+        prev = pivot[k]
+    d = prev
+    generators = [tuple(aug[i][rank + j] % d for i in range(rank)) for j in range(rank)]
+    zero = (0,) * rank
     classes = {zero}
-    frontier = [g for g in generators if g not in classes]
-    classes.update(frontier)
+    frontier = [zero]
     while frontier:
         nxt = []
         for a in frontier:
             for g in generators:
-                s = _mod1(tuple(x + y for x, y in zip(a, g)))
+                s = tuple((x + y) % d for x, y in zip(a, g))
                 if s not in classes:
                     classes.add(s)
                     nxt.append(s)
         frontier = nxt
-    if len(classes) != center_order(datum):
+    if len(classes) != d:
         raise AssertionError(
-            f"{datum.type}: found {len(classes)} central classes, "
-            f"determinant is {center_order(datum)}")
+            f"{datum.type}: found {len(classes)} central classes, determinant is {d}")
     classes.discard(zero)
-    return [CenterClass(c) for c in sorted(classes)]
+    return d, tuple(sorted(classes))
+
+
+def center_order(datum: RootDatum) -> int:
+    """Order of the center: the determinant of the Cartan matrix."""
+    return _center(datum)[0]
+
+
+def center_classes(datum: RootDatum) -> list[CenterClass]:
+    """All nonidentity central classes, sorted lexicographically."""
+    d, classes = _center(datum)
+    return [CenterClass(tuple(Fraction(c, d) for c in x)) for x in classes]
 
 
 def pair(weight: DominantWeight, element) -> Fraction:
@@ -183,6 +158,7 @@ def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:
         if len(w.coords) != datum.rank:
             raise ValueError(
                 f"weight {w.coords} does not match rank {datum.rank} of {datum.type}")
+    d, classes = _center(datum)
     return all(
-        any(pair(w, cls) for w in weight_set)
-        for cls in center_classes(datum))
+        any(sum(l * c for l, c in zip(w.coords, x)) % d for w in weight_set)
+        for x in classes)

@@ -105,7 +105,7 @@ def _cmd_dim(args) -> str:
     stype = _parse_type(args)
     datum = rootdata.build_root_datum(stype)
     weight = _parse_weight(args.weight, stype.rank)
-    value = rootdata.weyl_dim(datum, weight)
+    value = bounds._within(rootdata.weyl_dim(datum, weight), bounds._digit_budget())
     if args.format == "json":
         return json.dumps({
             "family": stype.family, "rank": stype.rank,
@@ -181,21 +181,20 @@ def _cmd_jordan_finite(args) -> str:
     G = finitegroup.parse_group(text, closure_limit=args.closure_limit)
     value, witness = finitegroup.jordan_constant_with_witness(
         G, max_order=args.jordan_limit)
-    b = finitegroup.boundedness_constant(G)
     if args.format == "json":
         return json.dumps({
             "order": G.order, "jordan_constant": value,
-            "witness_subgroup": list(witness.elements), "b": b,
+            "witness_subgroup": list(witness.elements), "b": G.order,
         }, indent=2)
     if args.format == "csv":
         return _csv_rows(
             ["order", "jordan_constant", "witness_subgroup", "b"],
-            [[G.order, value, ";".join(str(i) for i in witness.elements), b]])
+            [[G.order, value, ";".join(str(i) for i in witness.elements), G.order]])
     return "\n".join([
         f"order {G.order}",
         f"jordan_constant {value}",
         "witness_subgroup " + ",".join(str(i) for i in witness.elements),
-        f"b {b}"])
+        f"b {G.order}"])
 
 
 def _add_type_flags(sub):

@@ -42,10 +42,9 @@ class FiniteGroup:
     construction.
     """
 
-    def __init__(self, mult, source: str = "table", check_associativity: bool = True):
+    def __init__(self, mult, check_associativity: bool = True):
         self.mult = tuple(tuple(row) for row in mult)
         self.order = len(self.mult)
-        self.source = source
         self._validate(check_associativity)
         self.inverses = tuple(row.index(0) for row in self.mult)
 
@@ -190,8 +189,7 @@ def parse_group(text: str, closure_limit: int = DEFAULT_CLOSURE_LIMIT) -> Finite
         generators = [
             _parse_perm_line(ln, size, i + 2) for i, ln in enumerate(lines[1:])]
         reached = _perm_closure(generators, size, closure_limit)
-        return FiniteGroup(_perm_table(reached, generators), source="perm",
-                           check_associativity=False)
+        return FiniteGroup(_perm_table(reached, generators), check_associativity=False)
 
     if kind == "table":
         rows = lines[1:]
@@ -206,7 +204,7 @@ def parse_group(text: str, closure_limit: int = DEFAULT_CLOSURE_LIMIT) -> Finite
             if any(not 0 <= x < size for x in row):
                 raise ValueError(f"table row {i} has entries outside 0..{size - 1}")
             mult.append(row)
-        return FiniteGroup(mult, source="table")
+        return FiniteGroup(mult)
 
     raise ValueError(f"unknown format {kind!r}, expected 'perm' or 'table'")
 
@@ -345,11 +343,6 @@ def jordan_constant(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> in
     return jordan_constant_with_witness(G, max_order)[0]
 
 
-def boundedness_constant(G: FiniteGroup) -> int:
-    """The order of G: the trivial bound on its finite subgroup orders."""
-    return G.order
-
-
 def subgroup_group(G: FiniteGroup, sub: Subgroup) -> FiniteGroup:
     """A subgroup re-indexed as a standalone group.
 
@@ -357,4 +350,4 @@ def subgroup_group(G: FiniteGroup, sub: Subgroup) -> FiniteGroup:
     """
     index = {g: i for i, g in enumerate(sub.elements)}
     mult = [[index[G.mult[a][b]] for b in sub.elements] for a in sub.elements]
-    return FiniteGroup(mult, source="table", check_associativity=False)
+    return FiniteGroup(mult, check_associativity=False)

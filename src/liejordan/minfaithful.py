@@ -3,9 +3,13 @@
 For a simply connected simple group, a direct sum of irreducibles is
 faithful exactly when the highest weights jointly detect every
 nonidentity central class.  Minimising the total dimension is therefore
-a weighted set-cover problem over a tiny universe (the center has at
-most rank+1 elements for the types in budget), solved exactly by
-dynamic programming over coverage bitmasks.
+a weighted set-cover problem over the nonidentity classes, solved
+exactly by dynamic programming over coverage bitmasks.  A weight covers
+the classes outside the kernel of its central character, a subgroup of
+the center, so every state the DP reaches is the complement of a
+subgroup (an intersection of kernels); only those states are stored.
+The center is cyclic or Z2 x Z2, so there are at most as many states as
+divisors of its order, or 5.
 
 The enumeration cap 2**rank + 10 is safe: every type admits a faithful
 set of total dimension at most that value, each weight in an optimal
@@ -14,9 +18,10 @@ only by the 26-dimensional rank-4 case.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-from .center import WeightSet, center_classes, pair
+from .center import WeightSet, _center
 from .rootdata import (RootDatum, SimpleType, build_root_datum,
                        check_rank_budget, enumerate_dominant_weights,
                        max_rank, weyl_dim)
@@ -44,42 +49,47 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     check_rank_budget(datum.type, override)
     cap = 2 ** datum.rank + 10
     candidates = enumerate_dominant_weights(datum, cap, allow_large_cap=override)
-    classes = center_classes(datum)
+    d, classes = _center(datum)
 
     if not classes:
-        w, d = candidates[0]
-        return RdimResult(d, WeightSet((w,)), (d,))
+        w, dim = candidates[0]
+        return RdimResult(dim, WeightSet((w,)), (dim,))
 
     # Coverage mask per weight; equal masks keep only the cheapest weight,
     # and candidates arrive ordered by (dim, coords) so the first one wins.
     items = []
     seen_masks = set()
-    for w, d in candidates:
+    for w, dim in candidates:
         mask = 0
-        for bit, cls in enumerate(classes):
-            if pair(w, cls):
+        for bit, x in enumerate(classes):
+            if sum(l * c for l, c in zip(w.coords, x)) % d:
                 mask |= 1 << bit
         if mask and mask not in seen_masks:
             seen_masks.add(mask)
-            items.append((mask, d, w))
+            items.append((mask, dim, w))
 
+    # best[state] = (total dim, weight count, sorted coords tuple, weights).
+    # Every move sets a new bit, so a state is popped from the heap only
+    # after every smaller reachable state: the relaxation order, and with it
+    # every tie-break, is that of a scan over all states in ascending order.
     full = (1 << len(classes)) - 1
-    # best[state] = (total dim, weight count, sorted coords tuple, weights)
-    best: list = [None] * (full + 1)
-    best[0] = (0, 0, (), ())
-    for state in range(full + 1):
-        if best[state] is None:
-            continue
+    best = {0: (0, 0, (), ())}
+    pending = [0]
+    while pending:
+        state = heapq.heappop(pending)
         total, count, key, weights = best[state]
-        for mask, d, w in items:
+        for mask, dim, w in items:
             nxt = state | mask
             if nxt == state:
                 continue
-            cand = (total + d, count + 1,
+            cand = (total + dim, count + 1,
                     tuple(sorted(key + (w.coords,))), weights + (w,))
-            if best[nxt] is None or cand[:3] < best[nxt][:3]:
-                best[nxt] = cand
-    if best[full] is None:
+            if nxt not in best:
+                heapq.heappush(pending, nxt)
+            elif cand[:3] >= best[nxt][:3]:
+                continue
+            best[nxt] = cand
+    if full not in best:
         raise AssertionError(f"no faithful weight set under cap for {datum.type}")
     total, _, _, weights = best[full]
     witness = WeightSet(weights)
@@ -105,8 +115,3 @@ def rdim_table(table_max_rank: int, override: bool = False):
             if rank <= table_max_rank:
                 rows.append(SimpleType(fam, rank))
     return [(t, rdim(build_root_datum(t), override)) for t in rows]
-
-
-def verify_dimension_cap(datum: RootDatum, override: bool = False) -> bool:
-    """Whether the minimal faithful dimension is at most 2**rank + 10."""
-    return rdim(datum, override).total_dim <= 2 ** datum.rank + 10

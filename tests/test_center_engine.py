@@ -1,0 +1,71 @@
+"""The integer center and the reachable-state rdim DP against the first code.
+
+The oracle (old_center.py) computes the center with a Bareiss determinant
+and a Fraction inverse on every call, and runs the rdim DP over all
+2**|classes| coverage states.  The code under test keeps the classes as
+integer vectors mod the Cartan determinant, computed once per datum, and
+stores only the reachable DP states.  Their center orders, class lists,
+faithfulness verdicts and rdim results, witnesses included, must agree.
+"""
+import random
+import tracemalloc
+
+import pytest
+
+import old_center as old
+from liejordan.center import (WeightSet, center_classes, center_order,
+                              is_faithful)
+from liejordan.minfaithful import rdim
+from liejordan.rootdata import DominantWeight, SimpleType, build_root_datum
+
+EXCEPTIONAL = [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+def _types(max_rank):
+    classical = [(fam, rank) for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                 for rank in range(lo, max_rank + 1)]
+    return classical + [t for t in EXCEPTIONAL if t[1] <= max_rank]
+
+
+def _datum(fam, rank):
+    return build_root_datum(SimpleType(fam, rank))
+
+
+@pytest.mark.parametrize("fam,rank", _types(20))
+def test_center_matches_oracle(fam, rank):
+    d = _datum(fam, rank)
+    assert center_order(d) == old.center_order(d)
+    assert center_classes(d) == old.center_classes(d)
+
+
+@pytest.mark.parametrize("fam,rank", _types(9))
+def test_is_faithful_matches_oracle(fam, rank):
+    d = _datum(fam, rank)
+    rng = random.Random(f"{fam}{rank}")
+    for _ in range(12):
+        coords = {tuple(rng.randint(0, 5) for _ in range(rank))
+                  for _ in range(rng.randint(1, 3))}
+        coords.discard((0,) * rank)
+        if not coords:
+            continue
+        ws = WeightSet(tuple(DominantWeight(c) for c in coords))
+        assert is_faithful(d, ws) == old.is_faithful(d, ws), (fam, rank, ws)
+
+
+@pytest.mark.parametrize("fam,rank", _types(12))
+def test_rdim_matches_oracle(fam, rank):
+    d = _datum(fam, rank)
+    assert rdim(d, override=True) == old.rdim(d, override=True)
+
+
+def test_rdim_memory_does_not_follow_the_class_count():
+    # A16 has 16 nonidentity central classes; a slot per coverage subset
+    # alone would take 2**16 list entries.
+    d = _datum("A", 16)
+    tracemalloc.start()
+    try:
+        rdim(d, override=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * 2 ** 20

@@ -398,3 +398,29 @@ def test_bound_just_under_digit_limit_prints(capsys):
     assert len(value) == 2469
     assert out.endswith(" (2469 digits, ~" + value[0] + "." + value[1:6]
                         + "e2468)\n")
+
+
+_DIGIT_BUDGET = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+@pytest.mark.parametrize("stype,weight", [
+    (("E", "8"), "1" + "0" * 99 + ",0,0,0,0,0,0,0"),
+    # the A1 representation of highest weight m has dimension m + 1
+    (("A", "1"), "9" * _DIGIT_BUDGET),
+], ids=["E8", "A1"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_dim_past_digit_limit_exits_3(capsys, stype, weight, fmt):
+    code, out, err = run_cli(
+        capsys, "dim", "--family", stype[0], "--rank", stype[1],
+        "--weight", weight, "--format", fmt)
+    assert (code, out) == (3, "")
+    assert "PYTHONINTMAXSTRDIGITS" in err and str(_DIGIT_BUDGET) in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_dim_just_under_digit_limit_prints(capsys, fmt):
+    code, out, _ = run_cli(
+        capsys, "dim", "--family", "A", "--rank", "1",
+        "--weight", "9" * (_DIGIT_BUDGET - 1), "--format", fmt)
+    assert code == 0
+    assert "1" + "0" * (_DIGIT_BUDGET - 1) in out

