@@ -22,8 +22,7 @@ from .center import (CenterClass, WeightSet, center_classes, center_order,
 from .errors import OrderLimitError, RankBudgetError, ResourceGuardError
 from .finitegroup import (FiniteGroup, Subgroup, all_subgroups,
                           jordan_constant, jordan_constant_with_witness,
-                          min_normal_abelian_index, parse_group,
-                          subgroup_group)
+                          parse_group)
 from .minfaithful import RdimResult, rdim, rdim_table
 from .rootdata import (DominantWeight, RootDatum, SimpleType,
                        build_root_datum, cartan_matrix,
@@ -40,8 +39,7 @@ __all__ = [
     "build_root_datum", "cartan_matrix", "center_classes", "center_order",
     "consistency_check_bounds", "enumerate_dominant_weights",
     "expr_from_json", "expr_to_json", "is_faithful", "jordan_constant",
-    "jordan_constant_with_witness", "jordan_gl", "max_rank",
-    "min_normal_abelian_index", "parse_group", "positive_root_count", "rdim",
-    "rdim_table", "stabilizer_bound_hyperbolic", "subgroup_group",
+    "jordan_constant_with_witness", "jordan_gl", "max_rank", "parse_group",
+    "positive_root_count", "rdim", "rdim_table", "stabilizer_bound_hyperbolic",
     "weyl_dim",
 ]

@@ -6,7 +6,7 @@ takes an integer value on it, i.e. when the Cartan matrix applied to mu
 is integral.  The center is therefore the finite group (C^-1 Z^l) / Z^l,
 of order d = det C.  Since C^-1 = adj(C) / d, every class is x/d mod 1
 for an integer vector x mod d, and the classes are kept in that form,
-computed once per root datum.  CenterClass shows a class by its unique
+computed once per Cartan matrix.  CenterClass shows a class by its unique
 representative with all coordinates in [0, 1).
 
 A weight evaluates on the class x/d to sum lambda_i x_i / d mod 1, and a
@@ -80,9 +80,11 @@ class WeightSet:
 
 
 @lru_cache(maxsize=None)
-def _center(datum: RootDatum) -> tuple[int, tuple[tuple[int, ...], ...]]:
+def _center(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, classes): the Cartan determinant and the nonidentity central
     classes as sorted integer vectors x mod d, x standing for x/d mod 1.
+    Keyed on the Cartan matrix, the only input, whose hash is far cheaper
+    than that of the whole root datum.
 
     One fraction-free Gauss-Jordan elimination takes [C | I] to
     [d*I | adj C].  It needs no pivoting: the pivot at step k is the k-th
@@ -90,9 +92,9 @@ def _center(datum: RootDatum) -> tuple[int, tuple[tuple[int, ...], ...]]:
     columns of adj C generate the center mod d; the closure under
     addition has exactly d elements, which is checked.
     """
-    rank = datum.rank
+    rank = len(cartan)
     aug = [list(row) + [int(i == j) for j in range(rank)]
-           for i, row in enumerate(datum.cartan)]
+           for i, row in enumerate(cartan)]
     prev = 1
     for k in range(rank):
         pivot = aug[k]
@@ -117,19 +119,19 @@ def _center(datum: RootDatum) -> tuple[int, tuple[tuple[int, ...], ...]]:
         frontier = nxt
     if len(classes) != d:
         raise AssertionError(
-            f"{datum.type}: found {len(classes)} central classes, determinant is {d}")
+            f"{cartan}: found {len(classes)} central classes, determinant is {d}")
     classes.discard(zero)
     return d, tuple(sorted(classes))
 
 
 def center_order(datum: RootDatum) -> int:
     """Order of the center: the determinant of the Cartan matrix."""
-    return _center(datum)[0]
+    return _center(datum.cartan)[0]
 
 
 def center_classes(datum: RootDatum) -> list[CenterClass]:
     """All nonidentity central classes, sorted lexicographically."""
-    d, classes = _center(datum)
+    d, classes = _center(datum.cartan)
     return [CenterClass(tuple(Fraction(c, d) for c in x)) for x in classes]
 
 
@@ -158,7 +160,7 @@ def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:
         if len(w.coords) != datum.rank:
             raise ValueError(
                 f"weight {w.coords} does not match rank {datum.rank} of {datum.type}")
-    d, classes = _center(datum)
+    d, classes = _center(datum.cartan)
     return all(
         any(sum(l * c for l, c in zip(w.coords, x)) % d for w in weight_set)
         for x in classes)

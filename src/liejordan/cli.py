@@ -5,6 +5,13 @@ center and faithful cover the root-system side; bound evaluates the
 Jordan bound formulas; jordan-finite brute-forces an explicit finite
 group.  Every subcommand takes --format text|json|csv.
 
+Each subcommand computes its answer once and returns its text output, its
+JSON document, its CSV columns and, where they are not the document's
+values under those columns, its CSV rows.  _render is the only code that
+reads the format: JSON goes through json.dumps, with weights and weight
+sets as coordinate lists, and CSV through one cell rule (booleans in
+lowercase, tuples joined with ';').
+
 Exit codes: 0 success, 2 malformed input, 3 a resource guard refused
 the computation.  Big integers are printed in full in json and csv; in
 text they carry a digit count and a rounded magnitude once they pass
@@ -22,6 +29,8 @@ from . import bounds, center, finitegroup, minfaithful, rootdata
 from .errors import ResourceGuardError
 
 _BIG_DIGITS = 40
+# Longest user input an error message quotes in full.
+_ECHO_CHARS = 40
 
 
 def _fmt_int(value: int) -> str:
@@ -33,26 +42,64 @@ def _fmt_int(value: int) -> str:
     return f"{s} ({len(s)} digits, ~{lead}e{len(s) - 1})"
 
 
-def _csv_rows(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+def _json_default(obj):
+    """A weight set becomes a list of weights, a weight its coordinate list."""
+    return list(obj) if isinstance(obj, center.WeightSet) else list(obj.coords)
+
+
+def _cell(value) -> str:
+    """One CSV cell: booleans in lowercase, tuples joined with ';'."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ";".join(map(str, value))
+    return str(value)
+
+
+def _render(fmt: str, text: str, doc, columns, rows=None) -> str:
+    """One answer in the requested format.  doc is the JSON document, a dict
+    or a list of dicts; the CSV rows default to its values under the columns."""
+    if fmt == "json":
+        return json.dumps(doc, indent=2, default=_json_default)
+    if fmt == "csv":
+        if rows is None:
+            rows = [[d[c] for c in columns] for d in (doc if isinstance(doc, list) else [doc])]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+        return buf.getvalue().rstrip("\n")
+    return text
 
 
 def _parse_type(args) -> rootdata.SimpleType:
     return rootdata.SimpleType(args.family.upper(), args.rank)
 
 
-def _parse_weight(text: str, rank: int) -> rootdata.DominantWeight:
-    tokens = [t.strip() for t in text.split(",")]
+def _echo(text: str) -> str:
+    """User input quoted for an error message, cut to a short prefix."""
+    return repr(text[:_ECHO_CHARS]) + ("..." if len(text) > _ECHO_CHARS else "")
+
+
+def _parse_coordinate(token: str, text: str) -> int:
     try:
-        coords = tuple(int(t) for t in tokens)
+        return int(token)
     except ValueError:
-        raise ValueError(f"weight {text!r} must be comma-separated integers") from None
+        # A well-formed literal fails only on CPython's int->str digit limit.
+        body = token[1:] if token[:1] in ("+", "-") else token
+        limit = sys.get_int_max_str_digits()
+        if limit and all(part.isdecimal() for part in body.split("_")):
+            raise ResourceGuardError(
+                f"a coordinate of weight {_echo(text)} has {len(body) - body.count('_')} "
+                f"decimal digits, more than the {limit} allowed by the int->str digit "
+                f"limit (raise it with PYTHONINTMAXSTRDIGITS)") from None
+        raise ValueError(f"weight {_echo(text)} must be comma-separated integers") from None
+
+
+def _parse_weight(text: str, rank: int) -> rootdata.DominantWeight:
+    coords = tuple(_parse_coordinate(t.strip(), text) for t in text.split(","))
     if len(coords) != rank:
-        raise ValueError(f"weight {text!r} has {len(coords)} coordinates, rank is {rank}")
+        raise ValueError(f"weight {_echo(text)} has {len(coords)} coordinates, rank is {rank}")
     return rootdata.DominantWeight(coords)
 
 
@@ -63,116 +110,92 @@ def _parse_weights(text: str, rank: int) -> center.WeightSet:
     return center.WeightSet(tuple(_parse_weight(p, rank) for p in parts))
 
 
-def _cmd_rdim(args) -> str:
+def _dim_bits_at_least(datum: rootdata.RootDatum, weight: rootdata.DominantWeight) -> int:
+    """A lower bound on the bit length of weyl_dim(datum, weight), read off
+    its factors without multiplying them: a numerator factor <weight + rho, c>
+    is at least 2**(bit_length - 1), a denominator factor <rho, c> below
+    2**bit_length."""
+    shifted = [c + 1 for c in weight.coords]
+    return sum(sum(s * c for s, c in zip(shifted, coroot)).bit_length() - 1
+               - sum(coroot).bit_length() for coroot in datum.positive_coroots)
+
+
+_RDIM_COLUMNS = ("family", "rank", "rdim", "witness")
+
+
+def _rdim_doc(stype: rootdata.SimpleType, result: minfaithful.RdimResult) -> dict:
+    return {"family": stype.family, "rank": stype.rank, "rdim": result.total_dim,
+            "witness": result.witness, "per_weight_dims": result.per_weight_dims}
+
+
+def _cmd_rdim(args):
     stype = _parse_type(args)
     result = minfaithful.rdim(rootdata.build_root_datum(stype))
-    if args.format == "json":
-        return json.dumps({
-            "family": stype.family, "rank": stype.rank,
-            "rdim": result.total_dim,
-            "witness": [list(w.coords) for w in result.witness],
-            "per_weight_dims": list(result.per_weight_dims),
-        }, indent=2)
-    if args.format == "csv":
-        return _csv_rows(
-            ["family", "rank", "rdim", "witness"],
-            [[stype.family, stype.rank, result.total_dim, str(result.witness)]])
-    return str(result.total_dim)
+    return str(result.total_dim), _rdim_doc(stype, result), _RDIM_COLUMNS
 
 
-def _cmd_table(args) -> str:
+def _cmd_table(args):
     rows = minfaithful.rdim_table(args.max_rank)
-    if args.format == "json":
-        return json.dumps([{
-            "family": t.family, "rank": t.rank, "rdim": r.total_dim,
-            "witness": [list(w.coords) for w in r.witness],
-            "per_weight_dims": list(r.per_weight_dims),
-        } for t, r in rows], indent=2)
-    if args.format == "csv":
-        return _csv_rows(
-            ["family", "rank", "rdim", "witness"],
-            [[t.family, t.rank, r.total_dim, str(r.witness)] for t, r in rows])
     cells = [("type", "rank", "rdim", "witness")]
     cells += [(str(t), str(t.rank), str(r.total_dim), str(r.witness))
               for t, r in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(4)]
-    return "\n".join(
+    text = "\n".join(
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         for row in cells)
+    return text, [_rdim_doc(t, r) for t, r in rows], _RDIM_COLUMNS
 
 
-def _cmd_dim(args) -> str:
+def _cmd_dim(args):
     stype = _parse_type(args)
     datum = rootdata.build_root_datum(stype)
     weight = _parse_weight(args.weight, stype.rank)
-    value = bounds._within(rootdata.weyl_dim(datum, weight), bounds._digit_budget())
-    if args.format == "json":
-        return json.dumps({
-            "family": stype.family, "rank": stype.rank,
-            "weight": list(weight.coords), "dim": value,
-        }, indent=2)
-    if args.format == "csv":
-        return _csv_rows(["family", "rank", "weight", "dim"],
-                         [[stype.family, stype.rank, str(weight), value]])
-    return str(value)
+    value = bounds._within(
+        bounds._formed(_dim_bits_at_least(datum, weight),
+                       lambda: rootdata.weyl_dim(datum, weight)),
+        bounds._digit_budget())
+    doc = {"family": stype.family, "rank": stype.rank, "weight": weight, "dim": value}
+    return str(value), doc, ("family", "rank", "weight", "dim")
 
 
-def _cmd_center(args) -> str:
+def _cmd_center(args):
     stype = _parse_type(args)
     datum = rootdata.build_root_datum(stype)
     order = center.center_order(datum)
     classes = center.center_classes(datum)
-    if args.format == "json":
-        return json.dumps({
-            "family": stype.family, "rank": stype.rank, "order": order,
-            "classes": [[str(c) for c in cls.coords] for cls in classes],
-        }, indent=2)
-    if args.format == "csv":
-        rows = [[stype.family, stype.rank, order, str(cls)] for cls in classes]
-        if not rows:
-            rows = [[stype.family, stype.rank, order, ""]]
-        return _csv_rows(["family", "rank", "center_order", "class"], rows)
-    lines = [f"order {order}"]
-    lines += [str(cls) for cls in classes]
-    return "\n".join(lines)
+    doc = {"family": stype.family, "rank": stype.rank, "order": order,
+           "classes": [[str(c) for c in cls.coords] for cls in classes]}
+    rows = [[stype.family, stype.rank, order, cls] for cls in classes]
+    return ("\n".join([f"order {order}", *map(str, classes)]), doc,
+            ("family", "rank", "center_order", "class"),
+            rows or [[stype.family, stype.rank, order, ""]])
 
 
-def _cmd_faithful(args) -> str:
+def _cmd_faithful(args):
     stype = _parse_type(args)
     datum = rootdata.build_root_datum(stype)
     weights = _parse_weights(args.weights, stype.rank)
     verdict = center.is_faithful(datum, weights)
-    if args.format == "json":
-        return json.dumps({
-            "family": stype.family, "rank": stype.rank,
-            "weights": [list(w.coords) for w in weights],
-            "faithful": verdict,
-        }, indent=2)
-    if args.format == "csv":
-        return _csv_rows(
-            ["family", "rank", "weights", "faithful"],
-            [[stype.family, stype.rank, str(weights), str(verdict).lower()]])
-    return str(verdict).lower()
+    doc = {"family": stype.family, "rank": stype.rank,
+           "weights": weights, "faithful": verdict}
+    return _cell(verdict), doc, ("family", "rank", "weights", "faithful")
 
 
-def _cmd_bound(args) -> str:
+def _cmd_bound(args):
     fam, n = args.family_of_groups, args.n
     expr = bounds.bound(fam, n, args.components)
     components = (args.components or 1) if fam in bounds.WITH_COMPONENTS else ""
-    if args.format == "json":
-        return json.dumps({
-            "family_of_groups": fam, "n": n,
-            **({"components": components} if components else {}),
-            "bound": bounds.expr_to_json(expr), "rendered": expr.render(),
-            "conventions": ["J(0)=1"] if n == 0 else [],
-        }, indent=2)
-    if args.format == "csv":
-        return _csv_rows(["family_of_groups", "n", "components", "bound"],
-                         [[fam, n, components, expr.render()]])
-    return expr.render(_fmt_int)
+    rendered = expr.render()
+    doc = {"family_of_groups": fam, "n": n,
+           **({"components": components} if components else {}),
+           "bound": bounds.expr_to_json(expr), "rendered": rendered,
+           "conventions": ["J(0)=1"] if n == 0 else []}
+    return (expr.render(_fmt_int), doc,
+            ("family_of_groups", "n", "components", "bound"),
+            [[fam, n, components, rendered]])
 
 
-def _cmd_jordan_finite(args) -> str:
+def _cmd_jordan_finite(args):
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
@@ -181,20 +204,11 @@ def _cmd_jordan_finite(args) -> str:
     G = finitegroup.parse_group(text, closure_limit=args.closure_limit)
     value, witness = finitegroup.jordan_constant_with_witness(
         G, max_order=args.jordan_limit)
-    if args.format == "json":
-        return json.dumps({
-            "order": G.order, "jordan_constant": value,
-            "witness_subgroup": list(witness.elements), "b": G.order,
-        }, indent=2)
-    if args.format == "csv":
-        return _csv_rows(
-            ["order", "jordan_constant", "witness_subgroup", "b"],
-            [[G.order, value, ";".join(str(i) for i in witness.elements), G.order]])
-    return "\n".join([
-        f"order {G.order}",
-        f"jordan_constant {value}",
-        "witness_subgroup " + ",".join(str(i) for i in witness.elements),
-        f"b {G.order}"])
+    doc = {"order": G.order, "jordan_constant": value,
+           "witness_subgroup": witness.elements, "b": G.order}
+    lines = [f"order {G.order}", f"jordan_constant {value}",
+             "witness_subgroup " + ",".join(map(str, witness.elements)), f"b {G.order}"]
+    return "\n".join(lines), doc, tuple(doc)
 
 
 def _add_type_flags(sub):
@@ -261,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = args._handlers[args.command]
     try:
-        output = handler(args)
+        output = _render(args.format, *handler(args))
     except ResourceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

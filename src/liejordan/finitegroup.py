@@ -78,10 +78,6 @@ class FiniteGroup:
                             raise ValueError(
                                 f"associativity fails at ({a}, {b}, {c})")
 
-    def conjugate(self, g: int, a: int) -> int:
-        """g * a * g^-1."""
-        return self.mult[self.mult[g][a]][self.inverses[g]]
-
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -303,14 +299,6 @@ def _min_index(G: FiniteGroup, fmask: int, order: int, conjugators, abelian) -> 
     return order
 
 
-def min_normal_abelian_index(F: Subgroup, G: FiniteGroup,
-                             max_order: int = DEFAULT_JORDAN_LIMIT) -> int:
-    """Smallest index of a normal abelian subgroup of F inside G."""
-    abelian = _abelian_largest_first(G, all_subgroups(G, max_order))
-    return _min_index(G, _mask(F.elements), F.order,
-                      F.generators or F.elements, abelian)
-
-
 def jordan_constant_with_witness(
     G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT
 ) -> tuple[int, Subgroup]:
@@ -341,13 +329,3 @@ def jordan_constant_with_witness(
 def jordan_constant(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> int:
     """Maximum over subgroups F of the minimal normal abelian index in F."""
     return jordan_constant_with_witness(G, max_order)[0]
-
-
-def subgroup_group(G: FiniteGroup, sub: Subgroup) -> FiniteGroup:
-    """A subgroup re-indexed as a standalone group.
-
-    Element 0 of G is in every subgroup and stays at index 0.
-    """
-    index = {g: i for i, g in enumerate(sub.elements)}
-    mult = [[index[G.mult[a][b]] for b in sub.elements] for a in sub.elements]
-    return FiniteGroup(mult, check_associativity=False)

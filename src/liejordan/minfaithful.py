@@ -22,9 +22,9 @@ import heapq
 from dataclasses import dataclass
 
 from .center import WeightSet, _center
-from .rootdata import (RootDatum, SimpleType, build_root_datum,
-                       check_rank_budget, enumerate_dominant_weights,
-                       max_rank, weyl_dim)
+from .rootdata import (_EXCEPTIONAL_RANKS, _MIN_RANK, RootDatum, SimpleType,
+                       build_root_datum, check_rank_budget,
+                       enumerate_dominant_weights, weyl_dim)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     check_rank_budget(datum.type, override)
     cap = 2 ** datum.rank + 10
     candidates = enumerate_dominant_weights(datum, cap, allow_large_cap=override)
-    d, classes = _center(datum)
+    d, classes = _center(datum.cartan)
 
     if not classes:
         w, dim = candidates[0]
@@ -106,12 +106,8 @@ def rdim_table(table_max_rank: int, override: bool = False):
     if table_max_rank < 1:
         raise ValueError(f"max rank must be positive, got {table_max_rank}")
     check_rank_budget(SimpleType("A", table_max_rank), override)
-    rows = []
-    for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        for rank in range(lo, table_max_rank + 1):
-            rows.append(SimpleType(fam, rank))
-    for fam, ranks in (("E", (6, 7, 8)), ("F", (4,)), ("G", (2,))):
-        for rank in ranks:
-            if rank <= table_max_rank:
-                rows.append(SimpleType(fam, rank))
-    return [(t, rdim(build_root_datum(t), override)) for t in rows]
+    ranks = {fam: range(lo, table_max_rank + 1) for fam, lo in _MIN_RANK.items()}
+    ranks.update(_EXCEPTIONAL_RANKS)
+    types = [SimpleType(fam, rank) for fam, fam_ranks in ranks.items()
+             for rank in fam_ranks if rank <= table_max_rank]
+    return [(t, rdim(build_root_datum(t), override)) for t in types]

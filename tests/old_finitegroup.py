@@ -67,7 +67,7 @@ def _is_abelian(mult, elements):
 def _is_normal_in(G, sub_elements, ambient):
     conjugators = ambient.generators or ambient.elements
     return all(
-        G.conjugate(g, a) in sub_elements
+        G.mult[G.mult[g][a]][G.inverses[g]] in sub_elements
         for g in conjugators for a in sub_elements)
 
 

@@ -6,7 +6,9 @@ import pytest
 
 from liejordan.center import (CenterClass, WeightSet, center_classes,
                               center_order, is_faithful, pair)
-from liejordan.rootdata import DominantWeight, SimpleType, build_root_datum
+from liejordan.minfaithful import rdim
+from liejordan.rootdata import (DominantWeight, RootDatum, SimpleType,
+                                build_root_datum)
 
 from test_rootdata import BUDGET_TYPES, _datum, _fund
 
@@ -179,3 +181,19 @@ def test_type_d_odd_both_odd_is_not_faithful():
     assert not is_faithful(d, _ws((0, 0, 0, 3, 1)))
     assert is_faithful(d, _ws((0, 0, 0, 1, 0)))
     assert is_faithful(d, _ws((0, 0, 0, 0, 1)))
+
+
+class _UnhashableDatum(RootDatum):
+    def __hash__(self):
+        raise TypeError("the center must not be cached on the whole root datum")
+
+
+@pytest.mark.parametrize("fam,rank", [("E", 8), ("D", 5), ("A", 3)])
+def test_center_is_cached_on_the_cartan_matrix(fam, rank):
+    d = _datum(fam, rank)
+    unhashable = _UnhashableDatum(d.type, d.cartan, d.positive_coroots)
+    fundamental = WeightSet(tuple(_fund(rank, i) for i in range(rank)))
+    assert is_faithful(unhashable, fundamental) is True
+    assert center_order(unhashable) == center_order(d)
+    assert center_classes(unhashable) == center_classes(d)
+    assert rdim(unhashable) == rdim(d)

@@ -424,3 +424,41 @@ def test_dim_just_under_digit_limit_prints(capsys, fmt):
         "--weight", "9" * (_DIGIT_BUDGET - 1), "--format", fmt)
     assert code == 0
     assert "1" + "0" * (_DIGIT_BUDGET - 1) in out
+
+
+_INT_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize("command,flag", [("dim", "--weight"), ("faithful", "--weights")])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_weight_coordinate_past_int_limit_exits_3(capsys, command, flag, fmt):
+    code, out, err = run_cli(
+        capsys, command, "--family", "A", "--rank", "1",
+        flag, "9" * (_INT_LIMIT + 1), "--format", fmt)
+    assert (code, out) == (3, "")
+    assert f"{_INT_LIMIT + 1} decimal digits" in err
+    assert str(_INT_LIMIT) in err and "PYTHONINTMAXSTRDIGITS" in err
+    assert len(err) < 300
+
+
+@pytest.mark.parametrize("weight", [
+    "x" * 5000,                   # not an integer
+    "1__2" * 2000,                # digits, but not an integer literal
+    ",".join(["1"] * 2500),       # integers, but too many of them
+], ids=["non-integer", "bad-literal", "too-many"])
+def test_long_malformed_weight_exits_2_with_short_message(capsys, weight):
+    code, out, err = run_cli(
+        capsys, "dim", "--family", "A", "--rank", "2", "--weight", weight)
+    assert (code, out) == (2, "")
+    assert len(err) < 200
+
+
+def test_huge_weyl_product_refused_before_it_is_formed(capsys):
+    weight = ",".join(["9" * _DIGIT_BUDGET] * 8)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "dim", "--family", "E", "--rank", "8", "--weight", weight)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (3, "")
+    assert "PYTHONINTMAXSTRDIGITS" in err
+    assert elapsed < 0.1

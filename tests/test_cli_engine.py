@@ -1,0 +1,130 @@
+"""The command-line interface against its previous form, kept as an oracle.
+
+The oracle (old_cli.py) writes every subcommand's output three times, once
+per format; the interface under test builds one answer per subcommand and
+renders it through one renderer.  Exit codes, stdout and stderr must agree
+on every subcommand in every format, refusals included.  Inputs whose
+outcome changed on purpose (weight coordinates past the int->str digit
+limit, Weyl products refused before they are formed) are tested in
+test_cli.py instead.
+"""
+import sys
+from pathlib import Path
+
+import pytest
+
+import old_cli as old
+from liejordan import cli
+
+FIXTURES = Path(__file__).parent / "fixtures"
+DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+BAD_TABLE = "table 3\n0 1 2\n1 0 0\n2 2 1\n"
+
+CASES = {
+    "rdim": [
+        ["--family", "G", "--rank", "2"], ["--family", "d", "--rank", "4"],
+        ["--family", "A", "--rank", "1"], ["--family", "E", "--rank", "6"],
+        ["--family", "A", "--rank", "10"], ["--family", "H", "--rank", "2"],
+        ["--family", "B", "--rank", "1"], ["--family", "E", "--rank", "5"],
+    ],
+    "table": [["--max-rank", "1"], ["--max-rank", "4"], ["--max-rank", "0"],
+              ["--max-rank", "10"]],
+    "dim": [
+        ["--family", "B", "--rank", "3", "--weight", "0,0,1"],
+        ["--family", "F", "--rank", "4", "--weight", "0, 0,0,1"],
+        ["--family", "A", "--rank", "1", "--weight", "9" * (DIGITS - 1)],
+        ["--family", "A", "--rank", "1", "--weight", "9" * DIGITS],
+        ["--family", "E", "--rank", "8", "--weight", "1" + "0" * 99 + ",0,0,0,0,0,0,0"],
+        ["--family", "A", "--rank", "2", "--weight", "1,x"],
+        ["--family", "A", "--rank", "2", "--weight", "1"],
+        ["--family", "A", "--rank", "2", "--weight=-1,0"],
+        ["--family", "A", "--rank", "2", "--weight", "1,,0"],
+    ],
+    "center": [["--family", "A", "--rank", "2"], ["--family", "E", "--rank", "8"],
+               ["--family", "D", "--rank", "5"], ["--family", "D", "--rank", "4"],
+               ["--family", "A", "--rank", "10"], ["--family", "C", "--rank", "1"]],
+    "faithful": [
+        ["--family", "B", "--rank", "3", "--weights", "1,0,0"],
+        ["--family", "D", "--rank", "4", "--weights", "1,0,0,0;0,0,0,1"],
+        ["--family", "D", "--rank", "4", "--weights", " 0,0,1,0 ; 0,0,0,1; "],
+        ["--family", "A", "--rank", "1", "--weights", ";"],
+        ["--family", "A", "--rank", "2", "--weights", "1,0;1,0"],
+        ["--family", "A", "--rank", "2", "--weights", "0,0"],
+        ["--family", "A", "--rank", "2", "--weights", "1,0;x"],
+        ["--family", "A", "--rank", "2", "--weights", "1,0,0"],
+    ],
+    "bound": [
+        *(["--family-of-groups", fam, "--n", "3"]
+          for fam in ("lie", "lie-connected", "algebraic", "compact-complex",
+                      "hyperbolic", "hyperbolic-stabilizer", "riemannian")),
+        ["--family-of-groups", "lie", "--n", "3", "--components", "2"],
+        ["--family-of-groups", "algebraic", "--n", "2", "--components", "3"],
+        ["--family-of-groups", "algebraic", "--n", "2"],
+        ["--family-of-groups", "compact-complex", "--n", "0"],
+        ["--family-of-groups", "lie-connected", "--n", "7"],
+        ["--family-of-groups", "lie-connected", "--n", "8"],
+        ["--family-of-groups", "lie", "--n", "7", "--components", "2"],
+        ["--family-of-groups", "riemannian", "--n", "1000000"],
+        ["--family-of-groups", "riemannian", "--n", "2", "--components", "2"],
+        ["--family-of-groups", "lie", "--n", "2", "--components", "0"],
+        ["--family-of-groups", "lie", "--n", "-1"],
+    ],
+    "jordan-finite": [
+        ["--input", str(FIXTURES / "s4.grp")],
+        ["--input", str(FIXTURES / "s3.grp")],
+        ["--input", str(FIXTURES / "corpus" / "o08_q8.grp")],
+        ["--input", str(FIXTURES / "corpus" / "o01_c1.grp")],
+        ["--input", str(FIXTURES / "a5.grp"), "--closure-limit", "59"],
+        ["--input", str(FIXTURES / "a5.grp"), "--jordan-limit", "50"],
+        ["--input", str(FIXTURES / "no-such-group.grp")],
+        ["--input", BAD_TABLE],
+    ],
+}
+GRID = [(name, argv) for name, cases in CASES.items() for argv in cases]
+
+
+def outcome(capsys, main, argv):
+    """(exit code, stdout, stderr) of one call of main, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_same(capsys, argv):
+    new = outcome(capsys, cli.main, argv)
+    assert new == outcome(capsys, old.main, argv)
+    return new
+
+
+@pytest.fixture(scope="module")
+def bad_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("groups") / "bad.grp"
+    path.write_text(BAD_TABLE)
+    return str(path)
+
+
+@pytest.mark.parametrize("command,argv", GRID, ids=[f"{c}-{i}" for i, (c, _) in enumerate(GRID)])
+def test_same_outcome_as_old_cli(capsys, bad_table, command, argv):
+    argv = [bad_table if a == BAD_TABLE else a for a in argv]
+    for fmt in ("text", "json", "csv"):
+        assert_same(capsys, [command, *argv, "--format", fmt])
+
+
+@pytest.mark.parametrize("argv", [
+    ["rdim", "--family", "A", "--rank", "2", "--format", "yaml"],
+    ["no-such-command"],
+    ["bound", "--family-of-groups", "unknown", "--n", "1"],
+    ["dim", "--family", "A", "--rank", "2"],
+])
+def test_same_usage_errors_as_old_cli(capsys, argv):
+    assert assert_same(capsys, argv)[0] == 2
+
+
+@pytest.mark.parametrize("value", ["many", "0", "12"])
+def test_same_rank_budget_outcome_as_old_cli(capsys, monkeypatch, value):
+    monkeypatch.setenv("LIEJORDAN_MAX_RANK", value)
+    for fmt in ("text", "json", "csv"):
+        assert_same(capsys, ["rdim", "--family", "C", "--rank", "10", "--format", fmt])

@@ -4,11 +4,10 @@ from pathlib import Path
 import pytest
 
 from liejordan.errors import OrderLimitError
-from liejordan.finitegroup import (FiniteGroup, Subgroup, all_subgroups,
-                                   jordan_constant,
-                                   jordan_constant_with_witness,
-                                   min_normal_abelian_index, parse_group,
-                                   subgroup_group)
+from liejordan.finitegroup import (FiniteGroup, Subgroup,
+                                   _abelian_largest_first, _mask, _min_index,
+                                   all_subgroups, jordan_constant,
+                                   jordan_constant_with_witness, parse_group)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -35,6 +34,27 @@ def corpus(name):
 def is_abelian_group(G):
     return all(G.mult[a][b] == G.mult[b][a]
                for a in range(G.order) for b in range(G.order))
+
+
+def conjugate(G, g, a):
+    """g * a * g^-1."""
+    return G.mult[G.mult[g][a]][G.inverses[g]]
+
+
+def subgroup_group(G, sub):
+    """A subgroup re-indexed as a standalone group; element 0 stays at 0."""
+    index = {g: i for i, g in enumerate(sub.elements)}
+    mult = [[index[G.mult[a][b]] for b in sub.elements] for a in sub.elements]
+    return FiniteGroup(mult, check_associativity=False)
+
+
+def min_normal_abelian_index(F, G):
+    """Smallest index of a normal abelian subgroup of F, by the scan that
+    jordan_constant_with_witness runs; an F given without generators is
+    conjugated by all of its elements."""
+    abelian = _abelian_largest_first(G, all_subgroups(G))
+    return _min_index(G, _mask(F.elements), F.order,
+                      F.generators or F.elements, abelian)
 
 
 def element_order(G, g):
@@ -92,7 +112,7 @@ def oracle_jordan(G):
                 continue
             if not all(G.mult[a][b] == G.mult[b][a] for a in A for b in A):
                 continue
-            if all(G.conjugate(f, a) in aset for f in F for a in A):
+            if all(conjugate(G, f, a) in aset for f in F for a in A):
                 value = min(value, len(F) // len(A))
         best = max(best, value)
     return best
@@ -188,10 +208,10 @@ def test_inverses_and_conjugation():
     for g in range(G.order):
         assert G.mult[g][G.inverses[g]] == 0
         assert G.mult[G.inverses[g]][g] == 0
-        assert G.conjugate(g, 0) == 0
+        assert conjugate(G, g, 0) == 0
     for g in range(G.order):
         for a in range(G.order):
-            assert element_order(G, G.conjugate(g, a)) == element_order(G, a)
+            assert element_order(G, conjugate(G, g, a)) == element_order(G, a)
 
 
 # -- subgroup lattice ----------------------------------------------------

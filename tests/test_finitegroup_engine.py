@@ -13,9 +13,8 @@ import pytest
 import old_finitegroup as old
 from liejordan.errors import OrderLimitError
 from liejordan.finitegroup import (Subgroup, all_subgroups,
-                                   jordan_constant_with_witness,
-                                   min_normal_abelian_index, parse_group)
-from test_finitegroup import _oracle_close
+                                   jordan_constant_with_witness, parse_group)
+from test_finitegroup import _oracle_close, min_normal_abelian_index
 
 FIXTURES = Path(__file__).parent / "fixtures"
 CORPUS = sorted(p.stem for p in (FIXTURES / "corpus").glob("*.grp"))
