@@ -14,9 +14,8 @@ Three strands, all in exact arithmetic:
 from .bounds import (BoundExpr, ExactInt, GroupDims, Power, Product,
                      SymbolicJ, bound, bound_algebraic, bound_compact_complex,
                      bound_hyperbolic, bound_lie, bound_lie_connected,
-                     bound_riemannian, consistency_check_bounds,
-                     expr_from_json, expr_to_json, jordan_gl,
-                     stabilizer_bound_hyperbolic)
+                     bound_riemannian, expr_from_json, expr_to_json,
+                     jordan_gl, stabilizer_bound_hyperbolic)
 from .center import (CenterClass, WeightSet, center_classes, center_order,
                      is_faithful, pair)
 from .errors import OrderLimitError, RankBudgetError, ResourceGuardError
@@ -37,7 +36,7 @@ __all__ = [
     "bound_algebraic", "bound_compact_complex", "bound_hyperbolic",
     "bound_lie", "bound_lie_connected", "bound_riemannian",
     "build_root_datum", "cartan_matrix", "center_classes", "center_order",
-    "consistency_check_bounds", "enumerate_dominant_weights",
+    "enumerate_dominant_weights",
     "expr_from_json", "expr_to_json", "is_faithful", "jordan_constant",
     "jordan_constant_with_witness", "jordan_gl", "max_rank", "parse_group",
     "positive_root_count", "rdim", "rdim_table", "stabilizer_bound_hyperbolic",

@@ -8,61 +8,23 @@ bound below is either an exact integer or a product/power expression
 over symbolic J atoms, never a float.
 
 Dimension-zero groups are trivial, so J(0) = 1 by convention; callers
-that care can flag when that convention fired.
-
-Exact values are kept with up to ten times as many decimal digits as
-CPython's int->str limit (or its default, when the limit is off), and
-rendered with up to the limit itself; past either, ResourceGuardError.
+that care can flag when that convention fired.  Exact values are kept
+and printed within the digit limits set out in errors.
 """
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .errors import ResourceGuardError
+from .errors import (_FORMED_PER_PRINTED, _digit_budget, _formed, _refusal,
+                     _within)
 
 _EXACT_SPORADIC = frozenset({63, 65, 67, 69})
 _EXACT_FROM = 71
-_FORMED_PER_PRINTED = 10
 # Deepest expression tree expr_from_json accepts; bound() builds depth 3,
 # and the limit keeps the recursive parse and render far from the
 # interpreter's recursion limit.
 _MAX_JSON_DEPTH = 100
-
-
-def _digit_budget() -> int:
-    """Most decimal digits an exact bound may print with."""
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-
-
-def _digits_from_bits(bits: int) -> int:
-    """Decimal digits that every integer >= 2**bits has at least."""
-    return bits * 30102 // 100000 + 1  # 0.30102 < log10(2)
-
-
-def _refusal(digits, limit: int) -> ResourceGuardError:
-    budget = _digit_budget()
-    kept = "" if limit == budget else f"{limit}, {_FORMED_PER_PRINTED} times "
-    return ResourceGuardError(
-        f"the exact value has at least {digits} decimal digits, more than {kept}the "
-        f"{budget} allowed by the int->str digit limit (raise it with PYTHONINTMAXSTRDIGITS)")
-
-
-def _within(value: int, limit: int) -> int:
-    """value, refused when it has more than limit decimal digits."""
-    if value.bit_length() > 3 * limit and value >= 10 ** limit:  # 8**limit < 10**limit
-        raise _refusal(max(limit + 1, _digits_from_bits(value.bit_length() - 1)), limit)
-    return value
-
-
-def _formed(bits_at_least: int, make) -> int:
-    """make(), refused before it runs when a result of at least that many bits
-    has more digits than exact values are kept with, and after if it has."""
-    limit, digits = _FORMED_PER_PRINTED * _digit_budget(), _digits_from_bits(bits_at_least)
-    if digits > limit:
-        raise _refusal(digits, limit)
-    return _within(make(), limit)
 
 
 class BoundExpr:
@@ -263,26 +225,6 @@ def stabilizer_bound_hyperbolic(n: int) -> BoundExpr:
 def bound_riemannian(n: int) -> BoundExpr:
     """Isometry group of a compact Riemannian n-manifold."""
     return bound("riemannian", n)
-
-
-def consistency_check_bounds(n: int) -> bool:
-    """Check the paper's literal J arguments against the family table.
-
-    For the Riemannian case this is a genuine identity between two
-    differently written expressions: with m = n(n+1)/2,
-    2m(2^(m-1) + 5) = m(2^m + 10).
-    """
-    if n < 1:
-        raise ValueError(f"consistency checks need n >= 1, got {n}")
-    literal = {
-        "lie": n * (2 ** n + 10),
-        "algebraic": n * (2 ** (2 * n + 1) + 20),
-        "compact-complex": (2 * n * n + n) * (2 ** (2 * n * n + n) + 10),
-        "hyperbolic": (2 * n + n * n) * (2 ** (2 * n + n * n) + 10),
-        "riemannian": (n * n + n) * (2 ** ((n * n + n - 2) // 2) + 5),
-    }
-    return all(arg == m * (2 ** m + 10)
-               for family, arg in literal.items() for m in [FAMILIES[family](n)])
 
 
 def expr_to_json(expr: BoundExpr) -> dict:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import _echo
 from .rootdata import DominantWeight, RootDatum
 
 
@@ -64,7 +65,7 @@ class WeightSet:
             if w.is_zero:
                 raise ValueError("the zero weight detects nothing and is not allowed")
             if w.coords in seen:
-                raise ValueError(f"duplicate weight {w.coords}")
+                raise ValueError(f"duplicate weight {_echo(w.coords)}")
             seen.add(w.coords)
         object.__setattr__(
             self, "weights", tuple(sorted(weights, key=lambda w: w.coords)))
@@ -159,7 +160,7 @@ def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:
     for w in weight_set:
         if len(w.coords) != datum.rank:
             raise ValueError(
-                f"weight {w.coords} does not match rank {datum.rank} of {datum.type}")
+                f"weight {_echo(w.coords)} does not match rank {datum.rank} of {datum.type}")
     d, classes = _center(datum.cartan)
     return all(
         any(sum(l * c for l, c in zip(w.coords, x)) % d for w in weight_set)

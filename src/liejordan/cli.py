@@ -26,11 +26,9 @@ import json
 import sys
 
 from . import bounds, center, finitegroup, minfaithful, rootdata
-from .errors import ResourceGuardError
+from .errors import ResourceGuardError, _digit_budget, _echo, _within
 
 _BIG_DIGITS = 40
-# Longest user input an error message quotes in full.
-_ECHO_CHARS = 40
 
 
 def _fmt_int(value: int) -> str:
@@ -76,11 +74,6 @@ def _parse_type(args) -> rootdata.SimpleType:
     return rootdata.SimpleType(args.family.upper(), args.rank)
 
 
-def _echo(text: str) -> str:
-    """User input quoted for an error message, cut to a short prefix."""
-    return repr(text[:_ECHO_CHARS]) + ("..." if len(text) > _ECHO_CHARS else "")
-
-
 def _parse_coordinate(token: str, text: str) -> int:
     try:
         return int(token)
@@ -108,16 +101,6 @@ def _parse_weights(text: str, rank: int) -> center.WeightSet:
     if not parts:
         raise ValueError("no weights given")
     return center.WeightSet(tuple(_parse_weight(p, rank) for p in parts))
-
-
-def _dim_bits_at_least(datum: rootdata.RootDatum, weight: rootdata.DominantWeight) -> int:
-    """A lower bound on the bit length of weyl_dim(datum, weight), read off
-    its factors without multiplying them: a numerator factor <weight + rho, c>
-    is at least 2**(bit_length - 1), a denominator factor <rho, c> below
-    2**bit_length."""
-    shifted = [c + 1 for c in weight.coords]
-    return sum(sum(s * c for s, c in zip(shifted, coroot)).bit_length() - 1
-               - sum(coroot).bit_length() for coroot in datum.positive_coroots)
 
 
 _RDIM_COLUMNS = ("family", "rank", "rdim", "witness")
@@ -150,10 +133,7 @@ def _cmd_dim(args):
     stype = _parse_type(args)
     datum = rootdata.build_root_datum(stype)
     weight = _parse_weight(args.weight, stype.rank)
-    value = bounds._within(
-        bounds._formed(_dim_bits_at_least(datum, weight),
-                       lambda: rootdata.weyl_dim(datum, weight)),
-        bounds._digit_budget())
+    value = _within(rootdata.weyl_dim(datum, weight), _digit_budget())
     doc = {"family": stype.family, "rank": stype.rank, "weight": weight, "dim": value}
     return str(value), doc, ("family", "rank", "weight", "dim")
 

@@ -1,11 +1,21 @@
-"""Error types shared across the package.
+"""Error types shared across the package, and the rules their messages use.
 
 Input problems (bad types, malformed files, invalid coordinates) raise
 plain ValueError subclasses; blown resource guards raise
 ResourceGuardError subclasses so callers can tell "you asked for
 something wrong" apart from "you asked for something too big".
+
+Exact integers are kept with up to ten times as many decimal digits as
+CPython's int->str limit (or its default, when the limit is off), and
+printed with up to the limit itself; past either, ResourceGuardError.
+User input is quoted in messages cut to its first 40 characters.
 """
 from __future__ import annotations
+
+import sys
+
+_FORMED_PER_PRINTED = 10
+_ECHO_CHARS = 40
 
 
 class ResourceGuardError(RuntimeError):
@@ -18,3 +28,46 @@ class RankBudgetError(ResourceGuardError):
 
 class OrderLimitError(ResourceGuardError):
     """A finite group is larger than the configured order limit."""
+
+
+def _digit_budget() -> int:
+    """Most decimal digits an exact integer may print with."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def _digits_from_bits(bits: int) -> int:
+    """Decimal digits that every integer >= 2**bits has at least."""
+    return bits * 30102 // 100000 + 1  # 0.30102 < log10(2)
+
+
+def _refusal(digits, limit: int) -> ResourceGuardError:
+    budget = _digit_budget()
+    kept = "" if limit == budget else f"{limit}, {_FORMED_PER_PRINTED} times "
+    return ResourceGuardError(
+        f"the exact value has at least {digits} decimal digits, more than {kept}the "
+        f"{budget} allowed by the int->str digit limit (raise it with PYTHONINTMAXSTRDIGITS)")
+
+
+def _within(value: int, limit: int) -> int:
+    """value, refused when it has more than limit decimal digits."""
+    if value.bit_length() > 3 * limit and value >= 10 ** limit:  # 8**limit < 10**limit
+        raise _refusal(max(limit + 1, _digits_from_bits(value.bit_length() - 1)), limit)
+    return value
+
+
+def _formed(bits_at_least: int, make) -> int:
+    """make(), refused before it runs when a result of at least that many bits
+    has more digits than exact values are kept with, and after if it has."""
+    limit, digits = _FORMED_PER_PRINTED * _digit_budget(), _digits_from_bits(bits_at_least)
+    if digits > limit:
+        raise _refusal(digits, limit)
+    return _within(make(), limit)
+
+
+def _echo(value) -> str:
+    """User input quoted in an error message, cut to its first 40 characters:
+    a string by its repr, anything else as str() writes it."""
+    quoted = isinstance(value, str)
+    text = value if quoted else str(value)
+    shown = repr(text[:_ECHO_CHARS]) if quoted else text[:_ECHO_CHARS]
+    return shown + ("..." if len(text) > _ECHO_CHARS else "")

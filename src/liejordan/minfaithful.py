@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .center import WeightSet, _center
 from .rootdata import (_EXCEPTIONAL_RANKS, _MIN_RANK, RootDatum, SimpleType,
                        build_root_datum, check_rank_budget,
-                       enumerate_dominant_weights, weyl_dim)
+                       enumerate_dominant_weights)
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
         raise AssertionError(f"no faithful weight set under cap for {datum.type}")
     total, _, _, weights = best[full]
     witness = WeightSet(weights)
-    dims = tuple(weyl_dim(datum, w) for w in witness)
-    return RdimResult(total, witness, dims)
+    dims = {w: dim for _, dim, w in items}
+    return RdimResult(total, witness, tuple(dims[w] for w in witness))
 
 
 def rdim_table(table_max_rank: int, override: bool = False):

@@ -22,11 +22,15 @@ code depends on it.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
-from .errors import RankBudgetError
+from .errors import (_FORMED_PER_PRINTED, RankBudgetError, _digit_budget, _echo,
+                     _formed)
 
 DEFAULT_MAX_RANK = 9
 RANK_ENV_VAR = "LIEJORDAN_MAX_RANK"
@@ -86,7 +90,7 @@ class DominantWeight:
         for c in self.coords:
             if not isinstance(c, int) or c < 0:
                 raise ValueError(
-                    f"weight coordinates must be non-negative integers, got {self.coords}")
+                    f"weight coordinates must be non-negative integers, got {_echo(self.coords)}")
         object.__setattr__(self, "coords", tuple(self.coords))
 
     @property
@@ -214,28 +218,44 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     return RootDatum(stype, cartan, tuple(coroots))
 
 
-def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
-    """Dimension of the irreducible representation with this highest weight.
+def _weyl_dim(datum: RootDatum, coords) -> int:
+    """prod <coords + rho, c> / prod <rho, c> over the positive coroots c,
+    where rho pairs to the coordinate sum of c, for any rank integers.
 
-    Evaluated as a single exact integer quotient over the positive
-    coroots: the product of <weight + rho, c> divided by the product of
-    <rho, c>, where rho pairs to the coordinate sum of c.  The quotient
-    is asserted to be exact.
+    A quotient with more digits than exact integers are kept with is
+    refused, before the product is formed when the factors show it (a
+    factor f is at least 2**(f.bit_length() - 1)).  A factor is at most
+    (max coordinate + 1) times the highest coroot height, the last
+    coroot's, which clears short answers at once.
     """
+    shifted = [x + 1 for x in coords]
+    coroots = datum.positive_coroots
+    factors = [sum(map(mul, shifted, c)) for c in coroots]
+
+    def quotient() -> int:
+        dim, rem = divmod(math.prod(factors), math.prod(map(sum, coroots)))
+        if rem:
+            raise AssertionError(f"non-integral dimension for {datum.type} at {_echo(coords)}")
+        return dim
+
+    top = max(shifted).bit_length() + sum(coroots[-1]).bit_length()
+    if len(coroots) * top <= 3 * _FORMED_PER_PRINTED * _digit_budget():  # 8**k < 10**k
+        return quotient()
+    return _formed(sum(f.bit_length() - 1 - sum(c).bit_length()
+                       for f, c in zip(factors, coroots)), quotient)
+
+
+def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
+    """Dimension of the irreducible representation with this highest weight,
+    by the Weyl dimension formula.  A dimension with more decimal digits
+    than ten times CPython's int->str limit (its default, when the limit is
+    off) raises ResourceGuardError, before the product is formed when its
+    factors already show the size."""
     coords = weight.coords
     if len(coords) != datum.rank:
         raise ValueError(
             f"weight has {len(coords)} coordinates, type {datum.type} has rank {datum.rank}")
-    shifted = tuple(c + 1 for c in coords)
-    num = 1
-    den = 1
-    for coroot in datum.positive_coroots:
-        num *= sum(s * c for s, c in zip(shifted, coroot))
-        den *= sum(coroot)
-    dim, rem = divmod(num, den)
-    if rem:
-        raise AssertionError(f"non-integral dimension for {datum.type}, weight {coords}")
-    return dim
+    return _weyl_dim(datum, coords)
 
 
 def enumerate_dominant_weights(
@@ -247,7 +267,8 @@ def enumerate_dominant_weights(
     search extends coordinates one position at a time; since the
     dimension is strictly monotone in each coordinate, a partial vector
     that already exceeds the cap cannot be completed, and the zero tail
-    of a partial vector is a valid lower bound for any completion.
+    of a partial vector is a valid lower bound for any completion.  Each
+    vector is evaluated once: appending a zero keeps its dimension.
 
     Caps above 2**max_rank() + 10 are refused unless allow_large_cap is
     set, to keep accidental huge searches from running away.
@@ -262,22 +283,22 @@ def enumerate_dominant_weights(
     coords = [0] * rank
     out: list[tuple[DominantWeight, int]] = []
 
-    def extend(pos: int):
+    def extend(pos: int, dim: int):
+        # coords[pos:] are zero, and dim (at most cap) is the dimension of coords.
         if pos == rank:
-            w = DominantWeight(tuple(coords))
-            if not w.is_zero:
-                out.append((w, weyl_dim(datum, w)))
+            if dim > 1:  # only the zero weight has dimension 1
+                out.append((DominantWeight(tuple(coords)), dim))
             return
-        value = 0
-        while True:
+        extend(pos + 1, dim)
+        for value in itertools.count(1):
             coords[pos] = value
-            if weyl_dim(datum, DominantWeight(tuple(coords))) > cap:
+            grown = _weyl_dim(datum, coords)
+            if grown > cap:
                 break
-            extend(pos + 1)
-            value += 1
+            extend(pos + 1, grown)
         coords[pos] = 0
 
-    extend(0)
+    extend(0, 1)
     out.sort(key=lambda pair: (pair[1], pair[0].coords))
     return out
 

@@ -1,0 +1,78 @@
+"""The first weyl_dim and dominant-weight enumeration, kept as a test
+oracle for the current ones.
+
+weyl_dim multiplies the Weyl factors with no digit guard; the enumeration
+builds a DominantWeight for every probe and evaluates each weight it keeps
+a second time.  Its values and ordered (weight, dim) lists are the ones the
+current code must give.
+"""
+from liejordan.errors import RankBudgetError
+from liejordan.rootdata import DominantWeight, RootDatum, max_rank
+
+
+def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
+    """Dimension of the irreducible representation with this highest weight.
+
+    Evaluated as a single exact integer quotient over the positive
+    coroots: the product of <weight + rho, c> divided by the product of
+    <rho, c>, where rho pairs to the coordinate sum of c.  The quotient
+    is asserted to be exact.
+    """
+    coords = weight.coords
+    if len(coords) != datum.rank:
+        raise ValueError(
+            f"weight has {len(coords)} coordinates, type {datum.type} has rank {datum.rank}")
+    shifted = tuple(c + 1 for c in coords)
+    num = 1
+    den = 1
+    for coroot in datum.positive_coroots:
+        num *= sum(s * c for s, c in zip(shifted, coroot))
+        den *= sum(coroot)
+    dim, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"non-integral dimension for {datum.type}, weight {coords}")
+    return dim
+
+
+def enumerate_dominant_weights(
+    datum: RootDatum, cap: int, allow_large_cap: bool = False
+) -> list[tuple[DominantWeight, int]]:
+    """All nonzero dominant weights with dimension <= cap, with dimensions.
+
+    Sorted by dimension, then lexicographically by coordinates.  The
+    search extends coordinates one position at a time; since the
+    dimension is strictly monotone in each coordinate, a partial vector
+    that already exceeds the cap cannot be completed, and the zero tail
+    of a partial vector is a valid lower bound for any completion.
+
+    Caps above 2**max_rank() + 10 are refused unless allow_large_cap is
+    set, to keep accidental huge searches from running away.
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {cap}")
+    limit = 2 ** max_rank() + 10
+    if cap > limit and not allow_large_cap:
+        raise RankBudgetError(
+            f"cap {cap} exceeds budget {limit}; pass allow_large_cap=True to override")
+    rank = datum.rank
+    coords = [0] * rank
+    out: list[tuple[DominantWeight, int]] = []
+
+    def extend(pos: int):
+        if pos == rank:
+            w = DominantWeight(tuple(coords))
+            if not w.is_zero:
+                out.append((w, weyl_dim(datum, w)))
+            return
+        value = 0
+        while True:
+            coords[pos] = value
+            if weyl_dim(datum, DominantWeight(tuple(coords))) > cap:
+                break
+            extend(pos + 1)
+            value += 1
+        coords[pos] = 0
+
+    extend(0)
+    out.sort(key=lambda pair: (pair[1], pair[0].coords))
+    return out

@@ -13,8 +13,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from liejordan.bounds import (bound_lie_connected, consistency_check_bounds,
-                              jordan_gl)
+from liejordan.bounds import bound_lie_connected, jordan_gl
 from liejordan.center import (WeightSet, center_classes, center_order,
                               is_faithful, pair)
 from liejordan.cli import main as cli_main
@@ -23,6 +22,8 @@ from liejordan.minfaithful import rdim
 from liejordan.rootdata import (DominantWeight, SimpleType, build_root_datum,
                                 enumerate_dominant_weights,
                                 positive_root_count, weyl_dim)
+
+from paper_literals import consistency_check_bounds
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

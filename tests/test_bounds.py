@@ -10,9 +10,9 @@ from liejordan.bounds import (FAMILIES, WITH_COMPONENTS, BoundExpr, ExactInt,
                               bound_algebraic,
                               bound_compact_complex, bound_hyperbolic,
                               bound_lie, bound_lie_connected, bound_riemannian,
-                              consistency_check_bounds, expr_from_json,
-                              expr_to_json, jordan_gl,
+                              expr_from_json, expr_to_json, jordan_gl,
                               stabilizer_bound_hyperbolic)
+from paper_literals import consistency_check_bounds
 
 
 def slow_factorial(n):

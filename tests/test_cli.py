@@ -462,3 +462,13 @@ def test_huge_weyl_product_refused_before_it_is_formed(capsys):
     assert (code, out) == (3, "")
     assert "PYTHONINTMAXSTRDIGITS" in err
     assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("argv", [
+    ["faithful", "--family", "A", "--rank", "1", "--weights", ";".join(["9" * 4000] * 2)],
+    ["dim", "--family", "A", "--rank", "2", "--weight=-1," + "9" * 4000],
+], ids=["duplicate-weight", "negative-coordinate"])
+def test_long_invalid_weight_exits_2_with_short_message(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err) < 200

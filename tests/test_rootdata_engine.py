@@ -1,0 +1,131 @@
+"""Weyl dimensions and the dominant-weight enumeration against the first code.
+
+The oracle (old_rootdata.py) multiplies the Weyl factors with no digit
+guard and evaluates every weight it keeps twice.  The code under test forms
+the product in one guarded routine and evaluates each vector once.  Their
+values and ordered (weight, dim) lists must agree; past the kept-digit
+limit the code under test refuses instead, before the product is formed.
+"""
+import random
+import sys
+import time
+
+import pytest
+
+import old_rootdata as old
+from liejordan import rootdata
+from liejordan.center import WeightSet
+from liejordan.errors import ResourceGuardError
+from liejordan.rootdata import (DominantWeight, SimpleType, build_root_datum,
+                                enumerate_dominant_weights, weyl_dim)
+
+EXCEPTIONAL = [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+DEFAULT_DIGITS = sys.int_info.default_max_str_digits
+
+
+def _types(max_rank):
+    classical = [(fam, rank) for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                 for rank in range(lo, max_rank + 1)]
+    return classical + [t for t in EXCEPTIONAL if t[1] <= max_rank]
+
+
+def _datum(fam, rank):
+    return build_root_datum(SimpleType(fam, rank))
+
+
+def _kept_digits():
+    return 10 * (sys.get_int_max_str_digits() or DEFAULT_DIGITS)
+
+
+@pytest.mark.parametrize("fam,rank", _types(12))
+def test_enumeration_matches_oracle(fam, rank):
+    d = _datum(fam, rank)
+    cap = 2 ** rank + 10
+    got = enumerate_dominant_weights(d, cap, allow_large_cap=True)
+    want = old.enumerate_dominant_weights(d, cap, allow_large_cap=True)
+    assert [(w.coords, dim) for w, dim in got] == [(w.coords, dim) for w, dim in want]
+
+
+@pytest.mark.parametrize("fam,rank", _types(9))
+def test_weyl_dim_matches_oracle(fam, rank):
+    d = _datum(fam, rank)
+    rng = random.Random(f"weyl {fam}{rank}")
+    for top in (0, 1, 3, 10, 10 ** 6, 10 ** 40):
+        for _ in range(4):
+            w = DominantWeight(tuple(rng.randint(0, top) for _ in range(rank)))
+            assert weyl_dim(d, w) == old.weyl_dim(d, w), w
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5),
+                                      ("E", 6), ("F", 4), ("G", 2)])
+def test_enumeration_evaluates_each_vector_once(monkeypatch, fam, rank):
+    probed = []
+    evaluate = rootdata._weyl_dim
+
+    def recording(datum, coords):
+        probed.append(tuple(coords))
+        return evaluate(datum, coords)
+
+    monkeypatch.setattr(rootdata, "_weyl_dim", recording)
+    out = enumerate_dominant_weights(_datum(fam, rank), 2 ** rank + 10)
+    assert len(probed) == len(set(probed))
+    assert (0,) * rank not in probed
+    assert {w.coords for w, _ in out} <= set(probed)
+
+
+def test_huge_e8_weight_refused_before_the_product_is_formed():
+    digits = sys.get_int_max_str_digits() or DEFAULT_DIGITS
+    weight = DominantWeight((10 ** digits - 1,) * 8)
+    d = _datum("E", 8)
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="PYTHONINTMAXSTRDIGITS"):
+        weyl_dim(d, weight)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("fam,rank", _types(9))
+def test_answers_up_to_the_kept_limit_are_returned(fam, rank):
+    # All coordinates equal to M give dimension (M + 1)**N, N positive coroots;
+    # 10**(n*k) has n*k + 1 digits.
+    d = _datum(fam, rank)
+    n = len(d.positive_coroots)
+    k = (_kept_digits() - 1) // n
+    under = DominantWeight((10 ** k - 1,) * rank)
+    assert weyl_dim(d, under) == old.weyl_dim(d, under) == 10 ** (n * k)
+    with pytest.raises(ResourceGuardError, match="decimal digits, more than"):
+        weyl_dim(d, DominantWeight((10 ** (k + 1) - 1,) * rank))
+
+
+def test_kept_limit_boundary_is_exact():
+    kept = _kept_digits()
+    d = _datum("A", 1)
+    under = DominantWeight((10 ** kept - 2,))
+    assert weyl_dim(d, under) == old.weyl_dim(d, under)
+    with pytest.raises(ResourceGuardError) as refused:
+        weyl_dim(d, DominantWeight((10 ** kept - 1,)))
+    assert f"at least {kept + 1} decimal digits, more than {kept}, 10 times" in str(refused.value)
+
+
+def test_guard_falls_back_to_the_default_budget_when_the_limit_is_off():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        kept = 10 * DEFAULT_DIGITS
+        d = _datum("A", 1)
+        assert weyl_dim(d, DominantWeight((10 ** kept - 2,))) == 10 ** kept - 1
+        with pytest.raises(ResourceGuardError) as refused:
+            weyl_dim(d, DominantWeight((10 ** kept - 1,)))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert f"the {DEFAULT_DIGITS} allowed by the int->str digit limit" in str(refused.value)
+
+
+def test_long_weights_are_echoed_short():
+    long = 10 ** 4000 - 1
+    with pytest.raises(ValueError) as negative:
+        DominantWeight((-1, long))
+    assert str(negative.value).endswith("got (-1, " + "9" * 35 + "...")
+    w = DominantWeight((long,))
+    with pytest.raises(ValueError) as duplicate:
+        WeightSet((w, w))
+    assert len(str(duplicate.value)) < 100
