@@ -67,7 +67,30 @@ def _formed(bits_at_least: int, make) -> int:
 def _echo(value) -> str:
     """User input quoted in an error message, cut to its first 40 characters:
     a string by its repr, anything else as str() writes it."""
-    quoted = isinstance(value, str)
-    text = value if quoted else str(value)
-    shown = repr(text[:_ECHO_CHARS]) if quoted else text[:_ECHO_CHARS]
+    if isinstance(value, str):
+        text, shown = value, repr(value[:_ECHO_CHARS])
+    else:
+        text = _head(value)
+        shown = text[:_ECHO_CHARS]
     return shown + ("..." if len(text) > _ECHO_CHARS else "")
+
+
+def _head(value) -> str:
+    """str(value), or a start of it longer than 40 characters: a tuple or
+    list stops once that long, and an integer of more than 4 * 40 bits shows
+    its leading digits, so no integer past the int->str limit is converted."""
+    if isinstance(value, (tuple, list)):
+        parts, size = [], 0
+        for x in value:
+            if size > _ECHO_CHARS:
+                break
+            parts.append(_head(x))
+            size += len(parts[-1]) + 2
+        inner = ", ".join(parts)
+        if isinstance(value, list):
+            return f"[{inner}]"
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    if isinstance(value, int) and value.bit_length() > 4 * _ECHO_CHARS:
+        cut = _digits_from_bits(value.bit_length() - 1) - _ECHO_CHARS - 1
+        return ("-" if value < 0 else "") + str(abs(value) // 10 ** cut)
+    return str(value)

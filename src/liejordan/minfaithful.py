@@ -11,10 +11,15 @@ subgroup (an intersection of kernels); only those states are stored.
 The center is cyclic or Z2 x Z2, so there are at most as many states as
 divisors of its order, or 5.
 
-The enumeration cap 2**rank + 10 is safe: every type admits a faithful
-set of total dimension at most that value, each weight in an optimal
-set has dimension at most the optimal total, and the cap is attained
-only by the 26-dimensional rank-4 case.
+The search for candidate weights is capped by the total dimension of the
+cheapest faithful set of fundamental weights (the smallest fundamental
+dimension when the center is trivial), found by the same DP.  The
+fundamental weights together are faithful, so that total is at least the
+optimum, and every weight of an optimal or tied set has dimension at most
+the optimum: the cap changes neither the answer nor its witness.  The
+total never passes 2**rank + 10, which only F4's 26 reaches, so the
+enumeration's budget check on caps over 2**max_rank() + 10 is never what
+refuses an rdim within the rank budget.
 """
 from __future__ import annotations
 
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 
 from .center import WeightSet, _center
 from .rootdata import (_EXCEPTIONAL_RANKS, _MIN_RANK, RootDatum, SimpleType,
-                       build_root_datum, check_rank_budget,
+                       _fundamental_weights, build_root_datum, check_rank_budget,
                        enumerate_dominant_weights)
 
 
@@ -39,27 +44,17 @@ class RdimResult:
     per_weight_dims: tuple[int, ...]
 
 
-def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
-    """Minimal faithful total dimension, with a deterministic witness.
+def _cheapest_cover(weighted, d: int, classes):
+    """The cheapest set of the given weights that detects every class, as
+    (total dim, weight count, sorted coords tuple, weights), or None.
+    The (weight, dim) pairs come ordered by (dim, coords).
 
-    Ties are broken by fewest weights, then by the lexicographically
-    smallest sorted list of weight coordinates.  Ranks over the budget
-    are refused unless override is set.
+    Each weight covers the classes its central character does not kill;
+    equal coverage masks keep only the first, cheapest weight.
     """
-    check_rank_budget(datum.type, override)
-    cap = 2 ** datum.rank + 10
-    candidates = enumerate_dominant_weights(datum, cap, allow_large_cap=override)
-    d, classes = _center(datum.cartan)
-
-    if not classes:
-        w, dim = candidates[0]
-        return RdimResult(dim, WeightSet((w,)), (dim,))
-
-    # Coverage mask per weight; equal masks keep only the cheapest weight,
-    # and candidates arrive ordered by (dim, coords) so the first one wins.
     items = []
     seen_masks = set()
-    for w, dim in candidates:
+    for w, dim in weighted:
         mask = 0
         for bit, x in enumerate(classes):
             if sum(l * c for l, c in zip(w.coords, x)) % d:
@@ -68,11 +63,10 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
             seen_masks.add(mask)
             items.append((mask, dim, w))
 
-    # best[state] = (total dim, weight count, sorted coords tuple, weights).
-    # Every move sets a new bit, so a state is popped from the heap only
-    # after every smaller reachable state: the relaxation order, and with it
-    # every tie-break, is that of a scan over all states in ascending order.
-    full = (1 << len(classes)) - 1
+    # best[state] is such a tuple for the classes in state.  Every move sets
+    # a new bit, so a state is popped from the heap only after every smaller
+    # reachable state: the relaxation order, and with it every tie-break, is
+    # that of a scan over all states in ascending order.
     best = {0: (0, 0, (), ())}
     pending = [0]
     while pending:
@@ -89,11 +83,41 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
             elif cand[:3] >= best[nxt][:3]:
                 continue
             best[nxt] = cand
-    if full not in best:
+    return best.get((1 << len(classes)) - 1)
+
+
+def _fundamental_cap(datum: RootDatum) -> int:
+    """Total dimension of the cheapest faithful set of fundamental weights,
+    or the smallest fundamental dimension when the center is trivial."""
+    d, classes = _center(datum.cartan)
+    fundamentals = sorted(_fundamental_weights(datum),
+                          key=lambda pair: (pair[1], pair[0].coords))
+    if not classes:
+        return fundamentals[0][1]
+    return _cheapest_cover(fundamentals, d, classes)[0]
+
+
+def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
+    """Minimal faithful total dimension, with a deterministic witness.
+
+    Ties are broken by fewest weights, then by the lexicographically
+    smallest sorted list of weight coordinates.  Ranks over the budget
+    are refused unless override is set.
+    """
+    check_rank_budget(datum.type, override)
+    cap = _fundamental_cap(datum)
+    candidates = enumerate_dominant_weights(datum, cap, allow_large_cap=override)
+    d, classes = _center(datum.cartan)
+    if not classes:
+        w, dim = candidates[0]
+        return RdimResult(dim, WeightSet((w,)), (dim,))
+
+    best = _cheapest_cover(candidates, d, classes)
+    if best is None:
         raise AssertionError(f"no faithful weight set under cap for {datum.type}")
-    total, _, _, weights = best[full]
+    total, _, _, weights = best
     witness = WeightSet(weights)
-    dims = {w: dim for _, dim, w in items}
+    dims = {w: dim for w, dim in candidates}
     return RdimResult(total, witness, tuple(dims[w] for w in witness))
 
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .errors import (_FORMED_PER_PRINTED, RankBudgetError, _digit_budget, _echo,
                      _formed)
@@ -160,23 +160,27 @@ def _positive_roots(cartan) -> list[tuple[int, ...]]:
     Reflection closure: starting from the simple roots, apply simple
     reflections and keep whatever stays non-negative.  Every positive root
     is reachable this way because a positive non-simple root always has a
-    reflection lowering its height through another positive root.
+    reflection lowering its height through another positive root.  Each
+    root travels with its pairings p against the simple coroots: the image
+    v - p[j] alpha_j pairs to p - p[j] * (row j), and only its coordinate
+    j can turn negative.
     """
     rank = len(cartan)
     simple = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
     found = set(simple)
-    frontier = list(simple)
+    frontier = list(zip(simple, cartan))
     while frontier:
         nxt = []
-        for vec in frontier:
-            for j in range(rank):
-                pairing = sum(vec[i] * cartan[i][j] for i in range(rank))
+        for vec, pairing in frontier:
+            for j, p in enumerate(pairing):
+                if p == 0 or vec[j] < p:  # the image is vec, or is not positive
+                    continue
                 image = list(vec)
-                image[j] -= pairing
+                image[j] -= p
                 image = tuple(image)
-                if image not in found and all(c >= 0 for c in image):
+                if image not in found:
                     found.add(image)
-                    nxt.append(image)
+                    nxt.append((image, [a - p * b for a, b in zip(pairing, cartan[j])]))
         frontier = nxt
     return sorted(found, key=lambda v: (sum(v), v))
 
@@ -187,11 +191,21 @@ class RootDatum:
 
     Coroot vectors are coordinates in the simple-coroot basis, so the
     pairing of a weight lambda with a coroot c is sum(lambda_i * c_i).
+    rho pairs to the coordinate sum of c; those pairings and their product,
+    the denominator of the Weyl dimension formula, are derived on
+    construction.
     """
 
     type: SimpleType
     cartan: tuple[tuple[int, ...], ...]
     positive_coroots: tuple[tuple[int, ...], ...]
+    rho_pairings: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    rho_product: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        pairings = tuple(map(sum, self.positive_coroots))
+        object.__setattr__(self, "rho_pairings", pairings)
+        object.__setattr__(self, "rho_product", math.prod(pairings))
 
     @property
     def rank(self) -> int:
@@ -218,9 +232,10 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     return RootDatum(stype, cartan, tuple(coroots))
 
 
-def _weyl_dim(datum: RootDatum, coords) -> int:
-    """prod <coords + rho, c> / prod <rho, c> over the positive coroots c,
-    where rho pairs to the coordinate sum of c, for any rank integers.
+def _weyl_dim(datum: RootDatum, coords, factors) -> int:
+    """Weyl dimension of coords (any rank integers) from its factors
+    <coords + rho, c> over the positive coroots c: their product over that
+    of the <rho, c>.
 
     A quotient with more digits than exact integers are kept with is
     refused, before the product is formed when the factors show it (a
@@ -228,21 +243,19 @@ def _weyl_dim(datum: RootDatum, coords) -> int:
     (max coordinate + 1) times the highest coroot height, the last
     coroot's, which clears short answers at once.
     """
-    shifted = [x + 1 for x in coords]
-    coroots = datum.positive_coroots
-    factors = [sum(map(mul, shifted, c)) for c in coroots]
+    rho = datum.rho_pairings
 
     def quotient() -> int:
-        dim, rem = divmod(math.prod(factors), math.prod(map(sum, coroots)))
+        dim, rem = divmod(math.prod(factors), datum.rho_product)
         if rem:
             raise AssertionError(f"non-integral dimension for {datum.type} at {_echo(coords)}")
         return dim
 
-    top = max(shifted).bit_length() + sum(coroots[-1]).bit_length()
-    if len(coroots) * top <= 3 * _FORMED_PER_PRINTED * _digit_budget():  # 8**k < 10**k
+    top = (max(coords) + 1).bit_length() + rho[-1].bit_length()
+    if len(rho) * top <= 3 * _FORMED_PER_PRINTED * _digit_budget():  # 8**k < 10**k
         return quotient()
-    return _formed(sum(f.bit_length() - 1 - sum(c).bit_length()
-                       for f, c in zip(factors, coroots)), quotient)
+    return _formed(sum(f.bit_length() - 1 - r.bit_length()
+                       for f, r in zip(factors, rho)), quotient)
 
 
 def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
@@ -255,7 +268,19 @@ def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
     if len(coords) != datum.rank:
         raise ValueError(
             f"weight has {len(coords)} coordinates, type {datum.type} has rank {datum.rank}")
-    return _weyl_dim(datum, coords)
+    shifted = [x + 1 for x in coords]
+    return _weyl_dim(datum, coords, [sum(map(mul, shifted, c)) for c in datum.positive_coroots])
+
+
+def _fundamental_weights(datum: RootDatum) -> list[tuple[DominantWeight, int]]:
+    """The fundamental weights with their dimensions, in node order: the
+    first probe of the enumeration at each position."""
+    out = []
+    for pos, column in enumerate(zip(*datum.positive_coroots)):
+        unit = tuple(int(i == pos) for i in range(datum.rank))
+        dim = _weyl_dim(datum, unit, list(map(add, datum.rho_pairings, column)))
+        out.append((DominantWeight(unit), dim))
+    return out
 
 
 def enumerate_dominant_weights(
@@ -268,10 +293,14 @@ def enumerate_dominant_weights(
     dimension is strictly monotone in each coordinate, a partial vector
     that already exceeds the cap cannot be completed, and the zero tail
     of a partial vector is a valid lower bound for any completion.  Each
-    vector is evaluated once: appending a zero keeps its dimension.
+    vector is evaluated once: appending a zero keeps its dimension.  The
+    Weyl factors <coords + rho, c> travel down the search, and raising
+    coordinate pos by one adds column pos of the coroots to them.
 
     Caps above 2**max_rank() + 10 are refused unless allow_large_cap is
-    set, to keep accidental huge searches from running away.
+    set, to keep accidental huge searches from running away.  rdim
+    searches under the total of the cheapest faithful set of fundamental
+    weights, which never passes 2**rank + 10.
     """
     if cap < 1:
         raise ValueError(f"cap must be a positive integer, got {cap}")
@@ -280,25 +309,29 @@ def enumerate_dominant_weights(
         raise RankBudgetError(
             f"cap {cap} exceeds budget {limit}; pass allow_large_cap=True to override")
     rank = datum.rank
+    columns = list(zip(*datum.positive_coroots))
     coords = [0] * rank
     out: list[tuple[DominantWeight, int]] = []
 
-    def extend(pos: int, dim: int):
-        # coords[pos:] are zero, and dim (at most cap) is the dimension of coords.
+    def extend(pos: int, factors: list[int], dim: int):
+        # coords[pos:] are zero; factors are the Weyl factors of coords, and
+        # dim (at most cap) is its dimension.
         if pos == rank:
             if dim > 1:  # only the zero weight has dimension 1
                 out.append((DominantWeight(tuple(coords)), dim))
             return
-        extend(pos + 1, dim)
+        extend(pos + 1, factors, dim)
+        column = columns[pos]
         for value in itertools.count(1):
             coords[pos] = value
-            grown = _weyl_dim(datum, coords)
+            factors = list(map(add, factors, column))
+            grown = _weyl_dim(datum, coords, factors)
             if grown > cap:
                 break
-            extend(pos + 1, grown)
+            extend(pos + 1, factors, grown)
         coords[pos] = 0
 
-    extend(0, 1)
+    extend(0, list(datum.rho_pairings), 1)
     out.sort(key=lambda pair: (pair[1], pair[0].coords))
     return out
 

@@ -1,13 +1,42 @@
-"""The first weyl_dim and dominant-weight enumeration, kept as a test
-oracle for the current ones.
+"""The first coroot closure, weyl_dim and dominant-weight enumeration,
+kept as a test oracle for the current ones.
 
-weyl_dim multiplies the Weyl factors with no digit guard; the enumeration
-builds a DominantWeight for every probe and evaluates each weight it keeps
-a second time.  Its values and ordered (weight, dim) lists are the ones the
-current code must give.
+The closure recomputes the pairing of every root it reflects; weyl_dim
+multiplies the Weyl factors with no digit guard; the enumeration builds a
+DominantWeight for every probe and evaluates each weight it keeps a second
+time.  Its root lists, values and ordered (weight, dim) lists are the ones
+the current code must give.
 """
 from liejordan.errors import RankBudgetError
 from liejordan.rootdata import DominantWeight, RootDatum, max_rank
+
+
+def _positive_roots(cartan) -> list[tuple[int, ...]]:
+    """Positive roots of the system with this Cartan matrix, as coordinate
+    vectors over the simple roots, sorted by height then lexicographically.
+
+    Reflection closure: starting from the simple roots, apply simple
+    reflections and keep whatever stays non-negative.  Every positive root
+    is reachable this way because a positive non-simple root always has a
+    reflection lowering its height through another positive root.
+    """
+    rank = len(cartan)
+    simple = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
+    found = set(simple)
+    frontier = list(simple)
+    while frontier:
+        nxt = []
+        for vec in frontier:
+            for j in range(rank):
+                pairing = sum(vec[i] * cartan[i][j] for i in range(rank))
+                image = list(vec)
+                image[j] -= pairing
+                image = tuple(image)
+                if image not in found and all(c >= 0 for c in image):
+                    found.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return sorted(found, key=lambda v: (sum(v), v))
 
 
 def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:

@@ -52,7 +52,7 @@ def test_is_faithful_matches_oracle(fam, rank):
         assert is_faithful(d, ws) == old.is_faithful(d, ws), (fam, rank, ws)
 
 
-@pytest.mark.parametrize("fam,rank", _types(12))
+@pytest.mark.parametrize("fam,rank", _types(16))
 def test_rdim_matches_oracle(fam, rank):
     d = _datum(fam, rank)
     assert rdim(d, override=True) == old.rdim(d, override=True)

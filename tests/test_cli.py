@@ -2,6 +2,7 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -348,6 +349,17 @@ def test_module_entry_point_smoke():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+def test_rdim_a40_end_to_end_under_a_second():
+    env = {**os.environ, "LIEJORDAN_MAX_RANK": "40"}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "liejordan", "rdim", "--family", "A", "--rank", "40"],
+        capture_output=True, text=True, timeout=60, env=env)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (0, "41\n")
+    assert elapsed < 1.0
 
 
 def test_bound_choices_are_the_bounds_table():

@@ -2,10 +2,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liejordan.center import is_faithful
+from liejordan.center import WeightSet, is_faithful
 from liejordan.errors import RankBudgetError
-from liejordan.minfaithful import rdim, rdim_table
+from liejordan.minfaithful import _fundamental_cap, rdim, rdim_table
 from liejordan.rootdata import (DominantWeight, SimpleType, build_root_datum,
                                 enumerate_dominant_weights, weyl_dim)
 
@@ -106,6 +108,27 @@ def test_rank_budget_enforced():
 def test_dimension_cap_holds_everywhere():
     for fam, rank in BUDGET_TYPES:
         assert rdim(_datum(fam, rank)).total_dim <= 2 ** rank + 10
+
+
+RANK_16_TYPES = (
+    [("A", l) for l in range(1, 17)] + [("B", l) for l in range(2, 17)] +
+    [("C", l) for l in range(2, 17)] + [("D", l) for l in range(3, 17)] +
+    [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("fam,rank", RANK_16_TYPES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fundamental_cap_lies_between_rdim_and_the_budget(fam, rank, data):
+    # The cap is the cheapest faithful set of fundamental weights: no
+    # faithful set of them totals less, and the optimum is no more.
+    d = _datum(fam, rank)
+    cap = _fundamental_cap(d)
+    assert rdim(d, override=True).total_dim <= cap <= 2 ** rank + 10
+    nodes = data.draw(st.sets(st.integers(0, rank - 1), min_size=1))
+    fundamentals = WeightSet(tuple(_fund(rank, i) for i in nodes))
+    if is_faithful(d, fundamentals):
+        assert sum(weyl_dim(d, w) for w in fundamentals) >= cap
 
 
 def test_dimension_cap_tight_only_for_f4():

@@ -1,10 +1,14 @@
-"""Weyl dimensions and the dominant-weight enumeration against the first code.
+"""Coroots, Weyl dimensions and the dominant-weight enumeration against the
+first code.
 
-The oracle (old_rootdata.py) multiplies the Weyl factors with no digit
-guard and evaluates every weight it keeps twice.  The code under test forms
-the product in one guarded routine and evaluates each vector once.  Their
-values and ordered (weight, dim) lists must agree; past the kept-digit
-limit the code under test refuses instead, before the product is formed.
+The oracle (old_rootdata.py) recomputes each pairing in the coroot closure,
+multiplies the Weyl factors with no digit guard and evaluates every weight
+it keeps twice.  The code under test carries the pairings through the
+closure, forms the product in one guarded routine, and carries the factors
+down the enumeration so that each vector is evaluated once.  Their coroot
+lists, values and ordered (weight, dim) lists must agree; past the
+kept-digit limit the code under test refuses instead, before the product
+is formed.
 """
 import random
 import sys
@@ -15,7 +19,7 @@ import pytest
 import old_rootdata as old
 from liejordan import rootdata
 from liejordan.center import WeightSet
-from liejordan.errors import ResourceGuardError
+from liejordan.errors import ResourceGuardError, _echo
 from liejordan.rootdata import (DominantWeight, SimpleType, build_root_datum,
                                 enumerate_dominant_weights, weyl_dim)
 
@@ -35,6 +39,13 @@ def _datum(fam, rank):
 
 def _kept_digits():
     return 10 * (sys.get_int_max_str_digits() or DEFAULT_DIGITS)
+
+
+@pytest.mark.parametrize("fam,rank", _types(24))
+def test_coroots_match_oracle(fam, rank):
+    d = _datum(fam, rank)
+    transposed = tuple(zip(*d.cartan))
+    assert d.positive_coroots == tuple(old._positive_roots(transposed))
 
 
 @pytest.mark.parametrize("fam,rank", _types(12))
@@ -62,9 +73,9 @@ def test_enumeration_evaluates_each_vector_once(monkeypatch, fam, rank):
     probed = []
     evaluate = rootdata._weyl_dim
 
-    def recording(datum, coords):
+    def recording(datum, coords, factors):
         probed.append(tuple(coords))
-        return evaluate(datum, coords)
+        return evaluate(datum, coords, factors)
 
     monkeypatch.setattr(rootdata, "_weyl_dim", recording)
     out = enumerate_dominant_weights(_datum(fam, rank), 2 ** rank + 10)
@@ -120,12 +131,14 @@ def test_guard_falls_back_to_the_default_budget_when_the_limit_is_off():
     assert f"the {DEFAULT_DIGITS} allowed by the int->str digit limit" in str(refused.value)
 
 
-def test_long_weights_are_echoed_short():
-    long = 10 ** 4000 - 1
+@pytest.mark.parametrize("digits", [4000, 5000])  # under and past the int->str limit
+def test_long_weights_are_echoed_short(digits):
+    long = 10 ** digits - 1
     with pytest.raises(ValueError) as negative:
         DominantWeight((-1, long))
     assert str(negative.value).endswith("got (-1, " + "9" * 35 + "...")
     w = DominantWeight((long,))
     with pytest.raises(ValueError) as duplicate:
         WeightSet((w, w))
-    assert len(str(duplicate.value)) < 100
+    assert str(duplicate.value) == "duplicate weight (" + "9" * 39 + "..."
+    assert _echo(long) == "9" * 40 + "..."
