@@ -117,7 +117,7 @@ RANK_16_TYPES = (
 
 
 @pytest.mark.parametrize("fam,rank", RANK_16_TYPES)
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_fundamental_cap_lies_between_rdim_and_the_budget(fam, rank, data):
     # The cap is the cheapest faithful set of fundamental weights: no
