@@ -131,8 +131,7 @@ def test_guard_falls_back_to_the_default_budget_when_the_limit_is_off():
     assert f"the {DEFAULT_DIGITS} allowed by the int->str digit limit" in str(refused.value)
 
 
-@pytest.mark.parametrize("digits", [4000, 5000])  # under and past the int->str limit
-def test_long_weights_are_echoed_short(digits):
+def _assert_echoed_short(digits):
     long = 10 ** digits - 1
     with pytest.raises(ValueError) as negative:
         DominantWeight((-1, long))
@@ -142,3 +141,11 @@ def test_long_weights_are_echoed_short(digits):
         WeightSet((w, w))
     assert str(duplicate.value) == "duplicate weight (" + "9" * 39 + "..."
     assert _echo(long) == "9" * 40 + "..."
+
+
+def test_long_weights_are_echoed_short():
+    _assert_echoed_short(4000)
+
+
+def test_weights_past_the_int_str_limit_are_echoed_short():
+    _assert_echoed_short(sys.int_info.default_max_str_digits + 700)
