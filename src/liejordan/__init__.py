@@ -24,9 +24,8 @@ from .finitegroup import (FiniteGroup, Subgroup, all_subgroups,
                           parse_group)
 from .minfaithful import RdimResult, rdim, rdim_table
 from .rootdata import (DominantWeight, RootDatum, SimpleType,
-                       build_root_datum, cartan_matrix,
-                       enumerate_dominant_weights, max_rank,
-                       positive_root_count, weyl_dim)
+                       build_root_datum, enumerate_dominant_weights,
+                       max_rank, weyl_dim)
 
 __all__ = [
     "BoundExpr", "CenterClass", "DominantWeight", "ExactInt", "FiniteGroup",
@@ -35,10 +34,9 @@ __all__ = [
     "Subgroup", "SymbolicJ", "WeightSet", "all_subgroups", "bound",
     "bound_algebraic", "bound_compact_complex", "bound_hyperbolic",
     "bound_lie", "bound_lie_connected", "bound_riemannian",
-    "build_root_datum", "cartan_matrix", "center_classes", "center_order",
-    "enumerate_dominant_weights",
-    "expr_from_json", "expr_to_json", "is_faithful", "jordan_constant",
-    "jordan_constant_with_witness", "jordan_gl", "max_rank", "parse_group",
-    "positive_root_count", "rdim", "rdim_table", "stabilizer_bound_hyperbolic",
-    "weyl_dim",
+    "build_root_datum", "center_classes", "center_order",
+    "enumerate_dominant_weights", "expr_from_json", "expr_to_json",
+    "is_faithful", "jordan_constant", "jordan_constant_with_witness",
+    "jordan_gl", "max_rank", "parse_group", "rdim", "rdim_table",
+    "stabilizer_bound_hyperbolic", "weyl_dim",
 ]

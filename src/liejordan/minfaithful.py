@@ -6,14 +6,15 @@ nonidentity central class.  Minimising the total dimension is therefore
 a weighted set-cover problem over the nonidentity classes, solved
 exactly by dynamic programming over coverage bitmasks.  A weight covers
 the classes outside the kernel of its central character, a subgroup of
-the center, so every state the DP reaches is the complement of a
-subgroup (an intersection of kernels); only those states are stored.
-The center is cyclic or Z2 x Z2, so there are at most as many states as
-divisors of its order, or 5.
+the center, and every weight sets one more bit, "the set is nonempty",
+which is all a trivial center asks for.  Every state the DP reaches is
+the empty set, or the nonempty bit with the complement of a subgroup (an
+intersection of kernels); only those states are stored.  The center is
+cyclic or Z2 x Z2, so there are at most 1 + (divisors of its order)
+states, or 6.
 
 The search for candidate weights is capped by the total dimension of the
-cheapest faithful set of fundamental weights (the smallest fundamental
-dimension when the center is trivial), found by the same DP.  The
+cheapest faithful set of fundamental weights, found by the same DP.  The
 fundamental weights together are faithful, so that total is at least the
 optimum, and every weight of an optimal or tied set has dimension at most
 the optimum: the cap changes neither the answer nor its witness.  The
@@ -27,9 +28,8 @@ import heapq
 from dataclasses import dataclass
 
 from .center import WeightSet, _center
-from .rootdata import (_EXCEPTIONAL_RANKS, _MIN_RANK, RootDatum, SimpleType,
-                       _fundamental_weights, build_root_datum, check_rank_budget,
-                       enumerate_dominant_weights)
+from .rootdata import (_FAMILIES, RootDatum, SimpleType, _fundamental_weights,
+                       build_root_datum, check_rank_budget, enumerate_dominant_weights)
 
 
 @dataclass(frozen=True)
@@ -45,21 +45,23 @@ class RdimResult:
 
 
 def _cheapest_cover(weighted, d: int, classes):
-    """The cheapest set of the given weights that detects every class, as
-    (total dim, weight count, sorted coords tuple, weights), or None.
-    The (weight, dim) pairs come ordered by (dim, coords).
+    """The cheapest nonempty set of the given weights that detects every
+    class, as (total dim, weight count, sorted coords tuple, weights), or
+    None.  The (weight, dim) pairs come ordered by (dim, coords).
 
-    Each weight covers the classes its central character does not kill;
-    equal coverage masks keep only the first, cheapest weight.
+    Each weight covers the classes its central character does not kill,
+    and the top bit, which stands for the set being nonempty; equal
+    coverage masks keep only the first, cheapest weight.
     """
+    nonempty = 1 << len(classes)
     items = []
     seen_masks = set()
     for w, dim in weighted:
-        mask = 0
+        mask = nonempty
         for bit, x in enumerate(classes):
             if sum(l * c for l, c in zip(w.coords, x)) % d:
                 mask |= 1 << bit
-        if mask and mask not in seen_masks:
+        if mask not in seen_masks:
             seen_masks.add(mask)
             items.append((mask, dim, w))
 
@@ -83,18 +85,14 @@ def _cheapest_cover(weighted, d: int, classes):
             elif cand[:3] >= best[nxt][:3]:
                 continue
             best[nxt] = cand
-    return best.get((1 << len(classes)) - 1)
+    return best.get(2 * nonempty - 1)
 
 
 def _fundamental_cap(datum: RootDatum) -> int:
-    """Total dimension of the cheapest faithful set of fundamental weights,
-    or the smallest fundamental dimension when the center is trivial."""
-    d, classes = _center(datum.cartan)
+    """Total dimension of the cheapest faithful set of fundamental weights."""
     fundamentals = sorted(_fundamental_weights(datum),
                           key=lambda pair: (pair[1], pair[0].coords))
-    if not classes:
-        return fundamentals[0][1]
-    return _cheapest_cover(fundamentals, d, classes)[0]
+    return _cheapest_cover(fundamentals, *_center(datum.cartan))[0]
 
 
 def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
@@ -107,21 +105,16 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     check_rank_budget(datum.type, override)
     cap = _fundamental_cap(datum)
     candidates = enumerate_dominant_weights(datum, cap, allow_large_cap=override)
-    d, classes = _center(datum.cartan)
-    if not classes:
-        w, dim = candidates[0]
-        return RdimResult(dim, WeightSet((w,)), (dim,))
-
-    best = _cheapest_cover(candidates, d, classes)
+    best = _cheapest_cover(candidates, *_center(datum.cartan))
     if best is None:
         raise AssertionError(f"no faithful weight set under cap for {datum.type}")
     total, _, _, weights = best
     witness = WeightSet(weights)
-    dims = {w: dim for w, dim in candidates}
+    dims = dict(candidates)
     return RdimResult(total, witness, tuple(dims[w] for w in witness))
 
 
-def rdim_table(table_max_rank: int, override: bool = False):
+def rdim_table(table_max_rank: int):
     """Minimal faithful dimensions for every simple type up to a rank.
 
     Returns (SimpleType, RdimResult) pairs, ordered by family letter
@@ -129,9 +122,8 @@ def rdim_table(table_max_rank: int, override: bool = False):
     """
     if table_max_rank < 1:
         raise ValueError(f"max rank must be positive, got {table_max_rank}")
-    check_rank_budget(SimpleType("A", table_max_rank), override)
-    ranks = {fam: range(lo, table_max_rank + 1) for fam, lo in _MIN_RANK.items()}
-    ranks.update(_EXCEPTIONAL_RANKS)
-    types = [SimpleType(fam, rank) for fam, fam_ranks in ranks.items()
-             for rank in fam_ranks if rank <= table_max_rank]
-    return [(t, rdim(build_root_datum(t), override)) for t in types]
+    check_rank_budget(SimpleType("A", table_max_rank))
+    types = [SimpleType(fam, rank) for fam, (ranks, _, _) in _FAMILIES.items()
+             for rank in (range(ranks, table_max_rank + 1) if isinstance(ranks, int) else ranks)
+             if rank <= table_max_rank]
+    return [(t, rdim(build_root_datum(t))) for t in types]

@@ -6,8 +6,9 @@ basis, and the pairing of a weight with a coroot is then a plain dot
 product.  The Cartan matrix is stored with entry [i][j] equal to the
 pairing of simple root i against simple coroot j.
 
-Node numbering used here (0-based internally, 1-based in the notes
-below):
+Each family is declared once, in _FAMILIES: its ranks, its Dynkin bonds
+and its number of positive roots.  The bonds fix the node numbering,
+0-based in the table and 1-based in the notes below:
 
 * A, B, C: a chain 1..l; for B the short simple root is node l, for C
   the long one is node l.
@@ -35,9 +36,26 @@ from .errors import (_FORMED_PER_PRINTED, RankBudgetError, _digit_budget, _echo,
 DEFAULT_MAX_RANK = 9
 RANK_ENV_VAR = "LIEJORDAN_MAX_RANK"
 
-# Minimum rank at which each family is a valid, non-redundant type.
-_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
-_EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
+
+def _chain(nodes: int) -> list[tuple[int, int, int, int]]:
+    """Simple bonds joining nodes 0..nodes-1 in a row."""
+    return [(i, i + 1, 1, 1) for i in range(nodes - 1)]
+
+
+# Family letter -> (ranks, bonds, positive-root count).  The ranks are the
+# least one for A-D and all of them for E-G; a bond (i, j, a, b) sets the
+# Cartan entries [i][j] = -a and [j][i] = -b.  Bourbaki, Lie Groups and Lie
+# Algebras, Ch. 4-6, Plates I-IX.
+_FAMILIES = {
+    "A": (1, _chain, lambda l: l * (l + 1) // 2),
+    "B": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 2, 1)], lambda l: l * l),
+    "C": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 1, 2)], lambda l: l * l),
+    "D": (3, lambda l: _chain(l - 1) + [(l - 3, l - 1, 1, 1)], lambda l: l * (l - 1)),
+    "E": ((6, 7, 8), lambda l: _chain(l - 1) + [(l - 4, l - 1, 1, 1)],
+          {6: 36, 7: 63, 8: 120}.get),
+    "F": ((4,), lambda l: [(0, 1, 1, 1), (1, 2, 1, 2), (2, 3, 1, 1)], lambda l: 24),
+    "G": ((2,), lambda l: [(0, 1, 1, 3)], lambda l: 6),
+}
 
 
 def max_rank() -> int:
@@ -64,17 +82,17 @@ class SimpleType:
 
     def __post_init__(self):
         fam, rank = self.family, self.rank
-        if fam in _MIN_RANK:
-            if rank < _MIN_RANK[fam]:
-                raise ValueError(
-                    f"family {fam} requires rank >= {_MIN_RANK[fam]}, got {rank}")
-        elif fam in _EXCEPTIONAL_RANKS:
-            if rank not in _EXCEPTIONAL_RANKS[fam]:
-                allowed = ", ".join(str(r) for r in _EXCEPTIONAL_RANKS[fam])
-                raise ValueError(
-                    f"family {fam} exists only in rank {allowed}, got {rank}")
-        else:
+        if fam not in _FAMILIES:
             raise ValueError(f"unknown family {fam!r}, expected one of A..G")
+        if type(rank) is not int:
+            raise ValueError(f"rank must be an integer, got {_echo(rank)}")
+        ranks = _FAMILIES[fam][0]
+        if isinstance(ranks, int):
+            if rank < ranks:
+                raise ValueError(f"family {fam} requires rank >= {ranks}, got {rank}")
+        elif rank not in ranks:
+            allowed = ", ".join(map(str, ranks))
+            raise ValueError(f"family {fam} exists only in rank {allowed}, got {rank}")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -103,54 +121,16 @@ class DominantWeight:
 
 def cartan_matrix(stype: SimpleType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix of the given type; entry [i][j] = <alpha_i, alpha_j^vee>."""
-    fam, l = stype.family, stype.rank
+    l = stype.rank
     m = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
-
-    def edge(i, j):
-        m[i][j] = -1
-        m[j][i] = -1
-
-    if fam in ("A", "B", "C"):
-        for i in range(l - 1):
-            edge(i, i + 1)
-        if fam == "B":
-            m[l - 2][l - 1] = -2  # node l short
-        elif fam == "C":
-            m[l - 1][l - 2] = -2  # node l long
-    elif fam == "D":
-        for i in range(l - 3):
-            edge(i, i + 1)
-        edge(l - 3, l - 2)
-        edge(l - 3, l - 1)
-    elif fam == "E":
-        for i in range(l - 2):
-            edge(i, i + 1)
-        edge(l - 4, l - 1)
-    elif fam == "F":
-        edge(0, 1)
-        edge(2, 3)
-        m[1][2] = -1
-        m[2][1] = -2  # nodes 1, 2 short
-    else:  # G
-        m[0][1] = -1
-        m[1][0] = -3  # node 1 short
-    return tuple(tuple(row) for row in m)
+    for i, j, a, b in _FAMILIES[stype.family][1](l):
+        m[i][j], m[j][i] = -a, -b
+    return tuple(map(tuple, m))
 
 
 def positive_root_count(stype: SimpleType) -> int:
     """Number of positive roots, by the classical closed forms."""
-    fam, l = stype.family, stype.rank
-    if fam == "A":
-        return l * (l + 1) // 2
-    if fam in ("B", "C"):
-        return l * l
-    if fam == "D":
-        return l * (l - 1)
-    if fam == "E":
-        return {6: 36, 7: 63, 8: 120}[l]
-    if fam == "F":
-        return 24
-    return 6  # G2
+    return _FAMILIES[stype.family][2](stype.rank)
 
 
 def _positive_roots(cartan) -> list[tuple[int, ...]]:
@@ -302,12 +282,13 @@ def enumerate_dominant_weights(
     searches under the total of the cheapest faithful set of fundamental
     weights, which never passes 2**rank + 10.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be a positive integer, got {cap}")
-    limit = 2 ** max_rank() + 10
-    if cap > limit and not allow_large_cap:
-        raise RankBudgetError(
-            f"cap {cap} exceeds budget {limit}; pass allow_large_cap=True to override")
+    if not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"cap must be a positive integer, got {_echo(cap)}")
+    budget = max_rank()
+    # A cap of at most budget bits is below 2**budget: no need to form it.
+    if not allow_large_cap and cap.bit_length() > budget and cap > 2 ** budget + 10:
+        raise RankBudgetError(f"cap {_echo(cap)} exceeds budget {_echo(2 ** budget + 10)}; "
+                              "pass allow_large_cap=True to override")
     rank = datum.rank
     columns = list(zip(*datum.positive_coroots))
     coords = [0] * rank

@@ -1,14 +1,88 @@
-"""The first coroot closure, weyl_dim and dominant-weight enumeration,
-kept as a test oracle for the current ones.
+"""The first type checks, Cartan matrices, root counts, coroot closure,
+weyl_dim and dominant-weight enumeration, kept as a test oracle for the
+current ones.
 
-The closure recomputes the pairing of every root it reflects; weyl_dim
-multiplies the Weyl factors with no digit guard; the enumeration builds a
-DominantWeight for every probe and evaluates each weight it keeps a second
-time.  Its root lists, values and ordered (weight, dim) lists are the ones
+The type checks, Cartan matrices and root counts spell each family out in
+if/elif chains over two rank tables; the closure recomputes the pairing of
+every root it reflects; weyl_dim multiplies the Weyl factors with no digit
+guard; the enumeration builds a DominantWeight for every probe and
+evaluates each weight it keeps a second time.  Its messages, matrices,
+counts, root lists, values and ordered (weight, dim) lists are the ones
 the current code must give.
 """
 from liejordan.errors import RankBudgetError
-from liejordan.rootdata import DominantWeight, RootDatum, max_rank
+from liejordan.rootdata import DominantWeight, RootDatum, SimpleType, max_rank
+
+# Minimum rank at which each family is a valid, non-redundant type.
+_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+_EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
+
+
+def check_simple_type(fam, rank):
+    """The checks SimpleType ran on its family letter and rank."""
+    if fam in _MIN_RANK:
+        if rank < _MIN_RANK[fam]:
+            raise ValueError(
+                f"family {fam} requires rank >= {_MIN_RANK[fam]}, got {rank}")
+    elif fam in _EXCEPTIONAL_RANKS:
+        if rank not in _EXCEPTIONAL_RANKS[fam]:
+            allowed = ", ".join(str(r) for r in _EXCEPTIONAL_RANKS[fam])
+            raise ValueError(
+                f"family {fam} exists only in rank {allowed}, got {rank}")
+    else:
+        raise ValueError(f"unknown family {fam!r}, expected one of A..G")
+
+
+def cartan_matrix(stype: SimpleType) -> tuple[tuple[int, ...], ...]:
+    """Cartan matrix of the given type; entry [i][j] = <alpha_i, alpha_j^vee>."""
+    fam, l = stype.family, stype.rank
+    m = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
+
+    def edge(i, j):
+        m[i][j] = -1
+        m[j][i] = -1
+
+    if fam in ("A", "B", "C"):
+        for i in range(l - 1):
+            edge(i, i + 1)
+        if fam == "B":
+            m[l - 2][l - 1] = -2  # node l short
+        elif fam == "C":
+            m[l - 1][l - 2] = -2  # node l long
+    elif fam == "D":
+        for i in range(l - 3):
+            edge(i, i + 1)
+        edge(l - 3, l - 2)
+        edge(l - 3, l - 1)
+    elif fam == "E":
+        for i in range(l - 2):
+            edge(i, i + 1)
+        edge(l - 4, l - 1)
+    elif fam == "F":
+        edge(0, 1)
+        edge(2, 3)
+        m[1][2] = -1
+        m[2][1] = -2  # nodes 1, 2 short
+    else:  # G
+        m[0][1] = -1
+        m[1][0] = -3  # node 1 short
+    return tuple(tuple(row) for row in m)
+
+
+def positive_root_count(stype: SimpleType) -> int:
+    """Number of positive roots, by the classical closed forms."""
+    fam, l = stype.family, stype.rank
+    if fam == "A":
+        return l * (l + 1) // 2
+    if fam in ("B", "C"):
+        return l * l
+    if fam == "D":
+        return l * (l - 1)
+    if fam == "E":
+        return {6: 36, 7: 63, 8: 120}[l]
+    if fam == "F":
+        return 24
+    return 6  # G2
 
 
 def _positive_roots(cartan) -> list[tuple[int, ...]]:

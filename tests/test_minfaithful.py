@@ -1,5 +1,6 @@
 """Minimal faithful dimension search and the summary table."""
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,14 @@ def test_rank_budget_enforced():
         rdim(build_root_datum(SimpleType("A", 10)))
     result = rdim(build_root_datum(SimpleType("A", 10)), override=True)
     assert result.total_dim == 11
+
+
+def test_rdim_under_a_huge_rank_budget_is_quick(monkeypatch):
+    monkeypatch.setenv("LIEJORDAN_MAX_RANK", str(10 ** 9))
+    d = _datum("A", 2)
+    start = time.perf_counter()
+    assert rdim(d).total_dim == 3
+    assert time.perf_counter() - start < 0.1
 
 
 def test_dimension_cap_holds_everywhere():

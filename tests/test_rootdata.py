@@ -1,6 +1,7 @@
 """Root data construction, Weyl dimensions, dominant weight enumeration."""
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,6 +27,7 @@ def _fund(rank, i):
 @pytest.mark.parametrize("fam,rank", [
     ("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9),
     ("F", 3), ("F", 5), ("G", 1), ("G", 3), ("H", 2), ("AB", 1),
+    ("A", 2.5), ("E", 6.0), ("A", "3"), ("A", True), ("B", None),
 ])
 def test_invalid_types_rejected(fam, rank):
     with pytest.raises(ValueError):
@@ -149,6 +151,34 @@ def test_enumeration_cap_guard():
     assert len(out) == limit
     with pytest.raises(ValueError):
         enumerate_dominant_weights(_datum("A", 1), 0)
+
+
+def test_enumeration_cap_guard_forms_no_power_of_a_huge_budget(monkeypatch):
+    # A cap of at most budget bits is under 2**budget + 10; forming that
+    # bound for a budget of 10**8 would take 12.5 MB.
+    monkeypatch.setenv("LIEJORDAN_MAX_RANK", str(10 ** 8))
+    d = _datum("A", 1)
+    tracemalloc.start()
+    try:
+        out = enumerate_dominant_weights(d, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(w.coords, dim) for w, dim in out] == [((1,), 2), ((2,), 3)]
+    assert peak < 2 ** 20
+
+
+def test_caps_past_the_int_str_limit_are_refused_short():
+    cap = 10 ** 5000
+    with pytest.raises(RankBudgetError) as err:
+        enumerate_dominant_weights(_datum("A", 1), cap)
+    assert str(err.value) == (f"cap {'1' + '0' * 39}... exceeds budget 522; "
+                              "pass allow_large_cap=True to override")
+    with pytest.raises(ValueError) as err:
+        enumerate_dominant_weights(_datum("A", 1), -cap)
+    assert str(err.value) == f"cap must be a positive integer, got {'-1' + '0' * 38}..."
+    with pytest.raises(ValueError):
+        enumerate_dominant_weights(_datum("A", 1), 3.0)
 
 
 def test_rank_budget_env(monkeypatch):

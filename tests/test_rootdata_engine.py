@@ -1,7 +1,9 @@
-"""Coroots, Weyl dimensions and the dominant-weight enumeration against the
-first code.
+"""Type checks, Cartan matrices, root counts, coroots, Weyl dimensions and
+the dominant-weight enumeration against the first code.
 
-The oracle (old_rootdata.py) recomputes each pairing in the coroot closure,
+The type checks, matrices and root counts must give the same messages and
+values as the oracle's if/elif chains, which the family table replaced.
+The oracle (old_rootdata.py) also recomputes each pairing in the coroot closure,
 multiplies the Weyl factors with no digit guard and evaluates every weight
 it keeps twice.  The code under test carries the pairings through the
 closure, forms the product in one guarded routine, and carries the factors
@@ -39,6 +41,21 @@ def _datum(fam, rank):
 
 def _kept_digits():
     return 10 * (sys.get_int_max_str_digits() or DEFAULT_DIGITS)
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C", "D", "E", "F", "G", "H", "a", ""])
+def test_types_matrices_and_root_counts_match_oracle(fam):
+    for rank in range(-1, 41):
+        try:
+            old.check_simple_type(fam, rank)
+        except ValueError as want:
+            with pytest.raises(ValueError) as got:
+                SimpleType(fam, rank)
+            assert str(got.value) == str(want)
+            continue
+        t = SimpleType(fam, rank)
+        assert rootdata.cartan_matrix(t) == old.cartan_matrix(t)
+        assert rootdata.positive_root_count(t) == old.positive_root_count(t)
 
 
 @pytest.mark.parametrize("fam,rank", _types(24))
