@@ -113,6 +113,7 @@ def _rdim_doc(stype: rootdata.SimpleType, result: minfaithful.RdimResult) -> dic
 
 def _cmd_rdim(args):
     stype = _parse_type(args)
+    rootdata.check_rank_budget(stype)
     result = minfaithful.rdim(rootdata.build_root_datum(stype))
     return str(result.total_dim), _rdim_doc(stype, result), _RDIM_COLUMNS
 
@@ -181,9 +182,8 @@ def _cmd_jordan_finite(args):
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from None
-    G = finitegroup.parse_group(text, closure_limit=args.closure_limit)
-    value, witness = finitegroup.jordan_constant_with_witness(
-        G, max_order=args.jordan_limit)
+    G = finitegroup.parse_group(text, max_order=args.jordan_limit)
+    value, witness = finitegroup.jordan_constant_with_witness(G, max_order=args.jordan_limit)
     doc = {"order": G.order, "jordan_constant": value,
            "witness_subgroup": witness.elements, "b": G.order}
     lines = [f"order {G.order}", f"jordan_constant {value}",
@@ -241,10 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("jordan-finite", _cmd_jordan_finite,
             help="brute-force the Jordan constant of an explicit finite group")
     p.add_argument("--input", required=True, help="group description file")
-    p.add_argument("--closure-limit", type=int,
-                   default=finitegroup.DEFAULT_CLOSURE_LIMIT)
-    p.add_argument("--jordan-limit", type=int,
-                   default=finitegroup.DEFAULT_JORDAN_LIMIT)
+    p.add_argument("--jordan-limit", type=int, default=finitegroup.DEFAULT_JORDAN_LIMIT,
+                   help="largest group order to accept (default %(default)s)")
 
     parser.set_defaults(_handlers=handlers)
     return parser

@@ -18,17 +18,16 @@ makes the abelian test (generators commute) and normality (conjugates
 of generators stay inside) cheap; the minimal-index scan takes the
 abelian subgroups largest first, so the first normal one inside F wins.
 
-Both the permutation closure and the lattice walk are guarded by
-configurable order limits, since subgroup lattices explode quickly.
+One order limit guards it all, since subgroup lattices explode quickly;
+it is checked on a table's header and during a permutation closure.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import OrderLimitError
+from .errors import OrderLimitError, _echo
 
-DEFAULT_CLOSURE_LIMIT = 5000
 DEFAULT_JORDAN_LIMIT = 200
 
 
@@ -153,7 +152,7 @@ def _perm_table(reached, generators) -> list:
     return rows
 
 
-def parse_group(text: str, closure_limit: int = DEFAULT_CLOSURE_LIMIT) -> FiniteGroup:
+def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup:
     """Parse a group description.
 
     Two formats, chosen by the first line:
@@ -164,7 +163,7 @@ def parse_group(text: str, closure_limit: int = DEFAULT_CLOSURE_LIMIT) -> Finite
     * "table <n>" followed by n rows of n indices in 0..n-1, with the
       identity at index 0.
 
-    Permutation closures larger than closure_limit are refused.
+    Groups over max_order are refused before any table of them is built.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -172,22 +171,24 @@ def parse_group(text: str, closure_limit: int = DEFAULT_CLOSURE_LIMIT) -> Finite
         raise ValueError("empty group description")
     header = lines[0].split()
     if len(header) != 2:
-        raise ValueError(f"bad header {lines[0]!r}, expected 'perm <n>' or 'table <n>'")
+        raise ValueError(f"bad header {_echo(lines[0])}, expected 'perm <n>' or 'table <n>'")
     kind, raw_size = header
     try:
         size = int(raw_size)
     except ValueError:
-        raise ValueError(f"bad header size {raw_size!r}") from None
+        raise ValueError(f"bad header size {_echo(raw_size)}") from None
     if size < 1:
-        raise ValueError(f"header size must be positive, got {size}")
+        raise ValueError(f"header size must be positive, got {_echo(size)}")
 
     if kind == "perm":
         generators = [
             _parse_perm_line(ln, size, i + 2) for i, ln in enumerate(lines[1:])]
-        reached = _perm_closure(generators, size, closure_limit)
+        reached = _perm_closure(generators, size, max_order)
         return FiniteGroup(_perm_table(reached, generators), check_associativity=False)
 
     if kind == "table":
+        if size > max_order:
+            raise OrderLimitError(f"group order {_echo(size)} exceeds limit {max_order}")
         rows = lines[1:]
         if len(rows) != size:
             raise ValueError(f"expected {size} table rows, got {len(rows)}")

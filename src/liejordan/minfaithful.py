@@ -28,6 +28,7 @@ import heapq
 from dataclasses import dataclass
 
 from .center import WeightSet, _center
+from .errors import _echo
 from .rootdata import (_FAMILIES, RootDatum, SimpleType, _fundamental_weights,
                        build_root_datum, check_rank_budget, enumerate_dominant_weights)
 
@@ -121,7 +122,7 @@ def rdim_table(table_max_rank: int):
     then rank.  Exceptional types appear when their rank fits.
     """
     if table_max_rank < 1:
-        raise ValueError(f"max rank must be positive, got {table_max_rank}")
+        raise ValueError(f"max rank must be positive, got {_echo(table_max_rank)}")
     check_rank_budget(SimpleType("A", table_max_rank))
     types = [SimpleType(fam, rank) for fam, (ranks, _, _) in _FAMILIES.items()
              for rank in (range(ranks, table_max_rank + 1) if isinstance(ranks, int) else ranks)

@@ -89,10 +89,10 @@ class SimpleType:
         ranks = _FAMILIES[fam][0]
         if isinstance(ranks, int):
             if rank < ranks:
-                raise ValueError(f"family {fam} requires rank >= {ranks}, got {rank}")
+                raise ValueError(f"family {fam} requires rank >= {ranks}, got {_echo(rank)}")
         elif rank not in ranks:
             allowed = ", ".join(map(str, ranks))
-            raise ValueError(f"family {fam} exists only in rank {allowed}, got {rank}")
+            raise ValueError(f"family {fam} exists only in rank {allowed}, got {_echo(rank)}")
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -322,5 +322,5 @@ def check_rank_budget(stype: SimpleType, override: bool = False):
     budget = max_rank()
     if stype.rank > budget and not override:
         raise RankBudgetError(
-            f"rank {stype.rank} exceeds budget {budget}; "
+            f"rank {_echo(stype.rank)} exceeds budget {budget}; "
             f"set {RANK_ENV_VAR} or pass override=True")

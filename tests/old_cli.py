@@ -173,7 +173,7 @@ def _cmd_jordan_finite(args) -> str:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {args.input}: {exc}") from None
-    G = finitegroup.parse_group(text, closure_limit=args.closure_limit)
+    G = finitegroup.parse_group(text, max_order=args.closure_limit)
     value, witness = finitegroup.jordan_constant_with_witness(
         G, max_order=args.jordan_limit)
     if args.format == "json":
@@ -242,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("jordan-finite", _cmd_jordan_finite,
             help="brute-force the Jordan constant of an explicit finite group")
     p.add_argument("--input", required=True, help="group description file")
-    p.add_argument("--closure-limit", type=int,
-                   default=finitegroup.DEFAULT_CLOSURE_LIMIT)
+    p.add_argument("--closure-limit", type=int, default=5000)
     p.add_argument("--jordan-limit", type=int,
                    default=finitegroup.DEFAULT_JORDAN_LIMIT)
 

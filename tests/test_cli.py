@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from liejordan.cli import main
+from test_finitegroup import cyclic_table
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -334,12 +335,57 @@ def test_jordan_finite_bad_table_exits_2(capsys, tmp_path):
 def test_jordan_finite_guards_exit_3(capsys):
     a5 = str(FIXTURES / "a5.grp")
     code, _, err = run_cli(
-        capsys, "jordan-finite", "--input", a5, "--closure-limit", "59")
+        capsys, "jordan-finite", "--input", a5, "--jordan-limit", "59")
     assert code == 3
     code, _, err = run_cli(
         capsys, "jordan-finite", "--input", a5, "--jordan-limit", "50")
     assert code == 3
     assert "error:" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_jordan_finite_refuses_a_permutation_group_during_its_closure(capsys, fmt):
+    code, out, err = run_cli(
+        capsys, "jordan-finite", "--input", str(FIXTURES / "a5.grp"),
+        "--jordan-limit", "50", "--format", fmt)
+    assert (code, out, err) == (
+        3, "", "error: permutation closure exceeded 50 elements\n")
+
+
+def test_jordan_finite_refuses_a_table_by_its_header(capsys, tmp_path):
+    empty = tmp_path / "empty.grp"
+    empty.write_text("table 500\n")
+    code, out, err = run_cli(capsys, "jordan-finite", "--input", str(empty))
+    assert (code, out, err) == (3, "", "error: group order 500 exceeds limit 200\n")
+    cyclic = tmp_path / "c500.grp"
+    cyclic.write_text(cyclic_table(500))
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "jordan-finite", "--input", str(cyclic))
+        times.append(time.perf_counter() - start)
+        assert (code, out, err) == (3, "", "error: group order 500 exceeds limit 200\n")
+    assert min(times) < 0.02, f"refusing C500 took {min(times):.3f} s"
+
+
+def test_rdim_checks_the_rank_budget_before_building(capsys, monkeypatch):
+    from liejordan import rootdata
+
+    def refuse(stype):
+        raise AssertionError(f"built the root datum of {stype}")
+
+    monkeypatch.delenv("LIEJORDAN_MAX_RANK", raising=False)
+    monkeypatch.setattr(rootdata, "build_root_datum", refuse)
+    code, out, err = run_cli(capsys, "rdim", "--family", "A", "--rank", "10")
+    assert (code, out) == (3, "")
+    assert err == ("error: rank 10 exceeds budget 9; "
+                   "set LIEJORDAN_MAX_RANK or pass override=True\n")
+
+
+def test_a_long_rank_is_quoted_short(capsys):
+    code, out, err = run_cli(capsys, "rdim", "--family", "E", "--rank", "9" * 4000)
+    assert (code, out) == (2, "")
+    assert err == f"error: family E exists only in rank 6, 7, 8, got {'9' * 40}...\n"
 
 
 def test_module_entry_point_smoke():

@@ -5,7 +5,8 @@ per format; the interface under test builds one answer per subcommand and
 renders it through one renderer.  Exit codes, stdout and stderr must agree
 on every subcommand in every format, refusals included.  Inputs whose
 outcome changed on purpose (weight coordinates past the int->str digit
-limit, Weyl products refused before they are formed) are tested in
+limit, Weyl products refused before they are formed, permutation groups
+over --jordan-limit refused during their closure) are tested in
 test_cli.py instead.
 """
 import sys
@@ -74,10 +75,10 @@ CASES = {
         ["--input", str(FIXTURES / "s3.grp")],
         ["--input", str(FIXTURES / "corpus" / "o08_q8.grp")],
         ["--input", str(FIXTURES / "corpus" / "o01_c1.grp")],
-        ["--input", str(FIXTURES / "a5.grp"), "--closure-limit", "59"],
-        ["--input", str(FIXTURES / "a5.grp"), "--jordan-limit", "50"],
         ["--input", str(FIXTURES / "no-such-group.grp")],
         ["--input", BAD_TABLE],
+        ["--input", str(FIXTURES / "corpus" / "o24_s4.grp"), "--jordan-limit", "20"],
+        ["--input", str(FIXTURES / "corpus" / "o24_s4.grp"), "--jordan-limit", "24"],
     ],
 }
 GRID = [(name, argv) for name, cases in CASES.items() for argv in cases]

@@ -1,8 +1,10 @@
 """Finite-group parsing, subgroup lattices, and exact Jordan constants."""
+import time
 from pathlib import Path
 
 import pytest
 
+from liejordan import finitegroup
 from liejordan.errors import OrderLimitError
 from liejordan.finitegroup import (FiniteGroup, Subgroup,
                                    _abelian_largest_first, _mask, _min_index,
@@ -21,6 +23,12 @@ table 5
 3 4 1 2 0
 4 2 0 1 3
 """
+
+
+def cyclic_table(n):
+    """The Cayley table of the cyclic group of order n, as table input."""
+    return f"table {n}\n" + "".join(
+        " ".join(str((i + j) % n) for j in range(n)) + "\n" for i in range(n))
 
 
 def load(name):
@@ -198,9 +206,57 @@ def test_nonassociative_loop_rejected():
 def test_closure_limit_guard():
     text = (FIXTURES / "a5.grp").read_text()
     with pytest.raises(OrderLimitError):
-        parse_group(text, closure_limit=59)
-    G = parse_group(text, closure_limit=60)
+        parse_group(text, max_order=59)
+    G = parse_group(text, max_order=60)
     assert G.order == 60
+
+
+def test_a_table_over_the_limit_is_refused_by_its_header():
+    with pytest.raises(OrderLimitError, match="^group order 500 exceeds limit 200$"):
+        parse_group("table 500\n")
+    text = cyclic_table(300)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(OrderLimitError, match="^group order 300 exceeds limit 200$"):
+            parse_group(text)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.02, f"refusing C300 took {min(times):.3f} s"
+    assert parse_group(text, max_order=300).order == 300
+
+
+def test_a_long_header_is_quoted_short():
+    with pytest.raises(ValueError) as err:
+        parse_group("table " + "9" * 5000 + "\n")
+    assert str(err.value) == f"bad header size '{'9' * 40}'..."
+    with pytest.raises(ValueError) as err:
+        parse_group("table -" + "9" * 4000 + "\n")
+    assert str(err.value) == f"header size must be positive, got -{'9' * 39}..."
+    with pytest.raises(OrderLimitError) as err:
+        parse_group("table " + "9" * 4000 + "\n")
+    assert str(err.value) == f"group order {'9' * 40}... exceeds limit 200"
+    with pytest.raises(ValueError) as err:
+        parse_group("table 2 " + "x" * 5000 + "\n")
+    assert str(err.value) == (f"bad header 'table 2 {'x' * 32}'..., "
+                              "expected 'perm <n>' or 'table <n>'")
+
+
+@pytest.mark.parametrize("text", [
+    "perm 6\n2 1 3 4 5 6\n2 3 4 5 6 1\n",      # order 720
+    "perm 7\n2 3 1 4 5 6 7\n2 3 4 5 6 7 1\n",  # order 2520
+], ids=["S6", "A7"])
+def test_a_permutation_group_over_the_limit_gets_no_table(monkeypatch, text):
+    def build(*_):
+        raise AssertionError("built the table of a refused group")
+
+    monkeypatch.setattr(finitegroup, "_perm_table", build)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(OrderLimitError, match="^permutation closure exceeded 200 elements$"):
+            parse_group(text)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.01, f"refusing took {min(times):.3f} s"
 
 
 def test_inverses_and_conjugation():

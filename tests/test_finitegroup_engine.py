@@ -85,12 +85,17 @@ def test_s5_lattice_and_jordan_constant():
 
 
 def test_s6_and_s7_are_still_refused():
-    s6 = parse_group("perm 6\n2 1 3 4 5 6\n2 3 4 5 6 1\n")
+    s6_text = "perm 6\n2 1 3 4 5 6\n2 3 4 5 6 1\n"
+    s7_text = "perm 7\n2 1 3 4 5 6 7\n2 3 4 5 6 7 1\n"
+    for text in (s6_text, s7_text):
+        with pytest.raises(OrderLimitError, match="exceeded 200 elements"):
+            parse_group(text)
+    s6 = parse_group(s6_text, max_order=720)
     assert s6.order == 720
     with pytest.raises(OrderLimitError, match="exceeds limit 200"):
         jordan_constant_with_witness(s6)
     with pytest.raises(OrderLimitError, match="exceeded 5000 elements"):
-        parse_group("perm 7\n2 1 3 4 5 6 7\n2 3 4 5 6 7 1\n")
+        parse_group(s7_text, max_order=5000)
 
 
 def naive_perm_table(text):

@@ -176,3 +176,9 @@ def test_table_rejects_bad_rank():
         rdim_table(0)
     with pytest.raises(RankBudgetError):
         rdim_table(10)
+
+
+def test_table_quotes_a_long_rank_short():
+    with pytest.raises(ValueError) as err:
+        rdim_table(-10 ** 5000)
+    assert str(err.value) == f"max rank must be positive, got {'-1' + '0' * 38}..."

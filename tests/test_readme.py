@@ -3,13 +3,15 @@
 A shown output containing '...' matches as a prefix plus a suffix, and an
 abbreviated JSON block matches as parsed JSON.
 """
+import argparse
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from liejordan.cli import main
+from liejordan.cli import build_parser, main
 
 ROOT = Path(__file__).parent.parent
 
@@ -51,3 +53,16 @@ def test_readme_example(capsys, monkeypatch, argv, shown):
         assert json.loads(out) == json.loads(text)
     else:
         assert out == text
+
+
+def test_readme_flags_are_the_parser_options():
+    """The flags the "Command line" section names are the subcommand options."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {opt for sub in subparsers.choices.values() for action in sub._actions
+               for opt in action.option_strings if opt.startswith("--")} - {"--help"}
+    assert sorted(named - options) == [], "named in the README, not an option"
+    assert sorted(options - named) == [], "an option the README does not name"

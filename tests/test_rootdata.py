@@ -7,8 +7,9 @@ import pytest
 
 from liejordan.errors import RankBudgetError
 from liejordan.rootdata import (DominantWeight, SimpleType, build_root_datum,
-                                cartan_matrix, enumerate_dominant_weights,
-                                max_rank, positive_root_count, weyl_dim)
+                                cartan_matrix, check_rank_budget,
+                                enumerate_dominant_weights, max_rank,
+                                positive_root_count, weyl_dim)
 
 BUDGET_TYPES = (
     [("A", l) for l in range(1, 10)] + [("B", l) for l in range(2, 10)] +
@@ -179,6 +180,21 @@ def test_caps_past_the_int_str_limit_are_refused_short():
     assert str(err.value) == f"cap must be a positive integer, got {'-1' + '0' * 38}..."
     with pytest.raises(ValueError):
         enumerate_dominant_weights(_datum("A", 1), 3.0)
+
+
+def test_ranks_past_the_int_str_limit_are_quoted_short(monkeypatch):
+    monkeypatch.delenv("LIEJORDAN_MAX_RANK", raising=False)
+    huge = 10 ** 5000
+    with pytest.raises(ValueError) as err:
+        SimpleType("E", huge)
+    assert str(err.value) == f"family E exists only in rank 6, 7, 8, got {'1' + '0' * 39}..."
+    with pytest.raises(ValueError) as err:
+        SimpleType("A", -huge)
+    assert str(err.value) == f"family A requires rank >= 1, got {'-1' + '0' * 38}..."
+    with pytest.raises(RankBudgetError) as err:
+        check_rank_budget(SimpleType("A", huge))
+    assert str(err.value) == (f"rank {'1' + '0' * 39}... exceeds budget 9; "
+                              "set LIEJORDAN_MAX_RANK or pass override=True")
 
 
 def test_rank_budget_env(monkeypatch):
