@@ -14,8 +14,8 @@ Three strands, all in exact arithmetic:
 from .bounds import (BoundExpr, ExactInt, GroupDims, Power, Product,
                      SymbolicJ, bound, bound_algebraic, bound_compact_complex,
                      bound_hyperbolic, bound_lie, bound_lie_connected,
-                     bound_riemannian, expr_from_json, expr_to_json,
-                     jordan_gl, stabilizer_bound_hyperbolic)
+                     bound_riemannian, expr_to_json, jordan_gl,
+                     stabilizer_bound_hyperbolic)
 from .center import (CenterClass, WeightSet, center_classes, center_order,
                      is_faithful, pair)
 from .errors import OrderLimitError, RankBudgetError, ResourceGuardError
@@ -35,7 +35,7 @@ __all__ = [
     "bound_algebraic", "bound_compact_complex", "bound_hyperbolic",
     "bound_lie", "bound_lie_connected", "bound_riemannian",
     "build_root_datum", "center_classes", "center_order",
-    "enumerate_dominant_weights", "expr_from_json", "expr_to_json",
+    "enumerate_dominant_weights", "expr_to_json",
     "is_faithful", "jordan_constant", "jordan_constant_with_witness",
     "jordan_gl", "max_rank", "parse_group", "rdim", "rdim_table",
     "stabilizer_bound_hyperbolic", "weyl_dim",

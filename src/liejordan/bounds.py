@@ -16,15 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (_FORMED_PER_PRINTED, _digit_budget, _formed, _refusal,
-                     _within)
+from .errors import (_FORMED_PER_PRINTED, _digit_budget, _echo, _formed,
+                     _refusal, _within)
 
 _EXACT_SPORADIC = frozenset({63, 65, 67, 69})
 _EXACT_FROM = 71
-# Deepest expression tree expr_from_json accepts; bound() builds depth 3,
-# and the limit keeps the recursive parse and render far from the
-# interpreter's recursion limit.
-_MAX_JSON_DEPTH = 100
 
 
 class BoundExpr:
@@ -91,36 +87,6 @@ class Product(BoundExpr):
         return " * ".join(op.render(fmt) for op in self.operands)
 
 
-def _power(base: BoundExpr, exponent: int) -> BoundExpr:
-    """base^exponent, with an exact base evaluated and a power of a power
-    folded into one power, so (J(5)^2)^3 is J(5)^6."""
-    if exponent == 1:
-        return base
-    if isinstance(base, Power):
-        return _power(base.base, base.exponent * exponent)
-    if base.is_exact():
-        x = base.value
-        return ExactInt(_formed(exponent * (x.bit_length() - 1), lambda: x ** exponent))
-    return Power(base, exponent)
-
-
-def _product(factors) -> BoundExpr:
-    """Product of bound expressions, with nested products flattened and the
-    exact factors folded into one leading coefficient."""
-    ops = [op for f in factors for op in (f.operands if isinstance(f, Product) else (f,))]
-    coefficient, symbolic = 1, [op for op in ops if not op.is_exact()]
-    for x in (op.value for op in ops if op.is_exact()):
-        bits = coefficient.bit_length() + x.bit_length() - 2
-        coefficient = _formed(bits, lambda: coefficient * x)
-    if coefficient != 1 or not symbolic:
-        symbolic.insert(0, ExactInt(coefficient))
-    return symbolic[0] if len(symbolic) == 1 else Product(tuple(symbolic))
-
-
-def _scale(coefficient: int, expr: BoundExpr) -> BoundExpr:
-    return expr if coefficient == 1 else _product((ExactInt(coefficient), expr))
-
-
 def jordan_gl(n: int) -> BoundExpr:
     """Jordan constant of the n-dimensional complex general linear group.
 
@@ -128,7 +94,7 @@ def jordan_gl(n: int) -> BoundExpr:
     n = 0; a symbolic atom J(n) otherwise.
     """
     if n < 0:
-        raise ValueError(f"dimension must be non-negative, got {n}")
+        raise ValueError(f"dimension must be non-negative, got {_echo(n)}")
     if n == 0:
         return ExactInt(1)
     if n >= _EXACT_FROM or n in _EXACT_SPORADIC:
@@ -159,7 +125,7 @@ def _linear_cap(m: int) -> int:
     refused before 2^m is formed when J(k) has too many digits to keep."""
     limit = _FORMED_PER_PRINTED * _digit_budget()
     if m >= limit.bit_length():  # then k > 2^m > limit, and J(k) = (k+1)! > 10^k
-        raise _refusal(f"2^{m}", limit)
+        raise _refusal(f"2^{_echo(m)}", limit)
     return m * (2 ** m + 10)
 
 
@@ -172,9 +138,9 @@ class GroupDims:
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"dimension must be a non-negative integer, got {self.n!r}")
+            raise ValueError(f"dimension must be a non-negative integer, got {_echo(self.n)}")
         if not isinstance(self.b, int) or self.b < 1:
-            raise ValueError(f"component count must be a positive integer, got {self.b!r}")
+            raise ValueError(f"component count must be a positive integer, got {_echo(self.b)}")
 
 
 def bound(family: str, n: int, components: int | None = None) -> BoundExpr:
@@ -188,8 +154,14 @@ def bound(family: str, n: int, components: int | None = None) -> BoundExpr:
         raise ValueError(f"a component count does not apply to {family}")
     b = GroupDims(n, 1 if components is None else components).b
     group_dim = FAMILIES[family]
-    arg = n if group_dim is None else _linear_cap(group_dim(n))
-    return _scale(b, _power(jordan_gl(arg), b))
+    j = jordan_gl(n if group_dim is None else _linear_cap(group_dim(n)))
+    if b == 1:
+        return j
+    if not j.is_exact():
+        return Product((ExactInt(b), Power(j, b)))
+    x = j.value
+    power = _formed(b * (x.bit_length() - 1), lambda: x ** b)
+    return ExactInt(_formed(b.bit_length() + power.bit_length() - 2, lambda: b * power))
 
 
 def bound_lie(dims: GroupDims) -> BoundExpr:
@@ -244,51 +216,3 @@ def expr_to_json(expr: BoundExpr) -> dict:
         return {"kind": "product",
                 "operands": [expr_to_json(op) for op in expr.operands]}
     raise TypeError(f"not a bound expression: {expr!r}")
-
-
-def _field(data: dict, key: str, kind: type):
-    value = data.get(key)
-    if type(value) is not kind:
-        raise ValueError(f"{data['kind']} nodes need a {kind.__name__} {key!r}, got {value!r}")
-    return value
-
-
-def expr_from_json(data: dict) -> BoundExpr:
-    """Parse a dict produced by expr_to_json; inverse of it on valid input.
-
-    Exact subtrees are collapsed, nested products flattened and powers of
-    powers folded, so the result satisfies the constructor invariants.
-    Malformed input, including a tree nested more than 100 levels deep,
-    raises ValueError; an exact value past the digit limits,
-    ResourceGuardError.
-    """
-    return _from_json(data, _MAX_JSON_DEPTH)
-
-
-def _from_json(data: dict, depth: int) -> BoundExpr:
-    if depth < 1:
-        raise ValueError(f"bound expressions nest at most {_MAX_JSON_DEPTH} levels deep")
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ValueError(f"expected a bound-expression dict, got {data!r}")
-    kind = data["kind"]
-    if kind == "exact":
-        digits = _field(data, "value", str).lstrip("0")
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError(f"exact values are positive decimal strings, got {data['value']!r}")
-        if len(digits) > _digit_budget():
-            raise _refusal(len(digits), _digit_budget())
-        return ExactInt(int(digits))
-    if kind == "symbolic_j":
-        return SymbolicJ(_field(data, "arg", int))
-    if kind not in ("power", "product"):
-        raise ValueError(f"unknown bound-expression kind {kind!r}")
-    operands = _field(data, "operands", list)
-    if kind == "product":
-        if len(operands) < 2:
-            raise ValueError("product nodes need at least two operands")
-        return _product([_from_json(op, depth - 1) for op in operands])
-    exponent = _field(data, "exponent", int)
-    if len(operands) != 1 or exponent < 2:
-        raise ValueError(f"power nodes need one operand and an exponent >= 2, "
-                         f"got {len(operands)} and {exponent}")
-    return _power(_from_json(operands[0], depth - 1), exponent)

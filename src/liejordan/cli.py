@@ -70,6 +70,14 @@ def _render(fmt: str, text: str, doc, columns, rows=None) -> str:
     return text
 
 
+def _int_arg(text: str) -> int:
+    """An integer flag; argparse reports a bad value quoted through _echo."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+
+
 def _parse_type(args) -> rootdata.SimpleType:
     return rootdata.SimpleType(args.family.upper(), args.rank)
 
@@ -194,7 +202,7 @@ def _cmd_jordan_finite(args):
 def _add_type_flags(sub):
     sub.add_argument("--family", required=True,
                      help="family letter A..G")
-    sub.add_argument("--rank", required=True, type=int)
+    sub.add_argument("--rank", required=True, type=_int_arg)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("table", _cmd_table,
             help="rdim for every simple type up to a rank")
-    p.add_argument("--max-rank", required=True, type=int)
+    p.add_argument("--max-rank", required=True, type=_int_arg)
 
     p = sub("dim", _cmd_dim, help="dimension of one irreducible representation")
     _add_type_flags(p)
@@ -234,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("bound", _cmd_bound, help="Jordan constant bound formulas")
     p.add_argument("--family-of-groups", required=True, choices=tuple(bounds.FAMILIES))
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--components", type=int, default=None,
+    p.add_argument("--n", required=True, type=_int_arg)
+    p.add_argument("--components", type=_int_arg, default=None,
                    help="component count b (lie and algebraic only)")
 
     p = sub("jordan-finite", _cmd_jordan_finite,
             help="brute-force the Jordan constant of an explicit finite group")
     p.add_argument("--input", required=True, help="group description file")
-    p.add_argument("--jordan-limit", type=int, default=finitegroup.DEFAULT_JORDAN_LIMIT,
+    p.add_argument("--jordan-limit", type=_int_arg, default=finitegroup.DEFAULT_JORDAN_LIMIT,
                    help="largest group order to accept (default %(default)s)")
 
     parser.set_defaults(_handlers=handlers)

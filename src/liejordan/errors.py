@@ -40,7 +40,9 @@ def _digits_from_bits(bits: int) -> int:
     return bits * 30102 // 100000 + 1  # 0.30102 < log10(2)
 
 
-def _refusal(digits, limit: int) -> ResourceGuardError:
+def _refusal(digits: str, limit: int) -> ResourceGuardError:
+    """The refusal of an exact value with at least digits (a count as _echo
+    writes it, or a power such as '2^m') decimal digits, kept up to limit."""
     budget = _digit_budget()
     kept = "" if limit == budget else f"{limit}, {_FORMED_PER_PRINTED} times "
     return ResourceGuardError(
@@ -51,7 +53,7 @@ def _refusal(digits, limit: int) -> ResourceGuardError:
 def _within(value: int, limit: int) -> int:
     """value, refused when it has more than limit decimal digits."""
     if value.bit_length() > 3 * limit and value >= 10 ** limit:  # 8**limit < 10**limit
-        raise _refusal(max(limit + 1, _digits_from_bits(value.bit_length() - 1)), limit)
+        raise _refusal(_echo(max(limit + 1, _digits_from_bits(value.bit_length() - 1))), limit)
     return value
 
 
@@ -60,7 +62,7 @@ def _formed(bits_at_least: int, make) -> int:
     has more digits than exact values are kept with, and after if it has."""
     limit, digits = _FORMED_PER_PRINTED * _digit_budget(), _digits_from_bits(bits_at_least)
     if digits > limit:
-        raise _refusal(digits, limit)
+        raise _refusal(_echo(digits), limit)
     return _within(make(), limit)
 
 

@@ -152,6 +152,11 @@ def _perm_table(reached, generators) -> list:
     return rows
 
 
+def _check_limit(max_order: int) -> None:
+    if max_order < 1:
+        raise ValueError(f"the order limit must be positive, got {_echo(max_order)}")
+
+
 def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup:
     """Parse a group description.
 
@@ -163,8 +168,10 @@ def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup
     * "table <n>" followed by n rows of n indices in 0..n-1, with the
       identity at index 0.
 
-    Groups over max_order are refused before any table of them is built.
+    Groups over max_order are refused before any table of them is built;
+    a max_order below 1 is malformed input.
     """
+    _check_limit(max_order)
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
@@ -183,6 +190,8 @@ def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup
     if kind == "perm":
         generators = [
             _parse_perm_line(ln, size, i + 2) for i, ln in enumerate(lines[1:])]
+        if not generators:  # the trivial group, without a degree-long identity
+            return FiniteGroup([[0]], check_associativity=False)
         reached = _perm_closure(generators, size, max_order)
         return FiniteGroup(_perm_table(reached, generators), check_associativity=False)
 
@@ -247,6 +256,7 @@ def all_subgroups(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> list
     Groups over max_order are refused: the lattice walk costs about
     (number of subgroups) x (number of cyclic subgroups) joins.
     """
+    _check_limit(max_order)
     if G.order > max_order:
         raise OrderLimitError(
             f"group order {G.order} exceeds limit {max_order}")

@@ -10,7 +10,7 @@ from liejordan.bounds import (FAMILIES, WITH_COMPONENTS, BoundExpr, ExactInt,
                               bound_algebraic,
                               bound_compact_complex, bound_hyperbolic,
                               bound_lie, bound_lie_connected, bound_riemannian,
-                              expr_from_json, expr_to_json, jordan_gl,
+                              expr_to_json, jordan_gl,
                               stabilizer_bound_hyperbolic)
 from paper_literals import consistency_check_bounds
 
@@ -152,59 +152,36 @@ def test_render():
 
 
 def test_json_round_trip():
+    """Each node kind serializes to the schema the README documents."""
+    def exact(value):
+        return {"kind": "exact", "value": str(value)}
+
+    def j(arg):
+        return {"kind": "symbolic_j", "arg": arg}
+
+    def power(base, exponent):
+        return {"kind": "power", "operands": [base], "exponent": exponent}
+
     battery = [
-        ExactInt(1),
-        ExactInt(slow_factorial(105)),
-        SymbolicJ(54),
-        Power(SymbolicJ(28), 4),
-        Product((ExactInt(2), Power(SymbolicJ(54), 2))),
-        Product((SymbolicJ(3), SymbolicJ(5))),
-        bound_lie(GroupDims(6, 3)),
-        bound_riemannian(3),
+        (ExactInt(1), exact(1)),
+        (ExactInt(slow_factorial(105)), exact(slow_factorial(105))),
+        (SymbolicJ(54), j(54)),
+        (Power(SymbolicJ(28), 4), power(j(28), 4)),
+        (Product((ExactInt(2), Power(SymbolicJ(54), 2))),
+         {"kind": "product", "operands": [exact(2), power(j(54), 2)]}),
+        (Product((SymbolicJ(3), SymbolicJ(5))),
+         {"kind": "product", "operands": [j(3), j(5)]}),
+        (bound_lie(GroupDims(6, 3)), exact(3 * slow_factorial(445) ** 3)),
+        (bound_riemannian(3), exact(slow_factorial(445))),
     ]
-    for expr in battery:
-        data = expr_to_json(expr)
-        assert expr_from_json(data) == expr
+    for expr, data in battery:
+        assert expr_to_json(expr) == data
 
 
 def test_json_exact_values_travel_as_strings():
     data = expr_to_json(ExactInt(slow_factorial(105)))
     assert data == {"kind": "exact", "value": str(slow_factorial(105))}
     assert isinstance(data["value"], str)
-
-
-def test_json_parse_collapses_exact_trees():
-    assert expr_from_json({"kind": "product", "operands": [
-        {"kind": "exact", "value": "2"},
-        {"kind": "exact", "value": "3"},
-    ]}) == ExactInt(6)
-    assert expr_from_json({"kind": "power", "operands": [
-        {"kind": "exact", "value": "5"},
-    ], "exponent": 3}) == ExactInt(125)
-    assert expr_from_json({"kind": "product", "operands": [
-        {"kind": "exact", "value": "3"},
-        {"kind": "exact", "value": "4"},
-        {"kind": "symbolic_j", "arg": 7},
-    ]}) == Product((ExactInt(12), SymbolicJ(7)))
-
-
-def test_json_rejects_malformed_input():
-    bad_payloads = [
-        "J(54)",
-        {},
-        {"kind": "mystery"},
-        {"kind": "symbolic_j", "arg": 71},
-        {"kind": "symbolic_j", "arg": 0},
-        {"kind": "exact", "value": "0"},
-        {"kind": "power", "operands": [
-            {"kind": "symbolic_j", "arg": 5},
-            {"kind": "symbolic_j", "arg": 6},
-        ], "exponent": 2},
-        {"kind": "product", "operands": [{"kind": "symbolic_j", "arg": 5}]},
-    ]
-    for payload in bad_payloads:
-        with pytest.raises(ValueError):
-            expr_from_json(payload)
 
 
 def test_is_exact_flag():
@@ -324,84 +301,6 @@ def test_render_formatter_applies_to_exact_integers_only():
     expr = Product((ExactInt(12), Power(SymbolicJ(54), 3)))
     assert expr.render(lambda v: f"<{v}>") == "<12> * J(54)^3"
     assert expr.render() == "12 * J(54)^3"
-
-
-# --- expr_from_json --------------------------------------------------------
-
-def test_json_rejects_wrongly_typed_fields():
-    bad_payloads = [
-        {"kind": "exact"},
-        {"kind": "exact", "value": 5},
-        {"kind": "exact", "value": "five"},
-        {"kind": "exact", "value": " 5"},
-        {"kind": "exact", "value": "+5"},
-        {"kind": "exact", "value": "5_0"},
-        {"kind": "exact", "value": "000"},
-        {"kind": "symbolic_j"},
-        {"kind": "symbolic_j", "arg": 1.9},
-        {"kind": "symbolic_j", "arg": True},
-        {"kind": "symbolic_j", "arg": "7"},
-        {"kind": "power", "exponent": 2},
-        {"kind": "power", "operands": {"kind": "symbolic_j", "arg": 5}, "exponent": 2},
-        {"kind": "power", "operands": [{"kind": "symbolic_j", "arg": 5}]},
-        {"kind": "power", "operands": [{"kind": "symbolic_j", "arg": 5}], "exponent": 2.0},
-        {"kind": "power", "operands": [{"kind": "symbolic_j", "arg": 5}], "exponent": 1},
-        {"kind": "power", "operands": [{"kind": "exact", "value": "5"}], "exponent": 0},
-        {"kind": "product"},
-        {"kind": "product", "operands": "ab"},
-        {"kind": "product", "operands": [{"kind": "exact", "value": "2"}, 3]},
-    ]
-    for payload in bad_payloads:
-        with pytest.raises(ValueError):
-            expr_from_json(payload)
-
-
-def test_json_parse_flattens_nested_products():
-    j3, j5, j7 = ({"kind": "symbolic_j", "arg": k} for k in (3, 5, 7))
-    nested = {"kind": "product", "operands": [
-        {"kind": "exact", "value": "2"},
-        {"kind": "product", "operands": [{"kind": "exact", "value": "3"}, j3, j5]},
-        j7,
-    ]}
-    assert expr_from_json(nested) == Product(
-        (ExactInt(6), SymbolicJ(3), SymbolicJ(5), SymbolicJ(7)))
-
-
-def test_json_parse_folds_powers_of_powers():
-    j5 = {"kind": "symbolic_j", "arg": 5}
-    nested = {"kind": "power", "exponent": 3,
-              "operands": [{"kind": "power", "operands": [j5], "exponent": 2}]}
-    parsed = expr_from_json(nested)
-    assert parsed == Power(SymbolicJ(5), 6)
-    assert parsed.render() == "J(5)^6"
-    assert expr_to_json(parsed) == {"kind": "power", "operands": [j5], "exponent": 6}
-    product = {"kind": "product", "operands": [j5, {"kind": "symbolic_j", "arg": 7}]}
-    squared = {"kind": "power", "operands": [product], "exponent": 2}
-    assert expr_from_json({"kind": "power", "operands": [squared], "exponent": 2}) \
-        == Power(Product((SymbolicJ(5), SymbolicJ(7))), 4)
-
-
-def test_json_parse_refuses_very_deep_trees():
-    deep = {"kind": "symbolic_j", "arg": 5}
-    for _ in range(5000):
-        deep = {"kind": "power", "operands": [deep], "exponent": 2}
-    with pytest.raises(ValueError, match="nest at most 100 levels"):
-        expr_from_json(deep)
-    chain = {"kind": "symbolic_j", "arg": 5}
-    for _ in range(99):
-        chain = {"kind": "power", "operands": [chain], "exponent": 2}
-    assert expr_from_json(chain) == Power(SymbolicJ(5), 2 ** 99)
-
-
-def test_json_parse_refuses_huge_exact_values():
-    budget = sys.get_int_max_str_digits()
-    with pytest.raises(ResourceGuardError):
-        expr_from_json({"kind": "power", "operands": [{"kind": "exact", "value": "2"}],
-                        "exponent": 10 ** 12})
-    assert expr_from_json({"kind": "exact", "value": "0" + "9" * budget}) \
-        == ExactInt(10 ** budget - 1)
-    with pytest.raises(ResourceGuardError, match=f"at least {budget + 1} decimal digits"):
-        expr_from_json({"kind": "exact", "value": "1" + "0" * budget})
 
 
 def test_digit_limit_is_exact_and_follows_the_int_str_limit():

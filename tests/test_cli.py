@@ -388,6 +388,47 @@ def test_a_long_rank_is_quoted_short(capsys):
     assert err == f"error: family E exists only in rank 6, 7, 8, got {'9' * 40}...\n"
 
 
+_NINES = "9" * 4000
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["lie", "--n", "-" + _NINES], 2),
+    (["lie", "--n", _NINES], 3),
+    (["lie", "--n", "4", "--components", _NINES], 3),
+    (["lie", "--n", "4", "--components", "-" + _NINES], 2),
+    (["compact-complex", "--n", _NINES], 3),
+], ids=["negative-n", "long-n", "long-components", "negative-components",
+        "compact-complex-long-n"])
+def test_long_bound_arguments_are_quoted_short(capsys, argv, expected):
+    code, out, err = run_cli(capsys, "bound", "--family-of-groups", *argv)
+    assert (code, out) == (expected, "")
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["rdim", "--family", "A", "--rank"],
+    ["table", "--max-rank"],
+    ["bound", "--family-of-groups", "lie", "--n"],
+    ["bound", "--family-of-groups", "lie", "--n", "3", "--components"],
+    ["jordan-finite", "--input", str(FIXTURES / "s4.grp"), "--jordan-limit"],
+], ids=["rank", "max-rank", "n", "components", "jordan-limit"])
+@pytest.mark.parametrize("value", ["9" * 5000, "x" * 5000], ids=["past-int-limit", "non-integer"])
+def test_long_integer_flags_are_quoted_short(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"invalid int value: {value[:40]!r}...\n" in err
+    assert len(err) < 400
+
+
+def test_an_order_limit_below_one_exits_2(capsys):
+    code, out, err = run_cli(capsys, "jordan-finite", "--input", str(FIXTURES / "s4.grp"),
+                             "--jordan-limit", "-" + _NINES)
+    assert (code, out) == (2, "")
+    assert err == f"error: the order limit must be positive, got -{'9' * 39}...\n"
+
+
 def test_module_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "liejordan", "rdim", "--family", "A",

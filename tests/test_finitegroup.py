@@ -1,5 +1,6 @@
 """Finite-group parsing, subgroup lattices, and exact Jordan constants."""
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -257,6 +258,29 @@ def test_a_permutation_group_over_the_limit_gets_no_table(monkeypatch, text):
             parse_group(text)
         times.append(time.perf_counter() - start)
     assert min(times) < 0.01, f"refusing took {min(times):.3f} s"
+
+
+def test_an_order_limit_below_one_is_malformed():
+    text = (FIXTURES / "s4.grp").read_text()
+    for limit in (0, -1, -10 ** 4000):
+        with pytest.raises(ValueError, match="order limit must be positive") as err:
+            parse_group(text, max_order=limit)
+        assert len(str(err.value)) < 100
+        with pytest.raises(ValueError, match="order limit must be positive"):
+            all_subgroups(load("s4.grp"), max_order=limit)
+    assert parse_group("perm 3\n2 1 3\n", max_order=2).order == 2
+
+
+def test_a_permutation_header_with_no_generators_is_the_trivial_group():
+    tracemalloc.start()
+    try:
+        G = parse_group("perm 1000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.mult == ((0,),)
+    assert jordan_constant(G) == 1
+    assert peak < 2 ** 20
 
 
 def test_inverses_and_conjugation():

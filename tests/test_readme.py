@@ -4,6 +4,7 @@ A shown output containing '...' matches as a prefix plus a suffix, and an
 abbreviated JSON block matches as parsed JSON.
 """
 import argparse
+import importlib
 import json
 import re
 import shlex
@@ -66,3 +67,17 @@ def test_readme_flags_are_the_parser_options():
                for opt in action.option_strings if opt.startswith("--")} - {"--help"}
     assert sorted(named - options) == [], "named in the README, not an option"
     assert sorted(options - named) == [], "an option the README does not name"
+
+
+def test_readme_library_names_exist():
+    """Every dotted liejordan name in the README, and every name its Library
+    block imports, is an attribute of the package."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    dotted = set(re.findall(r"\bliejordan(?:\.\w+)+", text))
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    imported = re.search(r"from liejordan import \(([^)]*)\)", block).group(1)
+    names = {f"liejordan.{name.strip()}" for name in imported.split(",")}
+    assert dotted and len(names) >= 8
+    for name in sorted(dotted | names):
+        module, _, attr = name.rpartition(".")
+        assert hasattr(importlib.import_module(module), attr), name
