@@ -39,7 +39,7 @@ class ExactInt(BoundExpr):
 
     def __post_init__(self):
         if self.value < 1:
-            raise ValueError(f"bounds are positive integers, got {self.value}")
+            raise ValueError(f"bounds are positive integers, got {_echo(self.value)}")
 
     def render(self, fmt=str) -> str:
         return fmt(_within(self.value, _digit_budget()))
@@ -52,7 +52,7 @@ class SymbolicJ(BoundExpr):
     def __post_init__(self):
         m = self.arg
         if not (1 <= m < _EXACT_FROM) or m in _EXACT_SPORADIC:
-            raise ValueError(f"J({m}) has a known exact value and must not stay symbolic")
+            raise ValueError(f"J({_echo(m)}) has a known exact value and must not stay symbolic")
 
     def render(self, fmt=str) -> str:
         return f"J({self.arg})"
@@ -65,7 +65,7 @@ class Power(BoundExpr):
 
     def __post_init__(self):
         if self.exponent < 2:
-            raise ValueError(f"power nodes need exponent >= 2, got {self.exponent}")
+            raise ValueError(f"power nodes need exponent >= 2, got {_echo(self.exponent)}")
 
     def render(self, fmt=str) -> str:
         base = self.base.render(fmt)

@@ -1,10 +1,16 @@
-"""The first finite-group engine, kept as a test oracle for the current one.
+"""The earlier finite-group engines, kept as test oracles for the current one.
 
-Subgroups are sorted element tuples.  The lattice walk extends every known
-subgroup by every outside element and closes the result by multiplying all
-pairs of elements; the scan tests every subgroup of the lattice against
-every candidate F.  It is slow (about 32 s on S5) but simple, and its
-answers, witnesses included, are the ones the current engine must give.
+The first engine: subgroups are sorted element tuples.  The lattice walk
+extends every known subgroup by every outside element and closes the
+result by multiplying all pairs of elements; the scan tests every subgroup
+of the lattice against every candidate F.  It is slow (about 32 s on S5)
+but simple, and its answers, witnesses included, are the ones the current
+engine must give.
+
+The second engine (bitmask_subgroups, scan_jordan_constant_with_witness)
+walks the lattice on int bitmasks by cyclic extension and scans every
+subgroup F for its minimal normal abelian index.  It is the scan that the
+current engine replaced by the Jordan constant of G itself.
 """
 from liejordan.errors import OrderLimitError
 from liejordan.finitegroup import DEFAULT_JORDAN_LIMIT, Subgroup
@@ -94,6 +100,106 @@ def jordan_constant_with_witness(G, lattice):
     witness = lattice[0]
     for F in lattice:
         value = min_index(G, F, lattice)
+        if value > best:
+            best = value
+            witness = F
+    return best, witness
+
+
+# -- the second engine: bitmask lattice and full scan ---------------------
+
+def _cyclic_subgroups(mult, order):
+    """Every nontrivial cyclic subgroup as (mask, smallest generator)."""
+    cyclic = {}
+    for g in range(1, order):
+        mask, x = 1, g
+        while x:
+            mask |= 1 << x
+            x = mult[x][g]
+        cyclic.setdefault(mask, g)
+    return list(cyclic.items())
+
+
+def _join(mult, cols, bits, base, mask, gens):
+    """Mask and elements of <H, gens>, gens including the generators of H,
+    grown from H coset by coset."""
+    elements = list(base)
+    reps = [0]
+    for x in reps:
+        row = mult[x]
+        for s in gens:
+            y = row[s]
+            if not mask >> y & 1:
+                coset = list(map(cols[y].__getitem__, base))
+                elements += coset
+                mask |= sum(map(bits.__getitem__, coset))
+                reps.append(y)
+    return mask, elements
+
+
+def bitmask_subgroups(G, max_order=DEFAULT_JORDAN_LIMIT):
+    """Every subgroup, sorted by order then element list."""
+    if G.order > max_order:
+        raise OrderLimitError(
+            f"group order {G.order} exceeds limit {max_order}")
+    mult = G.mult
+    cols = tuple(zip(*mult))
+    bits = [1 << i for i in range(G.order)]
+    cyclic = _cyclic_subgroups(mult, G.order)
+    found = {1: ([0], ())}
+    frontier = [1]
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            base, gens = found[mask]
+            for cmask, g in cyclic:
+                if cmask & ~mask:
+                    grown = gens + (g,)
+                    bigger, elements = _join(mult, cols, bits, base, mask, grown)
+                    if bigger not in found:
+                        found[bigger] = (elements, grown)
+                        nxt.append(bigger)
+        frontier = nxt
+    subs = [Subgroup(tuple(sorted(elements)), gens)
+            for elements, gens in found.values()]
+    subs.sort(key=lambda s: (s.order, s.elements))
+    return subs
+
+
+def _mask(elements):
+    return sum(1 << e for e in elements)
+
+
+def _abelian_largest_first(G, lattice):
+    mult = G.mult
+    return [(_mask(A.elements), A.order, A.generators) for A in reversed(lattice)
+            if all(mult[a][b] == mult[b][a] for a in A.generators for b in A.generators)]
+
+
+def _scan_min_index(G, fmask, order, conjugators, abelian):
+    mult, inv = G.mult, G.inverses
+    for amask, aorder, agens in abelian:
+        if not amask & ~fmask and all(
+                amask >> mult[mult[g][a]][inv[g]] & 1
+                for g in conjugators for a in agens):
+            return order // aorder
+    return order
+
+
+def scan_jordan_constant_with_witness(G, max_order=DEFAULT_JORDAN_LIMIT):
+    """Jordan constant of G as the maximum over every subgroup F of its
+    minimal normal abelian index, plus the first F attaining it."""
+    lattice = bitmask_subgroups(G, max_order)
+    abelian = _abelian_largest_first(G, lattice)
+    abelian_masks = {mask for mask, _, _ in abelian}
+    best, witness = 1, lattice[0]
+    for F in lattice:
+        if F.order <= best:
+            continue
+        fmask = _mask(F.elements)
+        if fmask in abelian_masks:
+            continue
+        value = _scan_min_index(G, fmask, F.order, F.generators, abelian)
         if value > best:
             best = value
             witness = F

@@ -142,6 +142,33 @@ def test_node_validation():
         Product((SymbolicJ(5),))
 
 
+def _power_of_j5(exponent):
+    return Power(SymbolicJ(5), exponent)
+
+
+@pytest.mark.parametrize("digits", [4000, 5001])
+@pytest.mark.parametrize("make,sign", [(ExactInt, -1), (_power_of_j5, -1),
+                                       (SymbolicJ, -1), (SymbolicJ, 1)],
+                         ids=["exact", "power", "symbolic-negative", "symbolic"])
+def test_node_messages_quote_long_integers_short(make, sign, digits):
+    """Past the int->str limit too: the node's own message, not CPython's."""
+    with pytest.raises(ValueError) as err:
+        make(sign * 10**digits)
+    message = str(err.value)
+    assert len(message) < 300
+    assert "integer string conversion" not in message
+
+
+def test_node_messages_with_short_values_are_unchanged():
+    for make, value, message in [
+            (ExactInt, -5, "bounds are positive integers, got -5"),
+            (_power_of_j5, 1, "power nodes need exponent >= 2, got 1"),
+            (SymbolicJ, 200, "J(200) has a known exact value and must not stay symbolic")]:
+        with pytest.raises(ValueError) as err:
+            make(value)
+        assert str(err.value) == message
+
+
 def test_render():
     assert SymbolicJ(54).render() == "J(54)"
     assert ExactInt(720).render() == "720"

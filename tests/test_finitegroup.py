@@ -1,9 +1,12 @@
 """Finite-group parsing, subgroup lattices, and exact Jordan constants."""
+import random
 import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liejordan import finitegroup
 from liejordan.errors import OrderLimitError
@@ -202,6 +205,77 @@ def test_table_validation():
 def test_nonassociative_loop_rejected():
     with pytest.raises(ValueError, match="associativity fails"):
         parse_group(NONASSOCIATIVE_LOOP)
+
+
+def first_nonassociative_triple(table):
+    """The first (a, b, c) with (a*b)*c != a*(b*c), over all triples."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
+
+
+@st.composite
+def loops(draw):
+    """A Latin square of order at most 6 with identity row and column 0,
+    filled cell by cell in a drawn symbol order, backtracking at dead ends.
+    Every one of order 4 or less is a group; most larger ones are not."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        options = [x for x in range(n) if x not in used]
+        rng.shuffle(options)
+        for x in options:
+            table[i][j] = x
+            if fill(k + 1):
+                return True
+        table[i][j] = None
+        return False
+
+    fill(0)
+    return table
+
+
+@st.composite
+def near_groups(draw):
+    """A corpus group table of order at most 16, possibly with one 2x2
+    Latin subsquare away from row and column 0 swapped: still a Latin
+    square with identity, and associative on almost every triple."""
+    name = draw(st.sampled_from(sorted(
+        p.stem for p in (FIXTURES / "corpus").glob("*.grp") if int(p.stem[1:3]) <= 16)))
+    table = [list(row) for row in corpus(name).mult]
+    n = len(table)
+    subsquares = [(r, s, c, d) for r in range(1, n) for s in range(r + 1, n)
+                  for c in range(1, n) for d in range(c + 1, n)
+                  if table[r][c] == table[s][d] and table[r][d] == table[s][c]]
+    swap = draw(st.none() | st.sampled_from(subsquares)) if subsquares else None
+    if swap is not None:
+        r, s, c, d = swap
+        table[r][c], table[r][d] = table[r][d], table[r][c]
+        table[s][c], table[s][d] = table[s][d], table[s][c]
+    return table
+
+
+@settings(max_examples=150, deadline=None)
+@given(loops() | near_groups())
+def test_lights_test_agrees_with_the_full_scan(table):
+    triple = first_nonassociative_triple(table)
+    if triple is None:
+        assert FiniteGroup(table).mult == tuple(map(tuple, table))
+    else:
+        a, b, c = triple
+        with pytest.raises(ValueError, match=rf"^associativity fails at \({a}, {b}, {c}\)$"):
+            FiniteGroup(table)
 
 
 def test_closure_limit_guard():
