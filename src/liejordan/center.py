@@ -6,8 +6,15 @@ takes an integer value on it, i.e. when the Cartan matrix applied to mu
 is integral.  The center is therefore the finite group (C^-1 Z^l) / Z^l,
 of order d = det C.  Since C^-1 = adj(C) / d, every class is x/d mod 1
 for an integer vector x mod d, and the classes are kept in that form,
-computed once per Cartan matrix.  CenterClass shows a class by its unique
-representative with all coordinates in [0, 1).
+computed once per Cartan matrix.  Every Dynkin diagram is a tree, so d
+and each column of adj C come from one integer sweep up the tree and
+one down, O(rank) steps each, and only as many columns are solved as
+it takes to generate the center.  CenterClass shows a class by its
+unique representative with all coordinates in [0, 1).
+
+The center reads nothing but the Cartan matrix.  The public functions
+take a root datum; the CLI's center and faithful commands call the
+Cartan-matrix forms underneath them, so they never build the coroots.
 
 A weight evaluates on the class x/d to sum lambda_i x_i / d mod 1, and a
 central element acts trivially in the irreducible representation of
@@ -87,37 +94,75 @@ def _center(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, 
     Keyed on the Cartan matrix, the only input, whose hash is far cheaper
     than that of the whole root datum.
 
-    One fraction-free Gauss-Jordan elimination takes [C | I] to
-    [d*I | adj C].  It needs no pivoting: the pivot at step k is the k-th
-    leading principal minor, itself a positive Cartan determinant.  The
-    columns of adj C generate the center mod d; the closure under
-    addition has exactly d elements, which is checked.
+    The Dynkin diagram is a tree; it is rooted at node 0.  With P_v the
+    product of D_c over the children c of v, the determinant of the
+    subtree at v is D_v = C_vv P_v - sum_c C_vc C_cv P_c (P_v / D_c), and
+    d is D at the root.  Column j of adj C solves C x = d e_j.  A sweep up
+    from the leaves leaves the equation D_v x_v + P_v C_vp x_p = d S_v at
+    each node v with parent p, where S_v = P_v [v = j] - sum_c C_vc S_c
+    (P_v / D_c); S is zero off the path from j to the root.  A sweep down
+    then gives x = S at the root and x_v = (d S_v - P_v C_vp x_p) / D_v
+    below it.  Every division is exact, so a column takes O(rank) integer
+    steps.  The columns generate the center mod d: each is added to the
+    group coset by coset, a column already in it is skipped, and no more
+    are solved once it has d elements.  That it ends with exactly d is
+    checked.
     """
     rank = len(cartan)
-    aug = [list(row) + [int(i == j) for j in range(rank)]
-           for i, row in enumerate(cartan)]
-    prev = 1
-    for k in range(rank):
-        pivot = aug[k]
-        for i, row in enumerate(aug):
-            if i != k:
-                f = row[k]
-                aug[i] = [(pivot[k] * a - f * b) // prev for a, b in zip(row, pivot)]
-        prev = pivot[k]
-    d = prev
-    generators = [tuple(aug[i][rank + j] % d for i in range(rank)) for j in range(rank)]
+    parent = [-1] * rank
+    children: list[list[int]] = [[] for _ in range(rank)]
+    order = [0]
+    for v in order:  # breadth first from node 0
+        for c, entry in enumerate(cartan[v]):
+            if entry and c != v and c != parent[v]:
+                if c == 0 or parent[c] >= 0:
+                    raise AssertionError(f"{cartan}: the Dynkin diagram is not a tree")
+                parent[c] = v
+                children[v].append(c)
+                order.append(c)
+    if len(order) != rank:
+        raise AssertionError(f"{cartan}: the Dynkin diagram is not connected")
+    prod = [1] * rank  # P_v
+    det = [1] * rank  # D_v
+    for v in reversed(order):  # children before their parent
+        for c in children[v]:
+            prod[v] *= det[c]
+        det[v] = cartan[v][v] * prod[v] - sum(
+            cartan[v][c] * cartan[c][v] * prod[c] * (prod[v] // det[c]) for c in children[v])
+    d = det[0]
+    up, down = [0] * rank, [0] * rank  # the sweeps' factors on each edge
+    for v in order[1:]:
+        p = parent[v]
+        up[v] = cartan[p][v] * (prod[p] // det[v])
+        down[v] = prod[v] * cartan[v][p]
+
+    def column(j: int) -> tuple[int, ...]:
+        s = [0] * rank
+        s[j] = prod[j]
+        v = j
+        while v:
+            s[parent[v]] = -up[v] * s[v]
+            v = parent[v]
+        x = s[:1] + [0] * (rank - 1)
+        for v in order[1:]:
+            x[v] = (d * s[v] - down[v] * x[parent[v]]) // det[v]
+        return tuple(e % d for e in x)
+
     zero = (0,) * rank
+    group = [zero]
     classes = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in generators:
-                s = tuple((x + y) % d for x, y in zip(a, g))
-                if s not in classes:
-                    classes.add(s)
-                    nxt.append(s)
-        frontier = nxt
+    for j in range(rank):
+        if len(group) >= d:
+            break
+        x = column(j)
+        shift = x
+        added = []
+        while shift not in classes:
+            coset = [tuple([(a + b) % d for a, b in zip(h, shift)]) for h in group]
+            classes.update(coset)
+            added += coset
+            shift = tuple([(a + b) % d for a, b in zip(shift, x)])
+        group += added
     if len(classes) != d:
         raise AssertionError(
             f"{cartan}: found {len(classes)} central classes, determinant is {d}")
@@ -132,7 +177,12 @@ def center_order(datum: RootDatum) -> int:
 
 def center_classes(datum: RootDatum) -> list[CenterClass]:
     """All nonidentity central classes, sorted lexicographically."""
-    d, classes = _center(datum.cartan)
+    return _center_classes(datum.cartan)
+
+
+def _center_classes(cartan) -> list[CenterClass]:
+    """center_classes from the Cartan matrix alone."""
+    d, classes = _center(cartan)
     return [CenterClass(tuple(Fraction(c, d) for c in x)) for x in classes]
 
 
@@ -161,7 +211,12 @@ def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:
         if len(w.coords) != datum.rank:
             raise ValueError(
                 f"weight {_echo(w.coords)} does not match rank {datum.rank} of {datum.type}")
-    d, classes = _center(datum.cartan)
+    return _is_faithful(datum.cartan, weight_set)
+
+
+def _is_faithful(cartan, weight_set: WeightSet) -> bool:
+    """is_faithful from the Cartan matrix alone, for weights of its rank."""
+    d, classes = _center(cartan)
     return all(
         any(sum(l * c for l, c in zip(w.coords, x)) % d for w in weight_set)
         for x in classes)

@@ -82,6 +82,13 @@ def _parse_type(args) -> rootdata.SimpleType:
     return rootdata.SimpleType(args.family.upper(), args.rank)
 
 
+def _parse_sized_type(args) -> rootdata.SimpleType:
+    """The type of dim, center and faithful, refused past the cell budget."""
+    stype = _parse_type(args)
+    rootdata.check_cell_budget(stype)
+    return stype
+
+
 def _parse_coordinate(token: str, text: str) -> int:
     try:
         return int(token)
@@ -139,7 +146,7 @@ def _cmd_table(args):
 
 
 def _cmd_dim(args):
-    stype = _parse_type(args)
+    stype = _parse_sized_type(args)
     datum = rootdata.build_root_datum(stype)
     weight = _parse_weight(args.weight, stype.rank)
     value = _within(rootdata.weyl_dim(datum, weight), _digit_budget())
@@ -148,10 +155,10 @@ def _cmd_dim(args):
 
 
 def _cmd_center(args):
-    stype = _parse_type(args)
-    datum = rootdata.build_root_datum(stype)
-    order = center.center_order(datum)
-    classes = center.center_classes(datum)
+    stype = _parse_sized_type(args)
+    cartan = rootdata.cartan_matrix(stype)
+    order = center._center(cartan)[0]
+    classes = center._center_classes(cartan)
     doc = {"family": stype.family, "rank": stype.rank, "order": order,
            "classes": [[str(c) for c in cls.coords] for cls in classes]}
     rows = [[stype.family, stype.rank, order, cls] for cls in classes]
@@ -161,10 +168,10 @@ def _cmd_center(args):
 
 
 def _cmd_faithful(args):
-    stype = _parse_type(args)
-    datum = rootdata.build_root_datum(stype)
+    stype = _parse_sized_type(args)
+    cartan = rootdata.cartan_matrix(stype)
     weights = _parse_weights(args.weights, stype.rank)
-    verdict = center.is_faithful(datum, weights)
+    verdict = center._is_faithful(cartan, weights)
     doc = {"family": stype.family, "rank": stype.rank,
            "weights": weights, "faithful": verdict}
     return _cell(verdict), doc, ("family", "rank", "weights", "faithful")

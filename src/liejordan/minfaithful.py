@@ -14,7 +14,9 @@ cyclic or Z2 x Z2, so there are at most 1 + (divisors of its order)
 states, or 6.
 
 The search for candidate weights is capped by the total dimension of the
-cheapest faithful set of fundamental weights, found by the same DP.  The
+cheapest faithful set of fundamental weights, found by the same DP; their
+dimensions, probed once for the cap, are handed to the enumeration, whose
+first probe at each position would be those weights again.  The
 fundamental weights together are faithful, so that total is at least the
 optimum, and every weight of an optimal or tied set has dimension at most
 the optimum: the cap changes neither the answer nor its witness.  The
@@ -89,11 +91,12 @@ def _cheapest_cover(weighted, d: int, classes):
     return best.get(2 * nonempty - 1)
 
 
-def _fundamental_cap(datum: RootDatum) -> int:
-    """Total dimension of the cheapest faithful set of fundamental weights."""
-    fundamentals = sorted(_fundamental_weights(datum),
-                          key=lambda pair: (pair[1], pair[0].coords))
-    return _cheapest_cover(fundamentals, *_center(datum.cartan))[0]
+def _fundamental_cap(datum: RootDatum, fundamentals=None) -> int:
+    """Total dimension of the cheapest faithful set of fundamental weights,
+    from their (weight, dim) pairs in node order, probed here if not given."""
+    ordered = sorted(fundamentals or _fundamental_weights(datum),
+                     key=lambda pair: (pair[1], pair[0].coords))
+    return _cheapest_cover(ordered, *_center(datum.cartan))[0]
 
 
 def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
@@ -104,8 +107,10 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     are refused unless override is set.
     """
     check_rank_budget(datum.type, override)
-    cap = _fundamental_cap(datum)
-    candidates = enumerate_dominant_weights(datum, cap, allow_large_cap=override)
+    fundamentals = _fundamental_weights(datum)
+    cap = _fundamental_cap(datum, fundamentals)
+    candidates = enumerate_dominant_weights(datum, cap, allow_large_cap=override,
+                                            fundamental_dims=[dim for _, dim in fundamentals])
     best = _cheapest_cover(candidates, *_center(datum.cartan))
     if best is None:
         raise AssertionError(f"no faithful weight set under cap for {datum.type}")
@@ -124,7 +129,7 @@ def rdim_table(table_max_rank: int):
     if table_max_rank < 1:
         raise ValueError(f"max rank must be positive, got {_echo(table_max_rank)}")
     check_rank_budget(SimpleType("A", table_max_rank))
-    types = [SimpleType(fam, rank) for fam, (ranks, _, _) in _FAMILIES.items()
+    types = [SimpleType(fam, rank) for fam, (ranks, *_) in _FAMILIES.items()
              for rank in (range(ranks, table_max_rank + 1) if isinstance(ranks, int) else ranks)
              if rank <= table_max_rank]
     return [(t, rdim(build_root_datum(t))) for t in types]

@@ -6,9 +6,9 @@ basis, and the pairing of a weight with a coroot is then a plain dot
 product.  The Cartan matrix is stored with entry [i][j] equal to the
 pairing of simple root i against simple coroot j.
 
-Each family is declared once, in _FAMILIES: its ranks, its Dynkin bonds
-and its number of positive roots.  The bonds fix the node numbering,
-0-based in the table and 1-based in the notes below:
+Each family is declared once, in _FAMILIES: its ranks, its Dynkin bonds,
+its number of positive roots and the order of its center.  The bonds fix
+the node numbering, 0-based in the table and 1-based in the notes below:
 
 * A, B, C: a chain 1..l; for B the short simple root is node l, for C
   the long one is node l.
@@ -30,11 +30,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, mul
 
-from .errors import (_FORMED_PER_PRINTED, RankBudgetError, _digit_budget, _echo,
-                     _formed)
+from .errors import (_FORMED_PER_PRINTED, RankBudgetError, ResourceGuardError,
+                     _digit_budget, _echo, _formed)
 
 DEFAULT_MAX_RANK = 9
 RANK_ENV_VAR = "LIEJORDAN_MAX_RANK"
+DEFAULT_MAX_CELLS = 10_000_000
+CELLS_ENV_VAR = "LIEJORDAN_MAX_CELLS"
 
 
 def _chain(nodes: int) -> list[tuple[int, int, int, int]]:
@@ -42,35 +44,44 @@ def _chain(nodes: int) -> list[tuple[int, int, int, int]]:
     return [(i, i + 1, 1, 1) for i in range(nodes - 1)]
 
 
-# Family letter -> (ranks, bonds, positive-root count).  The ranks are the
-# least one for A-D and all of them for E-G; a bond (i, j, a, b) sets the
-# Cartan entries [i][j] = -a and [j][i] = -b.  Bourbaki, Lie Groups and Lie
+# Family letter -> (ranks, bonds, positive-root count, center order).  The
+# ranks are the least one for A-D and all of them for E-G; a bond
+# (i, j, a, b) sets the Cartan entries [i][j] = -a and [j][i] = -b; the
+# center order is the Cartan determinant.  Bourbaki, Lie Groups and Lie
 # Algebras, Ch. 4-6, Plates I-IX.
 _FAMILIES = {
-    "A": (1, _chain, lambda l: l * (l + 1) // 2),
-    "B": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 2, 1)], lambda l: l * l),
-    "C": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 1, 2)], lambda l: l * l),
-    "D": (3, lambda l: _chain(l - 1) + [(l - 3, l - 1, 1, 1)], lambda l: l * (l - 1)),
+    "A": (1, _chain, lambda l: l * (l + 1) // 2, lambda l: l + 1),
+    "B": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 2, 1)], lambda l: l * l,
+          lambda l: 2),
+    "C": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 1, 2)], lambda l: l * l,
+          lambda l: 2),
+    "D": (3, lambda l: _chain(l - 1) + [(l - 3, l - 1, 1, 1)], lambda l: l * (l - 1),
+          lambda l: 4),
     "E": ((6, 7, 8), lambda l: _chain(l - 1) + [(l - 4, l - 1, 1, 1)],
-          {6: 36, 7: 63, 8: 120}.get),
-    "F": ((4,), lambda l: [(0, 1, 1, 1), (1, 2, 1, 2), (2, 3, 1, 1)], lambda l: 24),
-    "G": ((2,), lambda l: [(0, 1, 1, 3)], lambda l: 6),
+          {6: 36, 7: 63, 8: 120}.get, {6: 3, 7: 2, 8: 1}.get),
+    "F": ((4,), lambda l: [(0, 1, 1, 1), (1, 2, 1, 2), (2, 3, 1, 1)], lambda l: 24,
+          lambda l: 1),
+    "G": ((2,), lambda l: [(0, 1, 1, 3)], lambda l: 6, lambda l: 1),
 }
 
 
-def max_rank() -> int:
-    """Configured rank budget, read from the environment on each call."""
-    raw = os.environ.get(RANK_ENV_VAR)
+def _budget(env_var: str, default: int) -> int:
+    """A positive integer budget, read from the environment on each call."""
+    raw = os.environ.get(env_var)
     if raw is None:
-        return DEFAULT_MAX_RANK
+        return default
     try:
         value = int(raw)
     except ValueError:
         value = 0
     if value < 1:
-        raise ValueError(
-            f"{RANK_ENV_VAR} must be a positive integer, got {raw!r}")
+        raise ValueError(f"{env_var} must be a positive integer, got {_echo(raw)}")
     return value
+
+
+def max_rank() -> int:
+    """Configured rank budget, read from the environment on each call."""
+    return _budget(RANK_ENV_VAR, DEFAULT_MAX_RANK)
 
 
 @dataclass(frozen=True)
@@ -264,7 +275,7 @@ def _fundamental_weights(datum: RootDatum) -> list[tuple[DominantWeight, int]]:
 
 
 def enumerate_dominant_weights(
-    datum: RootDatum, cap: int, allow_large_cap: bool = False
+    datum: RootDatum, cap: int, allow_large_cap: bool = False, fundamental_dims=None
 ) -> list[tuple[DominantWeight, int]]:
     """All nonzero dominant weights with dimension <= cap, with dimensions.
 
@@ -276,6 +287,9 @@ def enumerate_dominant_weights(
     vector is evaluated once: appending a zero keeps its dimension.  The
     Weyl factors <coords + rho, c> travel down the search, and raising
     coordinate pos by one adds column pos of the coroots to them.
+    fundamental_dims, the dimensions of the fundamental weights in node
+    order when the caller has them, stand in for the first probe at each
+    position after an all-zero prefix, which is that fundamental weight.
 
     Caps above 2**max_rank() + 10 are refused unless allow_large_cap is
     set, to keep accidental huge searches from running away.  rdim
@@ -306,7 +320,10 @@ def enumerate_dominant_weights(
         for value in itertools.count(1):
             coords[pos] = value
             factors = list(map(add, factors, column))
-            grown = _weyl_dim(datum, coords, factors)
+            if dim == 1 and value == 1 and fundamental_dims:  # a fundamental weight
+                grown = fundamental_dims[pos]
+            else:
+                grown = _weyl_dim(datum, coords, factors)
             if grown > cap:
                 break
             extend(pos + 1, factors, grown)
@@ -315,6 +332,20 @@ def enumerate_dominant_weights(
     extend(0, list(datum.rho_pairings), 1)
     out.sort(key=lambda pair: (pair[1], pair[0].coords))
     return out
+
+
+def check_cell_budget(stype: SimpleType):
+    """Refuse a type whose data would pass the cell budget, from the family
+    table before any of it is built: rank**2 Cartan cells, d * rank cells
+    for the d center classes and |positive roots| * rank coroot cells."""
+    _, _, roots, order = _FAMILIES[stype.family]
+    l = stype.rank
+    cells, budget = l * (l + order(l) + roots(l)), _budget(CELLS_ENV_VAR, DEFAULT_MAX_CELLS)
+    if cells > budget:
+        raise ResourceGuardError(
+            f"type {stype.family}{_echo(l)} takes {_echo(cells)} cells (Cartan matrix, center "
+            f"classes and coroots), more than the budget of {_echo(budget)}; "
+            f"set {CELLS_ENV_VAR} to raise it")
 
 
 def check_rank_budget(stype: SimpleType, override: bool = False):

@@ -5,6 +5,10 @@ determinant, the classes the closure of the columns of the Fraction
 inverse of the Cartan matrix, recomputed on every call; the rdim DP keeps
 one slot per subset of the nonidentity classes.  Its answers, witnesses
 and tie-breaks included, are the ones the current code must give.
+
+bareiss_center is the integer center that followed it: one fraction-free
+Gauss-Jordan elimination on the whole Cartan matrix, then the closure of
+every column of the adjugate.
 """
 from fractions import Fraction
 
@@ -162,3 +166,45 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     witness = WeightSet(weights)
     dims = tuple(weyl_dim(datum, w) for w in witness)
     return RdimResult(total, witness, dims)
+
+
+def bareiss_center(cartan) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, classes): the Cartan determinant and the nonidentity central
+    classes as sorted integer vectors x mod d, x standing for x/d mod 1.
+
+    One fraction-free Gauss-Jordan elimination takes [C | I] to
+    [d*I | adj C].  It needs no pivoting: the pivot at step k is the k-th
+    leading principal minor, itself a positive Cartan determinant.  The
+    columns of adj C generate the center mod d; the closure under
+    addition has exactly d elements, which is checked.
+    """
+    rank = len(cartan)
+    aug = [list(row) + [int(i == j) for j in range(rank)]
+           for i, row in enumerate(cartan)]
+    prev = 1
+    for k in range(rank):
+        pivot = aug[k]
+        for i, row in enumerate(aug):
+            if i != k:
+                f = row[k]
+                aug[i] = [(pivot[k] * a - f * b) // prev for a, b in zip(row, pivot)]
+        prev = pivot[k]
+    d = prev
+    generators = [tuple(aug[i][rank + j] % d for i in range(rank)) for j in range(rank)]
+    zero = (0,) * rank
+    classes = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in generators:
+                s = tuple((x + y) % d for x, y in zip(a, g))
+                if s not in classes:
+                    classes.add(s)
+                    nxt.append(s)
+        frontier = nxt
+    if len(classes) != d:
+        raise AssertionError(
+            f"{cartan}: found {len(classes)} central classes, determinant is {d}")
+    classes.discard(zero)
+    return d, tuple(sorted(classes))

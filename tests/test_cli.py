@@ -571,3 +571,101 @@ def test_long_invalid_weight_exits_2_with_short_message(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err) < 200
+
+
+def _cells(fam, rank):
+    """Cartan, center-class and coroot cells of a type, counted from what
+    the library builds for it."""
+    from liejordan.center import center_order
+    from liejordan.rootdata import SimpleType, build_root_datum
+    datum = build_root_datum(SimpleType(fam, rank))
+    return rank * (len(datum.cartan) + center_order(datum) + len(datum.positive_coroots))
+
+
+SIZED_COMMANDS = {
+    "center": [],
+    "dim": ["--weight", "0,0,0,0,1"],
+    "faithful": ["--weights", "0,0,0,0,1;1,0,0,0,0"],
+}
+
+
+@pytest.mark.parametrize("command", SIZED_COMMANDS)
+def test_cell_budget_at_its_limit_and_one_past_it(capsys, monkeypatch, command):
+    argv = [command, "--family", "D", "--rank", "5", *SIZED_COMMANDS[command]]
+    cells = _cells("D", 5)
+    assert cells == 5 * 5 + 4 * 5 + 20 * 5
+    monkeypatch.delenv("LIEJORDAN_MAX_CELLS", raising=False)
+    answer = run_cli(capsys, *argv)
+    assert answer[0] == 0
+    monkeypatch.setenv("LIEJORDAN_MAX_CELLS", str(cells))
+    assert run_cli(capsys, *argv) == answer
+    monkeypatch.setenv("LIEJORDAN_MAX_CELLS", str(cells - 1))
+    assert run_cli(capsys, *argv) == (
+        3, "", f"error: type D5 takes {cells} cells (Cartan matrix, center classes and "
+        f"coroots), more than the budget of {cells - 1}; set LIEJORDAN_MAX_CELLS to raise it\n")
+
+
+@pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
+def test_cell_budget_default_admits_rank_200(fam):
+    from liejordan.rootdata import SimpleType, check_cell_budget
+    check_cell_budget(SimpleType(fam, 200))
+
+
+@pytest.mark.parametrize("value", ["0", "many", "9" * 5000])
+def test_bad_cell_budget_is_malformed_input(capsys, monkeypatch, value):
+    monkeypatch.setenv("LIEJORDAN_MAX_CELLS", value)
+    code, out, err = run_cli(capsys, "center", "--family", "A", "--rank", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: LIEJORDAN_MAX_CELLS must be a positive integer")
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize("command", SIZED_COMMANDS)
+def test_huge_rank_is_refused_before_anything_is_built(capsys, monkeypatch, command):
+    import tracemalloc
+
+    from liejordan import rootdata
+
+    def refuse(stype):
+        raise AssertionError(f"built data for {stype}")
+
+    monkeypatch.delenv("LIEJORDAN_MAX_CELLS", raising=False)
+    monkeypatch.setattr(rootdata, "cartan_matrix", refuse)
+    monkeypatch.setattr(rootdata, "build_root_datum", refuse)
+    argv = [command, "--family", "A", "--rank", "100000", *SIZED_COMMANDS[command]]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    l = 100000
+    assert f"{l * (l + (l + 1) + l * (l + 1) // 2)} cells" in err
+    assert "LIEJORDAN_MAX_CELLS" in err
+    assert elapsed < 0.1 and peak < 2 ** 20
+
+
+def test_cell_budget_message_quotes_a_long_rank_short(capsys):
+    code, out, err = run_cli(capsys, "center", "--family", "B", "--rank", "9" * 4000)
+    assert (code, out) == (3, "")
+    assert len(err) < 300
+
+
+@pytest.mark.parametrize("argv,limit", [
+    (["center"], 0.6),  # about 0.12 s on a 2-vCPU Xeon, 90 ms of it building Fractions
+    (["faithful", "--weights", ",".join(["1"] + ["0"] * 199)], 0.1),
+], ids=["center", "faithful"])
+def test_a200_center_and_faithful_read_only_the_cartan_matrix(capsys, argv, limit):
+    # With the 20100 coroots built first, each took 0.7-0.8 s on a 2-vCPU Xeon.
+    from liejordan import center
+    times = []
+    for _ in range(3):
+        center._center.cache_clear()
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv[0], "--family", "A", "--rank", "200", *argv[1:])
+        times.append(time.perf_counter() - start)
+        assert (code, err) == (0, "")
+    assert min(times) < limit, f"{argv[0]} A200 took {min(times):.3f} s"

@@ -10,12 +10,16 @@ over --jordan-limit refused during their closure) are tested in
 test_cli.py instead.
 """
 import sys
+from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import old_center
 import old_cli as old
-from liejordan import cli
+import old_rootdata
+from liejordan import center, cli, rootdata
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DIGITS = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
@@ -129,3 +133,47 @@ def test_same_rank_budget_outcome_as_old_cli(capsys, monkeypatch, value):
     monkeypatch.setenv("LIEJORDAN_MAX_RANK", value)
     for fmt in ("text", "json", "csv"):
         assert_same(capsys, ["rdim", "--family", "C", "--rank", "10", "--format", fmt])
+
+
+# Every type up to rank 12, against the old interface reading the center
+# from the Fraction oracle and dimensions from the first weyl_dim, so that
+# center, dim and faithful print what they printed before the center was
+# solved on the Dynkin tree and the cell budget was checked.
+SMALL_TYPES = ([("A", l) for l in range(1, 13)] + [("B", l) for l in range(2, 13)] +
+               [("C", l) for l in range(2, 13)] + [("D", l) for l in range(3, 13)] +
+               [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def _unit(rank, pos):
+    return ",".join("1" if i == pos else "0" for i in range(rank))
+
+
+def _root_argv(fam, rank):
+    head = ["--family", fam, "--rank", str(rank)]
+    ones = ",".join(["1"] * rank)
+    first, last = _unit(rank, 0), _unit(rank, rank - 1)
+    pair = f"{first};{last}" if rank > 1 else first
+    doubled = ";".join(dict.fromkeys(w.replace("1", "2") for w in (first, last)))
+    return ([["center", *head]] +
+            [["dim", *head, "--weight", w] for w in dict.fromkeys((first, last, ones))] +
+            [["faithful", *head, "--weights", ws]
+             for ws in dict.fromkeys((first, last, pair, doubled, ones))])
+
+
+@pytest.fixture
+def first_engines(monkeypatch):
+    # The oracle recomputes the classes on every call; once per test will do.
+    monkeypatch.setattr(old_center, "center_classes", lru_cache(old_center.center_classes))
+    monkeypatch.setattr(old, "center", SimpleNamespace(**{
+        **vars(center), "center_order": old_center.center_order,
+        "center_classes": old_center.center_classes,
+        "is_faithful": old_center.is_faithful}))
+    monkeypatch.setattr(old, "rootdata", SimpleNamespace(
+        **{**vars(rootdata), "weyl_dim": old_rootdata.weyl_dim}))
+
+
+@pytest.mark.parametrize("fam,rank", SMALL_TYPES, ids=[f"{f}{r}" for f, r in SMALL_TYPES])
+def test_root_commands_match_the_first_engines(capsys, first_engines, fam, rank):
+    for argv in _root_argv(fam, rank):
+        for fmt in ("text", "json", "csv"):
+            assert assert_same(capsys, [*argv, "--format", fmt])[0] == 0

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from liejordan.center import WeightSet, is_faithful
 from liejordan.errors import RankBudgetError
+from liejordan import rootdata
 from liejordan.minfaithful import _fundamental_cap, rdim, rdim_table
-from liejordan.rootdata import (DominantWeight, SimpleType, build_root_datum,
-                                enumerate_dominant_weights, weyl_dim)
+from liejordan.rootdata import (DominantWeight, SimpleType, _fundamental_weights,
+                                build_root_datum, enumerate_dominant_weights, weyl_dim)
 
 from test_rootdata import BUDGET_TYPES, _datum, _fund
 
@@ -182,3 +183,26 @@ def test_table_quotes_a_long_rank_short():
     with pytest.raises(ValueError) as err:
         rdim_table(-10 ** 5000)
     assert str(err.value) == f"max rank must be positive, got {'-1' + '0' * 38}..."
+
+
+def test_rdim_probes_each_fundamental_weight_once(monkeypatch):
+    # The cap probes every fundamental weight; the enumeration takes those
+    # dimensions instead of probing the same weights again (2588 probes
+    # over these 65 types when it did).
+    calls = []
+    probe = rootdata._weyl_dim
+    monkeypatch.setattr(rootdata, "_weyl_dim", lambda *args: calls.append(1) or probe(*args))
+    for fam, rank in RANK_16_TYPES:
+        rdim(_datum(fam, rank), override=True)
+    assert len(calls) == 2022
+
+
+@pytest.mark.parametrize("fam,rank", RANK_16_TYPES)
+def test_handed_fundamental_dimensions_change_no_candidate(fam, rank):
+    d = _datum(fam, rank)
+    fundamentals = _fundamental_weights(d)
+    cap = _fundamental_cap(d, fundamentals)
+    assert cap == _fundamental_cap(d)
+    dims = [dim for _, dim in fundamentals]
+    assert (enumerate_dominant_weights(d, cap, True, fundamental_dims=dims)
+            == enumerate_dominant_weights(d, cap, True))
