@@ -14,16 +14,15 @@ and printed within the digit limits set out in errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import (_FORMED_PER_PRINTED, _digit_budget, _echo, _formed,
+from .errors import (_FORMED_PER_PRINTED, FrozenValue, _digit_budget, _echo, _formed,
                      _refusal, _within)
 
 _EXACT_SPORADIC = frozenset({63, 65, 67, 69})
 _EXACT_FROM = 71
 
 
-class BoundExpr:
+class BoundExpr(FrozenValue):
     """Base class for exact bound values and symbolic bound expressions;
     render() takes an optional formatter for the exact integers in it."""
 
@@ -33,39 +32,38 @@ class BoundExpr:
         return isinstance(self, ExactInt)
 
 
-@dataclass(frozen=True)
 class ExactInt(BoundExpr):
-    value: int
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value < 1:
-            raise ValueError(f"bounds are positive integers, got {_echo(self.value)}")
+    def __init__(self, value: int):
+        if value < 1:
+            raise ValueError(f"bounds are positive integers, got {_echo(value)}")
+        object.__setattr__(self, "value", value)
 
     def render(self, fmt=str) -> str:
         return fmt(_within(self.value, _digit_budget()))
 
 
-@dataclass(frozen=True)
 class SymbolicJ(BoundExpr):
-    arg: int
+    __slots__ = ("arg",)
 
-    def __post_init__(self):
-        m = self.arg
-        if not (1 <= m < _EXACT_FROM) or m in _EXACT_SPORADIC:
-            raise ValueError(f"J({_echo(m)}) has a known exact value and must not stay symbolic")
+    def __init__(self, arg: int):
+        if not (1 <= arg < _EXACT_FROM) or arg in _EXACT_SPORADIC:
+            raise ValueError(f"J({_echo(arg)}) has a known exact value and must not stay symbolic")
+        object.__setattr__(self, "arg", arg)
 
     def render(self, fmt=str) -> str:
         return f"J({self.arg})"
 
 
-@dataclass(frozen=True)
 class Power(BoundExpr):
-    base: BoundExpr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if self.exponent < 2:
-            raise ValueError(f"power nodes need exponent >= 2, got {_echo(self.exponent)}")
+    def __init__(self, base: BoundExpr, exponent: int):
+        if exponent < 2:
+            raise ValueError(f"power nodes need exponent >= 2, got {_echo(exponent)}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
     def render(self, fmt=str) -> str:
         base = self.base.render(fmt)
@@ -74,14 +72,13 @@ class Power(BoundExpr):
         return f"{base}^{self.exponent}"
 
 
-@dataclass(frozen=True)
 class Product(BoundExpr):
-    operands: tuple[BoundExpr, ...]
+    __slots__ = ("operands",)
 
-    def __post_init__(self):
-        if len(self.operands) < 2:
+    def __init__(self, operands: tuple[BoundExpr, ...]):
+        if len(operands) < 2:
             raise ValueError("product nodes need at least two operands")
-        object.__setattr__(self, "operands", tuple(self.operands))
+        object.__setattr__(self, "operands", tuple(operands))
 
     def render(self, fmt=str) -> str:
         return " * ".join(op.render(fmt) for op in self.operands)
@@ -129,18 +126,18 @@ def _linear_cap(m: int) -> int:
     return m * (2 ** m + 10)
 
 
-@dataclass(frozen=True)
-class GroupDims:
+class GroupDims(FrozenValue):
     """Dimension n of the group and its number of components b."""
 
-    n: int
-    b: int = 1
+    __slots__ = ("n", "b")
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"dimension must be a non-negative integer, got {_echo(self.n)}")
-        if not isinstance(self.b, int) or self.b < 1:
-            raise ValueError(f"component count must be a positive integer, got {_echo(self.b)}")
+    def __init__(self, n: int, b: int = 1):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"dimension must be a non-negative integer, got {_echo(n)}")
+        if not isinstance(b, int) or b < 1:
+            raise ValueError(f"component count must be a positive integer, got {_echo(b)}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", b)
 
 
 def bound(family: str, n: int, components: int | None = None) -> BoundExpr:

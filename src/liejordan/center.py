@@ -15,6 +15,8 @@ unique representative with all coordinates in [0, 1).
 The center reads nothing but the Cartan matrix.  The public functions
 take a root datum; the CLI's center and faithful commands call the
 Cartan-matrix forms underneath them, so they never build the coroots.
+Only CenterClass, center_classes and pair build fractions, and only they
+import the fractions module, so rdim and faithful never load it.
 
 A weight evaluates on the class x/d to sum lambda_i x_i / d mod 1, and a
 central element acts trivially in the irreducible representation of
@@ -30,26 +32,24 @@ compare class sets, not individual lifts.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .errors import _echo
+from .errors import FrozenValue, _echo
 from .rootdata import DominantWeight, RootDatum
 
 
-@dataclass(frozen=True)
-class CenterClass:
+class CenterClass(FrozenValue):
     """A nonidentity central class, as simple-coroot coordinates in [0, 1)."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        coords = tuple(Fraction(c) for c in self.coords)
+    def __init__(self, coords: tuple[Fraction, ...]):
+        from fractions import Fraction
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if not any(coords):
             raise ValueError("the identity class is not represented")
         for c in coords:
-            if not 0 <= c < 1:
+            if not 0 <= c.numerator < c.denominator:
                 raise ValueError(f"class coordinates must lie in [0, 1), got {coords}")
         object.__setattr__(self, "coords", coords)
 
@@ -57,14 +57,13 @@ class CenterClass:
         return ",".join(str(c) for c in self.coords)
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(FrozenValue):
     """A nonempty set of nonzero dominant weights, kept in sorted order."""
 
-    weights: tuple[DominantWeight, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        weights = tuple(self.weights)
+    def __init__(self, weights: tuple[DominantWeight, ...]):
+        weights = tuple(weights)
         if not weights:
             raise ValueError("a weight set must contain at least one weight")
         seen = set()
@@ -74,8 +73,7 @@ class WeightSet:
             if w.coords in seen:
                 raise ValueError(f"duplicate weight {_echo(w.coords)}")
             seen.add(w.coords)
-        object.__setattr__(
-            self, "weights", tuple(sorted(weights, key=lambda w: w.coords)))
+        object.__setattr__(self, "weights", tuple(sorted(weights, key=lambda w: w.coords)))
 
     def __iter__(self):
         return iter(self.weights)
@@ -182,8 +180,10 @@ def center_classes(datum: RootDatum) -> list[CenterClass]:
 
 def _center_classes(cartan) -> list[CenterClass]:
     """center_classes from the Cartan matrix alone."""
+    from fractions import Fraction
     d, classes = _center(cartan)
-    return [CenterClass(tuple(Fraction(c, d) for c in x)) for x in classes]
+    shares = [Fraction(c, d) for c in range(d)]  # each coordinate is some c/d, built once
+    return [CenterClass(tuple([shares[c] for c in x])) for x in classes]
 
 
 def pair(weight: DominantWeight, element) -> Fraction:
@@ -193,6 +193,7 @@ def pair(weight: DominantWeight, element) -> Fraction:
     over the simple coroots; integer shifts of the coordinates do not
     change the result because weight coordinates are integers.
     """
+    from fractions import Fraction
     coords = element.coords if isinstance(element, CenterClass) else tuple(element)
     if len(coords) != len(weight.coords):
         raise ValueError(

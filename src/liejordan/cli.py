@@ -12,6 +12,10 @@ reads the format: JSON goes through json.dumps, with weights and weight
 sets as coordinate lists, and CSV through one cell rule (booleans in
 lowercase, tuples joined with ';').
 
+Each subcommand imports the strands it runs when it runs; the parser
+loads only bounds, for the family names it offers, and json and csv load
+only for their format.
+
 Exit codes: 0 success, 2 malformed input, 3 a resource guard refused
 the computation.  Big integers are printed in full in json and csv; in
 text they carry a digit count and a rounded magnitude once they pass
@@ -20,13 +24,9 @@ text they carry a digit count and a rounded magnitude once they pass
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
-from . import bounds, center, finitegroup, minfaithful, rootdata
-from .errors import ResourceGuardError, _digit_budget, _echo, _within
+from .errors import DEFAULT_JORDAN_LIMIT, ResourceGuardError, _digit_budget, _echo, _within
 
 _BIG_DIGITS = 40
 
@@ -42,7 +42,7 @@ def _fmt_int(value: int) -> str:
 
 def _json_default(obj):
     """A weight set becomes a list of weights, a weight its coordinate list."""
-    return list(obj) if isinstance(obj, center.WeightSet) else list(obj.coords)
+    return list(getattr(obj, "coords", obj))
 
 
 def _cell(value) -> str:
@@ -58,8 +58,11 @@ def _render(fmt: str, text: str, doc, columns, rows=None) -> str:
     """One answer in the requested format.  doc is the JSON document, a dict
     or a list of dicts; the CSV rows default to its values under the columns."""
     if fmt == "json":
+        import json
         return json.dumps(doc, indent=2, default=_json_default)
     if fmt == "csv":
+        import csv
+        import io
         if rows is None:
             rows = [[d[c] for c in columns] for d in (doc if isinstance(doc, list) else [doc])]
         buf = io.StringIO()
@@ -78,14 +81,16 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
 
 
-def _parse_type(args) -> rootdata.SimpleType:
-    return rootdata.SimpleType(args.family.upper(), args.rank)
+def _parse_type(args):
+    from .rootdata import SimpleType
+    return SimpleType(args.family.upper(), args.rank)
 
 
-def _parse_sized_type(args) -> rootdata.SimpleType:
+def _parse_sized_type(args):
     """The type of dim, center and faithful, refused past the cell budget."""
+    from .rootdata import check_cell_budget
     stype = _parse_type(args)
-    rootdata.check_cell_budget(stype)
+    check_cell_budget(stype)
     return stype
 
 
@@ -104,29 +109,32 @@ def _parse_coordinate(token: str, text: str) -> int:
         raise ValueError(f"weight {_echo(text)} must be comma-separated integers") from None
 
 
-def _parse_weight(text: str, rank: int) -> rootdata.DominantWeight:
+def _parse_weight(text: str, rank: int):
+    from .rootdata import DominantWeight
     coords = tuple(_parse_coordinate(t.strip(), text) for t in text.split(","))
     if len(coords) != rank:
         raise ValueError(f"weight {_echo(text)} has {len(coords)} coordinates, rank is {rank}")
-    return rootdata.DominantWeight(coords)
+    return DominantWeight(coords)
 
 
-def _parse_weights(text: str, rank: int) -> center.WeightSet:
+def _parse_weights(text: str, rank: int):
+    from .center import WeightSet
     parts = [p for p in (chunk.strip() for chunk in text.split(";")) if p]
     if not parts:
         raise ValueError("no weights given")
-    return center.WeightSet(tuple(_parse_weight(p, rank) for p in parts))
+    return WeightSet(tuple(_parse_weight(p, rank) for p in parts))
 
 
 _RDIM_COLUMNS = ("family", "rank", "rdim", "witness")
 
 
-def _rdim_doc(stype: rootdata.SimpleType, result: minfaithful.RdimResult) -> dict:
+def _rdim_doc(stype, result) -> dict:
     return {"family": stype.family, "rank": stype.rank, "rdim": result.total_dim,
             "witness": result.witness, "per_weight_dims": result.per_weight_dims}
 
 
 def _cmd_rdim(args):
+    from . import minfaithful, rootdata
     stype = _parse_type(args)
     rootdata.check_rank_budget(stype)
     result = minfaithful.rdim(rootdata.build_root_datum(stype))
@@ -134,6 +142,7 @@ def _cmd_rdim(args):
 
 
 def _cmd_table(args):
+    from . import minfaithful
     rows = minfaithful.rdim_table(args.max_rank)
     cells = [("type", "rank", "rdim", "witness")]
     cells += [(str(t), str(t.rank), str(r.total_dim), str(r.witness))
@@ -146,6 +155,7 @@ def _cmd_table(args):
 
 
 def _cmd_dim(args):
+    from . import rootdata
     stype = _parse_sized_type(args)
     datum = rootdata.build_root_datum(stype)
     weight = _parse_weight(args.weight, stype.rank)
@@ -155,6 +165,7 @@ def _cmd_dim(args):
 
 
 def _cmd_center(args):
+    from . import center, rootdata
     stype = _parse_sized_type(args)
     cartan = rootdata.cartan_matrix(stype)
     order = center._center(cartan)[0]
@@ -168,6 +179,7 @@ def _cmd_center(args):
 
 
 def _cmd_faithful(args):
+    from . import center, rootdata
     stype = _parse_sized_type(args)
     cartan = rootdata.cartan_matrix(stype)
     weights = _parse_weights(args.weights, stype.rank)
@@ -178,6 +190,7 @@ def _cmd_faithful(args):
 
 
 def _cmd_bound(args):
+    from . import bounds
     fam, n = args.family_of_groups, args.n
     expr = bounds.bound(fam, n, args.components)
     components = (args.components or 1) if fam in bounds.WITH_COMPONENTS else ""
@@ -192,6 +205,7 @@ def _cmd_bound(args):
 
 
 def _cmd_jordan_finite(args):
+    from . import finitegroup
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
@@ -213,6 +227,7 @@ def _add_type_flags(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .bounds import FAMILIES  # the --family-of-groups choices
     parser = argparse.ArgumentParser(
         prog="liejordan",
         description="Minimal faithful representation dimensions and Jordan constant bounds")
@@ -248,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated weights, e.g. '1,0,0;0,0,1'")
 
     p = sub("bound", _cmd_bound, help="Jordan constant bound formulas")
-    p.add_argument("--family-of-groups", required=True, choices=tuple(bounds.FAMILIES))
+    p.add_argument("--family-of-groups", required=True, choices=tuple(FAMILIES))
     p.add_argument("--n", required=True, type=_int_arg)
     p.add_argument("--components", type=_int_arg, default=None,
                    help="component count b (lie and algebraic only)")
@@ -256,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("jordan-finite", _cmd_jordan_finite,
             help="brute-force the Jordan constant of an explicit finite group")
     p.add_argument("--input", required=True, help="group description file")
-    p.add_argument("--jordan-limit", type=_int_arg, default=finitegroup.DEFAULT_JORDAN_LIMIT,
+    p.add_argument("--jordan-limit", type=_int_arg, default=DEFAULT_JORDAN_LIMIT,
                    help="largest group order to accept (default %(default)s)")
 
     parser.set_defaults(_handlers=handlers)

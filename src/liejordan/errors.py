@@ -1,18 +1,27 @@
-"""Error types shared across the package, and the rules their messages use.
+"""Error types, the value base class and the limits shared across the package.
 
 Input problems (bad types, malformed files, invalid coordinates) raise
 plain ValueError subclasses; blown resource guards raise
 ResourceGuardError subclasses so callers can tell "you asked for
 something wrong" apart from "you asked for something too big".
+DEFAULT_JORDAN_LIMIT, the largest finite-group order accepted unless the
+caller raises it, sits beside OrderLimitError, the refusal it triggers,
+so the CLI can state it without loading the finite-group strand.
 
 Exact integers are kept with up to ten times as many decimal digits as
 CPython's int->str limit (or its default, when the limit is off), and
 printed with up to the limit itself; past either, ResourceGuardError.
 User input is quoted in messages cut to its first 40 characters.
+
+FrozenValue is the base of every value class (types, weights, root data,
+center classes, bound expressions, subgroups).  It behaves as a frozen
+dataclass over the subclass's __slots__ without importing dataclasses,
+which costs more to load than most CLI answers take to compute.
 """
 from __future__ import annotations
 
 import sys
+from operator import attrgetter
 
 _FORMED_PER_PRINTED = 10
 _ECHO_CHARS = 40
@@ -28,6 +37,61 @@ class RankBudgetError(ResourceGuardError):
 
 class OrderLimitError(ResourceGuardError):
     """A finite group is larger than the configured order limit."""
+
+
+DEFAULT_JORDAN_LIMIT = 200
+
+
+class FrozenValue:
+    """An immutable value whose fields are its class's __slots__, each set
+    once by the subclass's __init__ through object.__setattr__.  As a
+    frozen dataclass: the repr shows the shown fields by name, == compares
+    the compared fields of two instances of one class (NotImplemented
+    across classes), the hash is that of the compared fields' tuple, and
+    setting or deleting an attribute raises AttributeError.  Both default
+    to every slot; a subclass narrows them by class keywords, as in
+    class Subgroup(FrozenValue, compared=("elements",)).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, shown=None, compared=None):
+        cls._shown = cls.__slots__ if shown is None else shown
+        compared = cls._shown if compared is None else compared
+        if len(compared) > 1:
+            cls._key = staticmethod(attrgetter(*compared))
+        elif compared:  # attrgetter of one name returns the bare value
+            get = attrgetter(*compared)
+            cls._key = staticmethod(lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _restore, (type(self), tuple([getattr(self, name) for name in self.__slots__]))
+
+
+def _restore(cls, values):
+    """A FrozenValue with these slot values, for copy and pickle."""
+    value = object.__new__(cls)
+    for name, field in zip(cls.__slots__, values):
+        object.__setattr__(value, name, field)
+    return value
 
 
 def _digit_budget() -> int:

@@ -39,12 +39,9 @@ before any Jordan constant is computed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import OrderLimitError, _echo
-
-DEFAULT_JORDAN_LIMIT = 200
+from .errors import DEFAULT_JORDAN_LIMIT, FrozenValue, OrderLimitError, _echo
 
 
 class FiniteGroup:
@@ -107,12 +104,15 @@ class FiniteGroup:
                         raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup by sorted element indices plus a generating set."""
+class Subgroup(FrozenValue, compared=("elements",)):
+    """A subgroup by sorted element indices plus a generating set, which
+    == and the hash ignore."""
 
-    elements: tuple[int, ...]
-    generators: tuple[int, ...] = field(default=(), compare=False)
+    __slots__ = ("elements", "generators")
+
+    def __init__(self, elements: tuple[int, ...], generators: tuple[int, ...] = ()):
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "generators", generators)
 
     @property
     def order(self) -> int:

@@ -27,24 +27,25 @@ refuses an rdim within the rank budget.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .center import WeightSet, _center
-from .errors import _echo
+from .errors import FrozenValue, _echo
 from .rootdata import (_FAMILIES, RootDatum, SimpleType, _fundamental_weights,
                        build_root_datum, check_rank_budget, enumerate_dominant_weights)
 
 
-@dataclass(frozen=True)
-class RdimResult:
+class RdimResult(FrozenValue):
     """An optimal faithful weight set with its dimension bookkeeping.
 
     per_weight_dims is aligned with the (sorted) witness weights.
     """
 
-    total_dim: int
-    witness: WeightSet
-    per_weight_dims: tuple[int, ...]
+    __slots__ = ("total_dim", "witness", "per_weight_dims")
+
+    def __init__(self, total_dim: int, witness: WeightSet, per_weight_dims: tuple[int, ...]):
+        object.__setattr__(self, "total_dim", total_dim)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "per_weight_dims", per_weight_dims)
 
 
 def _cheapest_cover(weighted, d: int, classes):

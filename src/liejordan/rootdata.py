@@ -26,11 +26,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, mul
 
-from .errors import (_FORMED_PER_PRINTED, RankBudgetError, ResourceGuardError,
+from .errors import (_FORMED_PER_PRINTED, FrozenValue, RankBudgetError, ResourceGuardError,
                      _digit_budget, _echo, _formed)
 
 DEFAULT_MAX_RANK = 9
@@ -84,43 +83,41 @@ def max_rank() -> int:
     return _budget(RANK_ENV_VAR, DEFAULT_MAX_RANK)
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class SimpleType(FrozenValue):
     """A simple type label: family letter A..G plus rank."""
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self):
-        fam, rank = self.family, self.rank
-        if fam not in _FAMILIES:
-            raise ValueError(f"unknown family {fam!r}, expected one of A..G")
+    def __init__(self, family: str, rank: int):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}, expected one of A..G")
         if type(rank) is not int:
             raise ValueError(f"rank must be an integer, got {_echo(rank)}")
-        ranks = _FAMILIES[fam][0]
+        ranks = _FAMILIES[family][0]
         if isinstance(ranks, int):
             if rank < ranks:
-                raise ValueError(f"family {fam} requires rank >= {ranks}, got {_echo(rank)}")
+                raise ValueError(f"family {family} requires rank >= {ranks}, got {_echo(rank)}")
         elif rank not in ranks:
             allowed = ", ".join(map(str, ranks))
-            raise ValueError(f"family {fam} exists only in rank {allowed}, got {_echo(rank)}")
+            raise ValueError(f"family {family} exists only in rank {allowed}, got {_echo(rank)}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
-class DominantWeight:
+class DominantWeight(FrozenValue):
     """A dominant integral weight: non-negative fundamental-weight coords."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        for c in self.coords:
+    def __init__(self, coords: tuple[int, ...]):
+        for c in coords:
             if not isinstance(c, int) or c < 0:
                 raise ValueError(
-                    f"weight coordinates must be non-negative integers, got {_echo(self.coords)}")
-        object.__setattr__(self, "coords", tuple(self.coords))
+                    f"weight coordinates must be non-negative integers, got {_echo(coords)}")
+        object.__setattr__(self, "coords", tuple(coords))
 
     @property
     def is_zero(self) -> bool:
@@ -176,8 +173,7 @@ def _positive_roots(cartan) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda v: (sum(v), v))
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(FrozenValue, shown=("type", "cartan", "positive_coroots")):
     """A simple type together with its Cartan matrix and positive coroots.
 
     Coroot vectors are coordinates in the simple-coroot basis, so the
@@ -187,14 +183,14 @@ class RootDatum:
     construction.
     """
 
-    type: SimpleType
-    cartan: tuple[tuple[int, ...], ...]
-    positive_coroots: tuple[tuple[int, ...], ...]
-    rho_pairings: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    rho_product: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("type", "cartan", "positive_coroots", "rho_pairings", "rho_product")
 
-    def __post_init__(self):
-        pairings = tuple(map(sum, self.positive_coroots))
+    def __init__(self, type: SimpleType, cartan: tuple[tuple[int, ...], ...],
+                 positive_coroots: tuple[tuple[int, ...], ...]):
+        pairings = tuple(map(sum, positive_coroots))
+        object.__setattr__(self, "type", type)
+        object.__setattr__(self, "cartan", cartan)
+        object.__setattr__(self, "positive_coroots", positive_coroots)
         object.__setattr__(self, "rho_pairings", pairings)
         object.__setattr__(self, "rho_product", math.prod(pairings))
 

@@ -1,9 +1,11 @@
-"""Every `$ liejordan ...` example in README.md prints what the README shows.
+"""Every `$ liejordan ...` example in README.md prints what the README shows,
+and every `# ...` comment of its Library block is the repr of its line.
 
 A shown output containing '...' matches as a prefix plus a suffix, and an
 abbreviated JSON block matches as parsed JSON.
 """
 import argparse
+import ast
 import importlib
 import json
 import re
@@ -69,12 +71,41 @@ def test_readme_flags_are_the_parser_options():
     assert sorted(options - named) == [], "an option the README does not name"
 
 
+def library_block() -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_comments_are_reprs():
+    """Each statement of the Library block runs, and a '# ...' comment on its
+    last line is the repr of its value (an assignment's: the assigned name),
+    or a prefix of it when the comment holds '...'."""
+    block = library_block()
+    lines = block.splitlines()
+    namespace, checked = {}, 0
+    for node in ast.parse(block).body:
+        _, marked, comment = lines[node.end_lineno - 1].partition("  # ")
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+            value = namespace[node.targets[0].id] if isinstance(node, ast.Assign) else None
+        if not marked:
+            continue
+        shown, checked = repr(value), checked + 1
+        if "..." in comment:
+            assert shown.startswith(comment.split("...", 1)[0]), (comment, shown)
+        else:
+            assert shown == comment, (comment, shown)
+    assert checked >= 4
+
+
 def test_readme_library_names_exist():
     """Every dotted liejordan name in the README, and every name its Library
     block imports, is an attribute of the package."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     dotted = set(re.findall(r"\bliejordan(?:\.\w+)+", text))
-    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    block = library_block()
     imported = re.search(r"from liejordan import \(([^)]*)\)", block).group(1)
     names = {f"liejordan.{name.strip()}" for name in imported.split(",")}
     assert dotted and len(names) >= 8
