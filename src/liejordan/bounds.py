@@ -10,16 +10,28 @@ over symbolic J atoms, never a float.
 Dimension-zero groups are trivial, so J(0) = 1 by convention; callers
 that care can flag when that convention fired.  Exact values are kept
 and printed within the digit limits set out in errors.
+
+Families and dimensions often share a J(k): compact-complex n=2 and
+riemannian n=4 both need 10341!.  Each factorial is formed once and
+kept, as a bare integer, in a process-wide cache of the 32 most recently
+used.  Under the default digit limit no factorial of more than about
+45,000 digits is formed (19 KB), so the cache holds at most about
+0.6 MB; the bound grows in proportion to PYTHONINTMAXSTRDIGITS.  The
+digit limits are checked on every call against the limit of that
+moment; no refusal is cached.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import (_FORMED_PER_PRINTED, FrozenValue, _digit_budget, _echo, _formed,
                      _refusal, _within)
 
 _EXACT_SPORADIC = frozenset({63, 65, 67, 69})
 _EXACT_FROM = 71
+
+_factorial = lru_cache(maxsize=32)(math.factorial)  # see the module docstring
 
 
 class BoundExpr(FrozenValue):
@@ -97,7 +109,7 @@ def jordan_gl(n: int) -> BoundExpr:
     if n >= _EXACT_FROM or n in _EXACT_SPORADIC:
         # (n+1)! > ((n+1)/e)^(n+1) >= ((n+1)//3)^(n+1)
         bits = (n + 1) * (((n + 1) // 3).bit_length() - 1)
-        return ExactInt(_formed(bits, lambda: math.factorial(n + 1)))
+        return ExactInt(_formed(bits, lambda: _factorial(n + 1)))
     return SymbolicJ(n)
 
 
@@ -146,7 +158,7 @@ def bound(family: str, n: int, components: int | None = None) -> BoundExpr:
     stabilizer: J(n) itself) and b components; components (b, default 1)
     applies to the WITH_COMPONENTS families only."""
     if family not in FAMILIES:
-        raise ValueError(f"unknown family of groups {family!r}")
+        raise ValueError(f"unknown family of groups {_echo(family)}")
     if components is not None and family not in WITH_COMPONENTS:
         raise ValueError(f"a component count does not apply to {family}")
     b = GroupDims(n, 1 if components is None else components).b

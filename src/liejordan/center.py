@@ -16,7 +16,8 @@ The center reads nothing but the Cartan matrix.  The public functions
 take a root datum; the CLI's center and faithful commands call the
 Cartan-matrix forms underneath them, so they never build the coroots.
 Only CenterClass, center_classes and pair build fractions, and only they
-import the fractions module, so rdim and faithful never load it.
+import the fractions module, so rdim and faithful never load it.  pair
+sums in integers over the common denominator and builds one Fraction.
 
 A weight evaluates on the class x/d to sum lambda_i x_i / d mod 1, and a
 central element acts trivially in the irreducible representation of
@@ -32,6 +33,7 @@ compare class sets, not individual lifts.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import FrozenValue, _echo
@@ -198,8 +200,10 @@ def pair(weight: DominantWeight, element) -> Fraction:
     if len(coords) != len(weight.coords):
         raise ValueError(
             f"element has {len(coords)} coordinates, weight has {len(weight.coords)}")
-    return sum((Fraction(c) * l for l, c in zip(weight.coords, coords)),
-               Fraction(0)) % 1
+    coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
+    den = math.lcm(*[c.denominator for c in coords])
+    s = sum(l * c.numerator * (den // c.denominator) for l, c in zip(weight.coords, coords))
+    return Fraction(s % den, den)
 
 
 def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:

@@ -26,7 +26,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import DEFAULT_JORDAN_LIMIT, ResourceGuardError, _digit_budget, _echo, _within
+from .errors import (_ECHO_CHARS, DEFAULT_JORDAN_LIMIT, ResourceGuardError, _digit_budget, _echo,
+                     _within)
 
 _BIG_DIGITS = 40
 
@@ -209,8 +210,11 @@ def _cmd_jordan_finite(args):
     try:
         with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.input}: {exc}") from None
+    except OSError as exc:  # written as OSError writes it, the path cut like any echo
+        path = _echo(args.input)
+        bare = args.input if len(args.input) <= _ECHO_CHARS else path
+        raise ValueError(
+            f"cannot read {bare}: [Errno {exc.errno}] {exc.strerror}: {path}") from None
     G = finitegroup.parse_group(text, max_order=args.jordan_limit)
     value, witness = finitegroup.jordan_constant_with_witness(G, max_order=args.jordan_limit)
     doc = {"order": G.order, "jordan_constant": value,

@@ -248,7 +248,7 @@ def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup
             mult.append(row)
         return FiniteGroup(mult)
 
-    raise ValueError(f"unknown format {kind!r}, expected 'perm' or 'table'")
+    raise ValueError(f"unknown format {_echo(kind)}, expected 'perm' or 'table'")
 
 
 def _cyclic_subgroups(mult, order) -> list[tuple[int, int]]:

@@ -90,7 +90,7 @@ class SimpleType(FrozenValue):
 
     def __init__(self, family: str, rank: int):
         if family not in _FAMILIES:
-            raise ValueError(f"unknown family {family!r}, expected one of A..G")
+            raise ValueError(f"unknown family {_echo(family)}, expected one of A..G")
         if type(rank) is not int:
             raise ValueError(f"rank must be an integer, got {_echo(rank)}")
         ranks = _FAMILIES[family][0]

@@ -9,10 +9,12 @@ and tie-breaks included, are the ones the current code must give.
 bareiss_center is the integer center that followed it: one fraction-free
 Gauss-Jordan elimination on the whole Cartan matrix, then the closure of
 every column of the adjugate.
+
+pair is the pairing that summed one Fraction product per coordinate.
 """
 from fractions import Fraction
 
-from liejordan.center import CenterClass, WeightSet, pair
+from liejordan.center import CenterClass, WeightSet
 from liejordan.minfaithful import RdimResult
 from liejordan.rootdata import (RootDatum, check_rank_budget,
                                 enumerate_dominant_weights, weyl_dim)
@@ -62,6 +64,16 @@ def _inverse(matrix) -> list[list[Fraction]]:
 def center_order(datum: RootDatum) -> int:
     """Order of the center: the determinant of the Cartan matrix."""
     return _det(datum.cartan)
+
+
+def pair(weight, element) -> Fraction:
+    """Value of a weight on a central element, as a fraction in [0, 1)."""
+    coords = element.coords if isinstance(element, CenterClass) else tuple(element)
+    if len(coords) != len(weight.coords):
+        raise ValueError(
+            f"element has {len(coords)} coordinates, weight has {len(weight.coords)}")
+    return sum((Fraction(c) * l for l, c in zip(weight.coords, coords)),
+               Fraction(0)) % 1
 
 
 def _mod1(vec) -> tuple[Fraction, ...]:

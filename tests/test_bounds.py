@@ -6,7 +6,7 @@ import pytest
 
 from liejordan import ResourceGuardError
 from liejordan.bounds import (FAMILIES, WITH_COMPONENTS, BoundExpr, ExactInt,
-                              GroupDims, Power, Product, SymbolicJ, bound,
+                              GroupDims, Power, Product, SymbolicJ, _factorial, bound,
                               bound_algebraic,
                               bound_compact_complex, bound_hyperbolic,
                               bound_lie, bound_lie_connected, bound_riemannian,
@@ -340,3 +340,49 @@ def test_digit_limit_is_exact_and_follows_the_int_str_limit():
         assert len(bound("lie", 7, 2).render()) == 4938
     finally:
         sys.set_int_max_str_digits(budget)
+
+
+@pytest.mark.parametrize("n", [71, 2128, 10340])
+def test_jordan_gl_forms_each_factorial_once(n):
+    expected = cached_slow_factorial(n + 1)
+    assert jordan_gl(n).value == expected
+    before = _factorial.cache_info()
+    assert jordan_gl(n).value == expected
+    after = _factorial.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def _refusal_message(make):
+    with pytest.raises(ResourceGuardError) as exc:
+        make()
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bound("compact-complex", 2).render(),       # formed, refused in print
+    lambda: bound("hyperbolic-stabilizer", 12286),      # formed, then refused
+    lambda: bound("hyperbolic-stabilizer", 14000),      # refused before it is formed
+], ids=["render", "after-forming", "before-forming"])
+def test_a_factorial_cached_under_a_raised_limit_is_refused_at_the_default(make):
+    _factorial.cache_clear()
+    uncached = _refusal_message(make)
+    budget = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(40000)
+        make()
+    finally:
+        sys.set_int_max_str_digits(budget)
+    assert _factorial.cache_info().currsize == 1
+    assert _refusal_message(make) == uncached
+
+
+def test_the_factorial_cache_is_bounded():
+    for n in range(71, 171):
+        jordan_gl(n)
+    assert _factorial.cache_info().currsize <= 32
+
+
+def test_families_sharing_a_factorial_refuse_it_alike():
+    for family, n in (("compact-complex", 2), ("riemannian", 4)):
+        with pytest.raises(ResourceGuardError, match="at least 37025 decimal digits"):
+            bound(family, n).render()

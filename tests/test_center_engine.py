@@ -6,15 +6,20 @@ and a Fraction inverse on every call, and runs the rdim DP over all
 integer vectors mod the Cartan determinant, computed once per datum, and
 stores only the reachable DP states.  Their center orders, class lists,
 faithfulness verdicts and rdim results, witnesses included, must agree.
+pair, which now sums in integers over a common denominator, must give the
+first pairing's value or raise its exception type on any element.
 """
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import old_center as old
-from liejordan.center import (WeightSet, center_classes, center_order,
-                              is_faithful)
+from liejordan.center import (CenterClass, WeightSet, center_classes, center_order,
+                              is_faithful, pair)
 from liejordan.minfaithful import rdim
 from liejordan.rootdata import DominantWeight, SimpleType, build_root_datum
 
@@ -69,3 +74,42 @@ def test_rdim_memory_does_not_follow_the_class_count():
     finally:
         tracemalloc.stop()
     assert peak < 0.4 * 2 ** 20
+
+
+_COORD = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(max_denominator=10 ** 4),
+    st.fractions(max_denominator=10 ** 4).map(str),
+    st.sampled_from(["x", "1/0", "", " 1/2 ", "-3/4", "2.5"]),
+)
+
+
+@st.composite
+def _weight_and_element(draw):
+    rank = draw(st.sampled_from(range(1, 10)))
+    coords = draw(st.lists(st.integers(0, 10 ** 6), min_size=rank, max_size=rank))
+    kind = draw(st.sampled_from(["vector", "class", "any-length"]))
+    if kind == "class":
+        d = draw(st.integers(2, 60))
+        x = draw(st.lists(st.integers(0, d - 1), min_size=rank, max_size=rank))
+        x[0] = x[0] or 1  # the identity class is not represented
+        return DominantWeight(tuple(coords)), CenterClass(tuple(Fraction(e, d) for e in x))
+    size = rank if kind == "vector" else draw(st.integers(0, 10))
+    return DominantWeight(tuple(coords)), draw(st.lists(_COORD, min_size=size, max_size=size))
+
+
+def _pairing(f, weight, element):
+    """(type, value) of f's answer, or the type of the exception it raised."""
+    try:
+        value = f(weight, element)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+    return type(value), value
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weight_and_element())
+def test_pair_matches_the_fraction_pairing(case):
+    weight, element = case
+    assert _pairing(pair, weight, element) == _pairing(old.pair, weight, element)
+

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from liejordan.bounds import bound
 from liejordan.cli import main
 from test_finitegroup import cyclic_table
 
@@ -420,6 +421,45 @@ def test_long_integer_flags_are_quoted_short(capsys, argv, value):
     assert exc.value.code == 2
     assert f"invalid int value: {value[:40]!r}...\n" in err
     assert len(err) < 400
+
+
+def _refusal(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    return err
+
+
+def _group_with_kind(capsys, kind):
+    Path("kind.grp").write_text(f"{kind} 2\n")
+    return _refusal(capsys, "jordan-finite", "--input", "kind.grp")
+
+
+# How each name reaches its message, and the message for the short name 'qq'.
+_UNKNOWN_NAMES = {
+    "family": (lambda capsys, name: _refusal(capsys, "rdim", "--family", name, "--rank", "2"),
+               "error: unknown family 'QQ', expected one of A..G\n"),
+    "group-format": (_group_with_kind,
+                     "error: unknown format 'qq', expected 'perm' or 'table'\n"),
+    "input-path": (lambda capsys, name: _refusal(capsys, "jordan-finite", "--input", name),
+                   "error: cannot read qq: [Errno 2] No such file or directory: 'qq'\n"),
+    "family-of-groups": (lambda capsys, name: str(pytest.raises(ValueError, bound, name, 1).value),
+                         "unknown family of groups 'qq'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNKNOWN_NAMES))
+def test_unknown_names_are_quoted_short(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    message, short = _UNKNOWN_NAMES[case]
+    assert len(message(capsys, "x" * 5000).encode()) < 300
+    assert message(capsys, "qq") == short
+
+
+def test_an_unreadable_long_path_is_cut_in_both_places(capsys, tmp_path):
+    path = str(tmp_path / ("x" * 60))
+    assert _refusal(capsys, "jordan-finite", "--input", path) == (
+        f"error: cannot read {path[:40]!r}...: [Errno 2] No such file or directory: "
+        f"{path[:40]!r}...\n")
 
 
 def test_an_order_limit_below_one_exits_2(capsys):

@@ -6,8 +6,9 @@ renders it through one renderer.  Exit codes, stdout and stderr must agree
 on every subcommand in every format, refusals included.  Inputs whose
 outcome changed on purpose (weight coordinates past the int->str digit
 limit, Weyl products refused before they are formed, permutation groups
-over --jordan-limit refused during their closure) are tested in
-test_cli.py instead.
+over --jordan-limit refused during their closure, unreadable input paths
+of more than 40 characters, cut in the message) are tested in test_cli.py
+instead.
 """
 import sys
 from functools import lru_cache
@@ -79,7 +80,7 @@ CASES = {
         ["--input", str(FIXTURES / "s3.grp")],
         ["--input", str(FIXTURES / "corpus" / "o08_q8.grp")],
         ["--input", str(FIXTURES / "corpus" / "o01_c1.grp")],
-        ["--input", str(FIXTURES / "no-such-group.grp")],
+        ["--input", "no-such-group.grp"],  # short, so its path is written in full
         ["--input", BAD_TABLE],
         ["--input", str(FIXTURES / "corpus" / "o24_s4.grp"), "--jordan-limit", "20"],
         ["--input", str(FIXTURES / "corpus" / "o24_s4.grp"), "--jordan-limit", "24"],
