@@ -157,7 +157,7 @@ def bound(family: str, n: int, components: int | None = None) -> BoundExpr:
     identity component of dimension m = FAMILIES[family](n) (the hyperbolic
     stabilizer: J(n) itself) and b components; components (b, default 1)
     applies to the WITH_COMPONENTS families only."""
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown family of groups {_echo(family)}")
     if components is not None and family not in WITH_COMPONENTS:
         raise ValueError(f"a component count does not apply to {family}")

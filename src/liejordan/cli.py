@@ -82,6 +82,21 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
 
 
+class _Quoted(str):
+    """A command-line value whose repr, in argparse's own messages, is cut
+    as _echo cuts it."""
+
+    def __repr__(self) -> str:
+        return _echo(str(self))
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, quoting an invalid choice (a --format, a subcommand) short."""
+
+    def _check_value(self, action, value):
+        super()._check_value(action, _Quoted(value) if isinstance(value, str) else value)
+
+
 def _parse_type(args):
     from .rootdata import SimpleType
     return SimpleType(args.family.upper(), args.rank)
@@ -232,7 +247,7 @@ def _add_type_flags(sub):
 
 def build_parser() -> argparse.ArgumentParser:
     from .bounds import FAMILIES  # the --family-of-groups choices
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liejordan",
         description="Minimal faithful representation dimensions and Jordan constant bounds")
     subs = parser.add_subparsers(dest="command", required=True)

@@ -15,14 +15,18 @@ states, or 6.
 
 The search for candidate weights is capped by the total dimension of the
 cheapest faithful set of fundamental weights, found by the same DP; their
-dimensions, probed once for the cap, are handed to the enumeration, whose
-first probe at each position would be those weights again.  The
-fundamental weights together are faithful, so that total is at least the
-optimum, and every weight of an optimal or tied set has dimension at most
-the optimum: the cap changes neither the answer nor its witness.  The
-total never passes 2**rank + 10, which only F4's 26 reaches, so the
-enumeration's budget check on caps over 2**max_rank() + 10 is never what
-refuses an rdim within the rank budget.
+dimensions, probed once for the cap, are handed to the enumeration.  It
+takes them for its first probe at each position, which would be those
+weights again, and for its prune: no weight lambda + omega_i with
+dim(lambda) + dim(omega_i) - 1 over the cap is probed, since
+dim(lambda + mu) >= dim(lambda) + dim(mu) - 1 for dominant lambda, mu
+(see enumerate_dominant_weights).  The fundamental weights together are
+faithful, so that total is at least the optimum, and every weight of an
+optimal or tied set has dimension at most the optimum: neither the cap
+nor the prune changes the answer or its witness.  The total never passes
+2**rank + 10, which only F4's 26 reaches, so the enumeration's budget
+check on caps over 2**max_rank() + 10 is never what refuses an rdim
+within the rank budget.
 """
 from __future__ import annotations
 
@@ -55,15 +59,18 @@ def _cheapest_cover(weighted, d: int, classes):
 
     Each weight covers the classes its central character does not kill,
     and the top bit, which stands for the set being nonempty; equal
-    coverage masks keep only the first, cheapest weight.
+    coverage masks keep only the first, cheapest weight.  A character is
+    a dot product over the weight's nonzero coordinates only, one for a
+    fundamental weight.
     """
     nonempty = 1 << len(classes)
     items = []
     seen_masks = set()
     for w, dim in weighted:
         mask = nonempty
+        support = [(i, l) for i, l in enumerate(w.coords) if l]
         for bit, x in enumerate(classes):
-            if sum(l * c for l, c in zip(w.coords, x)) % d:
+            if sum(l * x[i] for i, l in support) % d:
                 mask |= 1 << bit
         if mask not in seen_masks:
             seen_masks.add(mask)

@@ -89,7 +89,7 @@ class SimpleType(FrozenValue):
     __slots__ = ("family", "rank")
 
     def __init__(self, family: str, rank: int):
-        if family not in _FAMILIES:
+        if not isinstance(family, str) or family not in _FAMILIES:
             raise ValueError(f"unknown family {_echo(family)}, expected one of A..G")
         if type(rank) is not int:
             raise ValueError(f"rank must be an integer, got {_echo(rank)}")
@@ -145,30 +145,37 @@ def _positive_roots(cartan) -> list[tuple[int, ...]]:
     """Positive roots of the system with this Cartan matrix, as coordinate
     vectors over the simple roots, sorted by height then lexicographically.
 
-    Reflection closure: starting from the simple roots, apply simple
-    reflections and keep whatever stays non-negative.  Every positive root
-    is reachable this way because a positive non-simple root always has a
-    reflection lowering its height through another positive root.  Each
-    root travels with its pairings p against the simple coroots: the image
-    v - p[j] alpha_j pairs to p - p[j] * (row j), and only its coordinate
-    j can turn negative.
+    Reflection closure upwards: starting from the simple roots, apply each
+    simple reflection s_j that raises the height, those with p[j] < 0 for
+    the root's pairings p against the simple coroots.  Every positive root
+    is reachable this way: a positive non-simple root b pairs positively
+    with some simple coroot j, so s_j b is a positive root of lower height,
+    and b is s_j of it, reached by a raising reflection.  Each root travels
+    with its pairings: the image v - p[j] alpha_j pairs to
+    p - p[j] * (row j).  Row j is nonzero only at j and its Dynkin
+    neighbours, at most 4 entries, so the image's pairings are a copy of p
+    with just those entries updated.
     """
     rank = len(cartan)
     simple = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
+    support = [[(k, b) for k, b in enumerate(row) if b] for row in cartan]
     found = set(simple)
-    frontier = list(zip(simple, cartan))
+    frontier = list(zip(simple, map(list, cartan)))
     while frontier:
         nxt = []
         for vec, pairing in frontier:
             for j, p in enumerate(pairing):
-                if p == 0 or vec[j] < p:  # the image is vec, or is not positive
+                if p >= 0:  # s_j keeps or lowers the height
                     continue
                 image = list(vec)
                 image[j] -= p
                 image = tuple(image)
                 if image not in found:
                     found.add(image)
-                    nxt.append((image, [a - p * b for a, b in zip(pairing, cartan[j])]))
+                    moved = pairing.copy()
+                    for k, b in support[j]:
+                        moved[k] -= p * b
+                    nxt.append((image, moved))
         frontier = nxt
     return sorted(found, key=lambda v: (sum(v), v))
 
@@ -283,9 +290,19 @@ def enumerate_dominant_weights(
     vector is evaluated once: appending a zero keeps its dimension.  The
     Weyl factors <coords + rho, c> travel down the search, and raising
     coordinate pos by one adds column pos of the coroots to them.
-    fundamental_dims, the dimensions of the fundamental weights in node
-    order when the caller has them, stand in for the first probe at each
-    position after an all-zero prefix, which is that fundamental weight.
+
+    The search also stops before raising coordinate pos when
+    dim + fundamental_dims[pos] - 1 > cap, since for dominant lambda, mu
+    dim(lambda + mu) >= dim(lambda) + dim(mu) - 1, and every completion
+    is at least lambda + omega_pos.  Proof: each Weyl ratio
+    <lambda + mu + rho, c> / <rho, c> is 1 + x_c + y_c, with
+    x_c = <lambda, c> / <rho, c> >= 0 and y_c likewise for mu; expanding
+    the product gives every monomial of prod(1 + x_c) and of
+    prod(1 + y_c), and the constant 1 only once.  The fundamental
+    dimensions, in node order, are probed here unless the caller hands
+    them in as fundamental_dims; they also stand for the first probe at
+    each position after an all-zero prefix, which is that fundamental
+    weight.
 
     Caps above 2**max_rank() + 10 are refused unless allow_large_cap is
     set, to keep accidental huge searches from running away.  rdim
@@ -299,6 +316,8 @@ def enumerate_dominant_weights(
     if not allow_large_cap and cap.bit_length() > budget and cap > 2 ** budget + 10:
         raise RankBudgetError(f"cap {_echo(cap)} exceeds budget {_echo(2 ** budget + 10)}; "
                               "pass allow_large_cap=True to override")
+    if fundamental_dims is None:
+        fundamental_dims = [dim for _, dim in _fundamental_weights(datum)]
     rank = datum.rank
     columns = list(zip(*datum.positive_coroots))
     coords = [0] * rank
@@ -312,14 +331,15 @@ def enumerate_dominant_weights(
                 out.append((DominantWeight(tuple(coords)), dim))
             return
         extend(pos + 1, factors, dim)
-        column = columns[pos]
+        column, fundamental = columns[pos], fundamental_dims[pos]
+        grown = dim
         for value in itertools.count(1):
+            if grown + fundamental - 1 > cap:  # no completion of coords + omega_pos fits
+                break
             coords[pos] = value
             factors = list(map(add, factors, column))
-            if dim == 1 and value == 1 and fundamental_dims:  # a fundamental weight
-                grown = fundamental_dims[pos]
-            else:
-                grown = _weyl_dim(datum, coords, factors)
+            # Only the zero weight has dimension 1, so then coords is omega_pos.
+            grown = fundamental if grown == 1 else _weyl_dim(datum, coords, factors)
             if grown > cap:
                 break
             extend(pos + 1, factors, grown)

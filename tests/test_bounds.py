@@ -295,6 +295,8 @@ def test_family_table_matches_paper_formulas():
 def test_bound_validates_its_arguments():
     with pytest.raises(ValueError):
         bound("no-such-family", 1)
+    with pytest.raises(ValueError, match=r"^unknown family of groups \[x\]$"):
+        bound(["x"], 1)
     with pytest.raises(ValueError):
         bound("lie", -1)
     with pytest.raises(ValueError):

@@ -423,6 +423,19 @@ def test_long_integer_flags_are_quoted_short(capsys, argv, value):
     assert len(err) < 400
 
 
+@pytest.mark.parametrize("argv", [
+    ["rdim", "--family", "A", "--rank", "2", "--format"], [],
+], ids=["format", "subcommand"])
+def test_long_invalid_choices_are_quoted_short(capsys, argv):
+    value = "x" * 5000
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, value])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"invalid choice: {value[:40]!r}... (choose from " in err
+    assert len(err.encode()) < 300
+
+
 def _refusal(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")

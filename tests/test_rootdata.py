@@ -28,7 +28,7 @@ def _fund(rank, i):
 @pytest.mark.parametrize("fam,rank", [
     ("A", 0), ("B", 1), ("C", 1), ("D", 2), ("E", 5), ("E", 9),
     ("F", 3), ("F", 5), ("G", 1), ("G", 3), ("H", 2), ("AB", 1),
-    ("A", 2.5), ("E", 6.0), ("A", "3"), ("A", True), ("B", None),
+    ("A", 2.5), ("E", 6.0), ("A", "3"), ("A", True), ("B", None), (["A"], 2),
 ])
 def test_invalid_types_rejected(fam, rank):
     with pytest.raises(ValueError):
