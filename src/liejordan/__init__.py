@@ -19,11 +19,10 @@ import importlib
 
 # Public name -> the module that defines it.
 _EXPORTS = {name: module for module, names in (
-    ("bounds", "BoundExpr ExactInt GroupDims Power Product SymbolicJ bound "
-               "bound_algebraic bound_compact_complex bound_hyperbolic bound_lie "
-               "bound_lie_connected bound_riemannian expr_to_json jordan_gl "
-               "stabilizer_bound_hyperbolic"),
-    ("center", "CenterClass WeightSet center_classes center_order is_faithful pair"),
+    ("bounds", "Bound GroupDims bound bound_algebraic bound_compact_complex "
+               "bound_hyperbolic bound_lie bound_lie_connected bound_riemannian "
+               "expr_to_json stabilizer_bound_hyperbolic"),
+    ("center", "CenterClass WeightSet center_classes is_faithful pair"),
     ("errors", "OrderLimitError RankBudgetError ResourceGuardError"),
     ("finitegroup", "FiniteGroup Subgroup all_subgroups jordan_constant "
                     "jordan_constant_with_witness parse_group"),

@@ -1,11 +1,11 @@
-"""Exact bound expressions for Jordan constants of transformation groups.
+"""Exact bounds for Jordan constants of transformation groups.
 
 The driving quantity is the Jordan constant J(n) of the complex general
 linear group in dimension n.  It equals (n+1)! once n is at least 71
 and also at n in {63, 65, 67, 69}; for the remaining small n the exact
-value is not pinned down here, so those atoms stay symbolic.  Every
-bound below is either an exact integer or a product/power expression
-over symbolic J atoms, never a float.
+value is not pinned down here, so it stays symbolic.  Every bound below
+is one value b * J(k)^b, held as its exact integer or, while J(k) stays
+symbolic, as k and b; never as a float.
 
 Dimension-zero groups are trivial, so J(0) = 1 by convention; callers
 that care can flag when that convention fired.  Exact values are kept
@@ -34,83 +34,24 @@ _EXACT_FROM = 71
 _factorial = lru_cache(maxsize=32)(math.factorial)  # see the module docstring
 
 
-class BoundExpr(FrozenValue):
-    """Base class for exact bound values and symbolic bound expressions;
-    render() takes an optional formatter for the exact integers in it."""
+class Bound(FrozenValue):
+    """The bound b * J(k)^b: value is its exact integer, or None while J(k)
+    stays symbolic.  render() takes an optional formatter for the exact
+    integers in it."""
 
-    __slots__ = ()
+    __slots__ = ("value", "k", "b")
 
-    def is_exact(self) -> bool:
-        return isinstance(self, ExactInt)
-
-
-class ExactInt(BoundExpr):
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        if value < 1:
-            raise ValueError(f"bounds are positive integers, got {_echo(value)}")
+    def __init__(self, value: int | None, k: int, b: int):
         object.__setattr__(self, "value", value)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "b", b)
 
     def render(self, fmt=str) -> str:
-        return fmt(_within(self.value, _digit_budget()))
-
-
-class SymbolicJ(BoundExpr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: int):
-        if not (1 <= arg < _EXACT_FROM) or arg in _EXACT_SPORADIC:
-            raise ValueError(f"J({_echo(arg)}) has a known exact value and must not stay symbolic")
-        object.__setattr__(self, "arg", arg)
-
-    def render(self, fmt=str) -> str:
-        return f"J({self.arg})"
-
-
-class Power(BoundExpr):
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: BoundExpr, exponent: int):
-        if exponent < 2:
-            raise ValueError(f"power nodes need exponent >= 2, got {_echo(exponent)}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
-    def render(self, fmt=str) -> str:
-        base = self.base.render(fmt)
-        if isinstance(self.base, Product):
-            base = f"({base})"
-        return f"{base}^{self.exponent}"
-
-
-class Product(BoundExpr):
-    __slots__ = ("operands",)
-
-    def __init__(self, operands: tuple[BoundExpr, ...]):
-        if len(operands) < 2:
-            raise ValueError("product nodes need at least two operands")
-        object.__setattr__(self, "operands", tuple(operands))
-
-    def render(self, fmt=str) -> str:
-        return " * ".join(op.render(fmt) for op in self.operands)
-
-
-def jordan_gl(n: int) -> BoundExpr:
-    """Jordan constant of the n-dimensional complex general linear group.
-
-    Exactly (n+1)! for n >= 71 and for n in {63, 65, 67, 69}; 1 for
-    n = 0; a symbolic atom J(n) otherwise.
-    """
-    if n < 0:
-        raise ValueError(f"dimension must be non-negative, got {_echo(n)}")
-    if n == 0:
-        return ExactInt(1)
-    if n >= _EXACT_FROM or n in _EXACT_SPORADIC:
-        # (n+1)! > ((n+1)/e)^(n+1) >= ((n+1)//3)^(n+1)
-        bits = (n + 1) * (((n + 1) // 3).bit_length() - 1)
-        return ExactInt(_formed(bits, lambda: _factorial(n + 1)))
-    return SymbolicJ(n)
+        if self.value is not None:
+            return fmt(_within(self.value, _digit_budget()))
+        if self.b == 1:
+            return f"J({self.k})"
+        return f"{fmt(_within(self.b, _digit_budget()))} * J({self.k})^{self.b}"
 
 
 # Group dimension m of each family as a function of n; None marks the
@@ -152,76 +93,76 @@ class GroupDims(FrozenValue):
         object.__setattr__(self, "b", b)
 
 
-def bound(family: str, n: int, components: int | None = None) -> BoundExpr:
-    """Jordan bound b * J(m(2^m + 10))^b for a group of the family with an
-    identity component of dimension m = FAMILIES[family](n) (the hyperbolic
-    stabilizer: J(n) itself) and b components; components (b, default 1)
-    applies to the WITH_COMPONENTS families only."""
+def bound(family: str, n: int, components: int | None = None) -> Bound:
+    """Jordan bound b * J(k)^b, k = m(2^m + 10), for a group of the family with
+    an identity component of dimension m = FAMILIES[family](n) (the hyperbolic
+    stabilizer: k = n) and b components; components (b, default 1) applies to
+    the WITH_COMPONENTS families only."""
     if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown family of groups {_echo(family)}")
     if components is not None and family not in WITH_COMPONENTS:
         raise ValueError(f"a component count does not apply to {family}")
     b = GroupDims(n, 1 if components is None else components).b
     group_dim = FAMILIES[family]
-    j = jordan_gl(n if group_dim is None else _linear_cap(group_dim(n)))
+    k = n if group_dim is None else _linear_cap(group_dim(n))
+    if 0 < k < _EXACT_FROM and k not in _EXACT_SPORADIC:
+        return Bound(None, k, b)
+    # (k+1)! > ((k+1)/e)^(k+1) >= ((k+1)//3)^(k+1)
+    bits = (k + 1) * (((k + 1) // 3).bit_length() - 1)
+    x = _formed(bits, lambda: _factorial(k + 1))
     if b == 1:
-        return j
-    if not j.is_exact():
-        return Product((ExactInt(b), Power(j, b)))
-    x = j.value
+        return Bound(x, k, b)
     power = _formed(b * (x.bit_length() - 1), lambda: x ** b)
-    return ExactInt(_formed(b.bit_length() + power.bit_length() - 2, lambda: b * power))
+    return Bound(_formed(b.bit_length() + power.bit_length() - 2, lambda: b * power), k, b)
 
 
-def bound_lie(dims: GroupDims) -> BoundExpr:
+def bound_lie(dims: GroupDims) -> Bound:
     """Lie group with an n-dimensional identity component and b components."""
     return bound("lie", dims.n, dims.b)
 
 
-def bound_lie_connected(n: int) -> BoundExpr:
+def bound_lie_connected(n: int) -> Bound:
     """Connected Lie group of dimension n."""
     return bound("lie-connected", n)
 
 
-def bound_algebraic(dims: GroupDims) -> BoundExpr:
+def bound_algebraic(dims: GroupDims) -> Bound:
     """Complex algebraic group, n-dimensional identity component, b components."""
     return bound("algebraic", dims.n, dims.b)
 
 
-def bound_compact_complex(n: int) -> BoundExpr:
+def bound_compact_complex(n: int) -> Bound:
     """Automorphism group of a compact complex n-manifold."""
     return bound("compact-complex", n)
 
 
-def bound_hyperbolic(n: int) -> BoundExpr:
+def bound_hyperbolic(n: int) -> Bound:
     """Isometry group of hyperbolic n-space, inside PGL of dimension (n+1)^2 - 1."""
     return bound("hyperbolic", n)
 
 
-def stabilizer_bound_hyperbolic(n: int) -> BoundExpr:
+def stabilizer_bound_hyperbolic(n: int) -> Bound:
     """Point stabilizer in the hyperbolic isometry group: linear in dimension n."""
     return bound("hyperbolic-stabilizer", n)
 
 
-def bound_riemannian(n: int) -> BoundExpr:
+def bound_riemannian(n: int) -> Bound:
     """Isometry group of a compact Riemannian n-manifold."""
     return bound("riemannian", n)
 
 
-def expr_to_json(expr: BoundExpr) -> dict:
-    """Serialize a bound expression to a JSON-ready dict.
+def expr_to_json(expr: Bound) -> dict:
+    """Serialize a bound to a JSON-ready dict: an exact integer, the atom
+    J(k), or the product of b and the power J(k)^b.
 
     Integers travel as decimal strings so arbitrary-precision values
     survive any JSON reader.
     """
-    if isinstance(expr, ExactInt):
+    if expr.value is not None:
         return {"kind": "exact", "value": expr.render()}
-    if isinstance(expr, SymbolicJ):
-        return {"kind": "symbolic_j", "arg": expr.arg}
-    if isinstance(expr, Power):
-        return {"kind": "power", "operands": [expr_to_json(expr.base)],
-                "exponent": expr.exponent}
-    if isinstance(expr, Product):
-        return {"kind": "product",
-                "operands": [expr_to_json(op) for op in expr.operands]}
-    raise TypeError(f"not a bound expression: {expr!r}")
+    j = {"kind": "symbolic_j", "arg": expr.k}
+    if expr.b == 1:
+        return j
+    return {"kind": "product", "operands": [
+        {"kind": "exact", "value": str(_within(expr.b, _digit_budget()))},
+        {"kind": "power", "operands": [j], "exponent": expr.b}]}

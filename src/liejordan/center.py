@@ -170,11 +170,6 @@ def _center(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, 
     return d, tuple(sorted(classes))
 
 
-def center_order(datum: RootDatum) -> int:
-    """Order of the center: the determinant of the Cartan matrix."""
-    return _center(datum.cartan)[0]
-
-
 def center_classes(datum: RootDatum) -> list[CenterClass]:
     """All nonidentity central classes, sorted lexicographically."""
     return _center_classes(datum.cartan)

@@ -91,10 +91,19 @@ class _Quoted(str):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, quoting an invalid choice (a --format, a subcommand) short."""
+    """argparse, quoting an invalid choice (a --format, a subcommand) short
+    and cutting an echo of unrecognized arguments as _echo cuts input."""
 
     def _check_value(self, action, value):
         super()._check_value(action, _Quoted(value) if isinstance(value, str) else value)
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            text = " ".join(extras)
+            cut = text[:_ECHO_CHARS] + ("..." if len(text) > _ECHO_CHARS else "")
+            self.error(f"unrecognized arguments: {cut}")
+        return args
 
 
 def _parse_type(args):

@@ -14,9 +14,9 @@ printed with up to the limit itself; past either, ResourceGuardError.
 User input is quoted in messages cut to its first 40 characters.
 
 FrozenValue is the base of every value class (types, weights, root data,
-center classes, bound expressions, subgroups).  It behaves as a frozen
-dataclass over the subclass's __slots__ without importing dataclasses,
-which costs more to load than most CLI answers take to compute.
+center classes, bounds, subgroups).  It behaves as a frozen dataclass over
+the subclass's __slots__ without importing dataclasses, which costs more to
+load than most CLI answers take to compute.
 """
 from __future__ import annotations
 

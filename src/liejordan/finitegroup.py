@@ -19,7 +19,9 @@ nonabelian one at least 2, so:
 * J = |G|: G itself, the only subgroup that large;
 * J = 2: the least nonabelian subgroup, which two noncommuting elements
   generate;
-* otherwise the first F of the lattice walk that attains J.
+* otherwise the first F of the lattice walk that attains J: a nonabelian
+  F whose order J divides, with |F| / |A_F| = J for a largest normal
+  abelian subgroup A_F of F, found by the same search within F.
 
 In the lattice walk and the scan, subgroups are int bitmasks over the
 element indices, so a subset test is a & ~b == 0.  Enumeration is cyclic
@@ -29,9 +31,8 @@ cyclic subgroups, so extending each known subgroup by each cyclic
 subgroup <g> not already inside it, breadth first from the trivial
 group, finds the whole lattice.  A join <H, g> is grown from H coset by
 coset.  Each subgroup keeps the generator list that built it, which
-makes the abelian test (generators commute) and normality (conjugates
-of generators stay inside) cheap; the minimal-index scan takes the
-abelian subgroups largest first, so the first normal one inside F wins.
+makes the abelian test (generators commute) and conjugation within it
+(by its generators) cheap.
 
 One order limit guards it all, since subgroup lattices explode quickly;
 it is checked on a table's header, during a permutation closure, and
@@ -348,41 +349,17 @@ def all_subgroups(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> list
     return subs
 
 
-def _mask(elements) -> int:
-    return sum(1 << e for e in elements)
-
-
 def _commute(mult, elements) -> bool:
     return all(mult[a][b] == mult[b][a] for a in elements for b in elements)
 
 
-def _abelian_largest_first(G: FiniteGroup, lattice) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The abelian subgroups of the lattice as (mask, order, generators),
-    largest first: a subgroup is abelian when its generators commute."""
-    return [(_mask(A.elements), A.order, A.generators) for A in reversed(lattice)
-            if _commute(G.mult, A.generators)]
-
-
-def _min_index(G: FiniteGroup, fmask: int, order: int, conjugators, abelian) -> int:
-    """Least index of a normal abelian subgroup of F, given by its mask, order
-    and a generating set.  The first abelian subgroup, largest first, that
-    lies in F and that every conjugator maps into itself (checking its
-    generators suffices) attains it."""
+def _conjugacy_classes(G: FiniteGroup, elements, gens) -> list[tuple[int, list[int]]]:
+    """Each conjugacy class of the subgroup with these sorted elements and
+    generators, as (mask, elements from the least one): its orbit under
+    conjugation by the generators."""
     mult, inv = G.mult, G.inverses
-    for amask, aorder, agens in abelian:
-        if not amask & ~fmask and all(
-                amask >> mult[mult[g][a]][inv[g]] & 1
-                for g in conjugators for a in agens):
-            return order // aorder
-    return order
-
-
-def _conjugacy_classes(G: FiniteGroup) -> list[tuple[int, list[int]]]:
-    """Each conjugacy class as (mask, elements from the least one): its
-    orbit under conjugation by the generators."""
-    mult, inv, gens = G.mult, G.inverses, G._generators
     classes, seen = [], 0
-    for c in range(G.order):
+    for c in elements:
         if not seen >> c & 1:
             orbit, omask = [c], 1 << c
             for x in orbit:
@@ -396,8 +373,9 @@ def _conjugacy_classes(G: FiniteGroup) -> list[tuple[int, list[int]]]:
     return classes
 
 
-def _largest_normal_abelian(G: FiniteGroup) -> int:
-    """Order of the largest normal abelian subgroup of G.
+def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
+    """Order of the largest normal abelian subgroup of the subgroup F of G
+    with these sorted elements and generators.
 
     Each one A lies in the normal abelian AZ, with Z the center, so the
     search runs over unions of conjugacy classes that contain Z.  A class
@@ -408,26 +386,26 @@ def _largest_normal_abelian(G: FiniteGroup) -> int:
     so each subgroup found is extended by every class, not only by later
     ones.
     """
-    mult, n = G.mult, G.order
+    mult = G.mult
     cols = tuple(zip(*mult))
-    bits = [1 << i for i in range(n)]
+    bits = [1 << i for i in range(G.order)]
     center, classes = [], []
-    for omask, orbit in _conjugacy_classes(G):
+    for omask, orbit in _conjugacy_classes(G, elements, gens):
         c = orbit[0]
         if len(orbit) == 1:
             center.append(c)
             continue
         row, col = mult[c], cols[c]
-        commuting = sum(bits[x] for x in range(n) if row[x] == col[x])
+        commuting = sum(bits[x] for x in elements if row[x] == col[x])
         if not omask & ~commuting:
             classes.append((omask, orbit, commuting))
-    start = _mask(center)
+    start = sum(map(bits.__getitem__, center))
     found, stack = {start}, [(start, center)]
     while stack:
-        mask, elements = stack.pop()
+        mask, members = stack.pop()
         for omask, orbit, commuting in classes:
             if omask & ~mask and not mask & ~commuting:
-                bigger, grown = _join(mult, cols, bits, elements, mask, orbit)
+                bigger, grown = _join(mult, cols, bits, members, mask, orbit)
                 if bigger not in found:
                     found.add(bigger)
                     stack.append((bigger, grown))
@@ -449,7 +427,7 @@ def _least_nonabelian(G: FiniteGroup) -> Subgroup:
     mult, n = G.mult, G.order
     cols = tuple(zip(*mult))
     m, first = n, None
-    for _, orbit in _conjugacy_classes(G):
+    for _, orbit in _conjugacy_classes(G, range(n), G._generators):
         a = orbit[0]
         row, col = mult[a], cols[a]
         for b in range(1, n):
@@ -490,12 +468,10 @@ def jordan_constant_with_witness(
         return value, Subgroup(tuple(range(G.order)), G._generators)
     if value == 2:
         return value, _least_nonabelian(G)
-    lattice = all_subgroups(G, max_order)
-    abelian = _abelian_largest_first(G, lattice)
     return value, next(
-        F for F in lattice
-        if F.order >= value and not _commute(G.mult, F.generators)
-        and _min_index(G, _mask(F.elements), F.order, F.generators, abelian) == value)
+        F for F in all_subgroups(G, max_order)
+        if F.order % value == 0 and not _commute(G.mult, F.generators)
+        and F.order // _largest_normal_abelian(G, F.elements, F.generators) == value)
 
 
 def jordan_constant(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> int:
@@ -504,4 +480,4 @@ def jordan_constant(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> in
     _check_order(G, max_order)
     if _commute(G.mult, G._generators):
         return 1
-    return G.order // _largest_normal_abelian(G)
+    return G.order // _largest_normal_abelian(G, range(G.order), G._generators)

@@ -1,17 +1,14 @@
-"""Exact Jordan-bound expressions and their JSON form."""
+"""Exact Jordan bounds and their JSON form."""
 import functools
 import sys
 
 import pytest
 
 from liejordan import ResourceGuardError
-from liejordan.bounds import (FAMILIES, WITH_COMPONENTS, BoundExpr, ExactInt,
-                              GroupDims, Power, Product, SymbolicJ, _factorial, bound,
-                              bound_algebraic,
-                              bound_compact_complex, bound_hyperbolic,
+from liejordan.bounds import (FAMILIES, WITH_COMPONENTS, Bound, GroupDims, _factorial, bound,
+                              bound_algebraic, bound_compact_complex, bound_hyperbolic,
                               bound_lie, bound_lie_connected, bound_riemannian,
-                              expr_to_json, jordan_gl,
-                              stabilizer_bound_hyperbolic)
+                              expr_to_json, stabilizer_bound_hyperbolic)
 from paper_literals import consistency_check_bounds
 
 
@@ -23,20 +20,34 @@ def slow_factorial(n):
     return out
 
 
+def jordan_gl(n):
+    """J(n) of the general linear group in dimension n: the hyperbolic
+    stabilizer's bound."""
+    return bound("hyperbolic-stabilizer", n)
+
+
+def exact(value, k, b=1):
+    return Bound(value, k, b)
+
+
+def symbolic(k, b=1):
+    return Bound(None, k, b)
+
+
 def test_jordan_gl_exact_range():
-    assert jordan_gl(0) == ExactInt(1)
-    assert jordan_gl(71) == ExactInt(slow_factorial(72))
-    assert jordan_gl(100) == ExactInt(slow_factorial(101))
+    assert jordan_gl(0) == exact(1, 0)
+    assert jordan_gl(71) == exact(slow_factorial(72), 71)
+    assert jordan_gl(100) == exact(slow_factorial(101), 100)
     for n in (63, 65, 67, 69):
-        assert jordan_gl(n) == ExactInt(slow_factorial(n + 1))
+        assert jordan_gl(n) == exact(slow_factorial(n + 1), n)
 
 
 def test_jordan_gl_symbolic_range():
-    assert jordan_gl(10) == SymbolicJ(10)
-    assert jordan_gl(1) == SymbolicJ(1)
-    assert jordan_gl(62) == SymbolicJ(62)
-    assert jordan_gl(64) == SymbolicJ(64)
-    assert jordan_gl(70) == SymbolicJ(70)
+    assert jordan_gl(10) == symbolic(10)
+    assert jordan_gl(1) == symbolic(1)
+    assert jordan_gl(62) == symbolic(62)
+    assert jordan_gl(64) == symbolic(64)
+    assert jordan_gl(70) == symbolic(70)
     with pytest.raises(ValueError):
         jordan_gl(-1)
 
@@ -58,54 +69,53 @@ def test_group_dims_validation():
 
 
 def test_bound_lie():
-    assert bound_lie(GroupDims(4)) == ExactInt(slow_factorial(105))
-    assert bound_lie(GroupDims(0)) == ExactInt(1)
-    assert bound_lie(GroupDims(3, 2)) == Product(
-        (ExactInt(2), Power(SymbolicJ(54), 2)))
-    assert bound_lie(GroupDims(2)) == SymbolicJ(28)
-    assert bound_lie(GroupDims(1)) == SymbolicJ(12)
+    assert bound_lie(GroupDims(4)) == exact(slow_factorial(105), 104)
+    assert bound_lie(GroupDims(0)) == exact(1, 0)
+    assert bound_lie(GroupDims(3, 2)) == symbolic(54, 2)
+    assert bound_lie(GroupDims(2)) == symbolic(28)
+    assert bound_lie(GroupDims(1)) == symbolic(12)
 
 
 def test_bound_lie_connected():
-    assert bound_lie_connected(4) == ExactInt(slow_factorial(105))
-    assert bound_lie_connected(0) == ExactInt(1)
-    assert bound_lie_connected(5) == ExactInt(slow_factorial(211))
-    assert bound_lie_connected(3) == SymbolicJ(54)
+    assert bound_lie_connected(4) == exact(slow_factorial(105), 104)
+    assert bound_lie_connected(0) == exact(1, 0)
+    assert bound_lie_connected(5) == exact(slow_factorial(211), 210)
+    assert bound_lie_connected(3) == symbolic(54)
 
 
 def test_bound_algebraic():
-    assert bound_algebraic(GroupDims(2)) == ExactInt(slow_factorial(105))
-    assert bound_algebraic(GroupDims(1)) == SymbolicJ(28)
-    assert bound_algebraic(GroupDims(0, 3)) == ExactInt(3)
+    assert bound_algebraic(GroupDims(2)) == exact(slow_factorial(105), 104)
+    assert bound_algebraic(GroupDims(1)) == symbolic(28)
+    assert bound_algebraic(GroupDims(0, 3)) == exact(3, 0, 3)
 
 
 def test_bound_compact_complex():
-    assert bound_compact_complex(1) == SymbolicJ(54)
-    assert bound_compact_complex(2) == ExactInt(slow_factorial(10341))
-    assert bound_compact_complex(0) == ExactInt(1)
+    assert bound_compact_complex(1) == symbolic(54)
+    assert bound_compact_complex(2) == exact(slow_factorial(10341), 10340)
+    assert bound_compact_complex(0) == exact(1, 0)
     with pytest.raises(ValueError):
         bound_compact_complex(-1)
 
 
 def test_bound_hyperbolic():
-    assert bound_hyperbolic(1) == SymbolicJ(54)
-    assert bound_hyperbolic(2) == ExactInt(slow_factorial(2129))
-    assert bound_hyperbolic(0) == ExactInt(1)
+    assert bound_hyperbolic(1) == symbolic(54)
+    assert bound_hyperbolic(2) == exact(slow_factorial(2129), 2128)
+    assert bound_hyperbolic(0) == exact(1, 0)
     with pytest.raises(ValueError):
         bound_hyperbolic(-1)
 
 
 def test_stabilizer_bound_hyperbolic():
-    assert stabilizer_bound_hyperbolic(71) == ExactInt(slow_factorial(72))
-    assert stabilizer_bound_hyperbolic(5) == SymbolicJ(5)
-    assert stabilizer_bound_hyperbolic(0) == ExactInt(1)
+    assert stabilizer_bound_hyperbolic(71) == exact(slow_factorial(72), 71)
+    assert stabilizer_bound_hyperbolic(5) == symbolic(5)
+    assert stabilizer_bound_hyperbolic(0) == exact(1, 0)
 
 
 def test_bound_riemannian():
-    assert bound_riemannian(2) == SymbolicJ(54)
-    assert bound_riemannian(3) == ExactInt(slow_factorial(445))
-    assert bound_riemannian(1) == SymbolicJ(12)
-    assert bound_riemannian(0) == ExactInt(1)
+    assert bound_riemannian(2) == symbolic(54)
+    assert bound_riemannian(3) == exact(slow_factorial(445), 444)
+    assert bound_riemannian(1) == symbolic(12)
+    assert bound_riemannian(0) == exact(1, 0)
     with pytest.raises(ValueError):
         bound_riemannian(-1)
 
@@ -120,67 +130,20 @@ def test_consistency_identity():
 def test_collapse_soundness():
     # whenever the inner atom is exact, powers and scalar factors fold
     # into one integer
-    expr = bound_lie(GroupDims(4, 2))
-    assert isinstance(expr, ExactInt)
-    assert expr.value == 2 * slow_factorial(105) ** 2
-    expr = bound_algebraic(GroupDims(2, 3))
-    assert isinstance(expr, ExactInt)
-    assert expr.value == 3 * slow_factorial(105) ** 3
-
-
-def test_node_validation():
-    with pytest.raises(ValueError):
-        ExactInt(0)
-    with pytest.raises(ValueError):
-        ExactInt(-5)
-    for bad in (0, -3, 63, 65, 67, 69, 71, 200):
-        with pytest.raises(ValueError):
-            SymbolicJ(bad)
-    with pytest.raises(ValueError):
-        Power(SymbolicJ(5), 1)
-    with pytest.raises(ValueError):
-        Product((SymbolicJ(5),))
-
-
-def _power_of_j5(exponent):
-    return Power(SymbolicJ(5), exponent)
-
-
-@pytest.mark.parametrize("digits", [4000, 5001])
-@pytest.mark.parametrize("make,sign", [(ExactInt, -1), (_power_of_j5, -1),
-                                       (SymbolicJ, -1), (SymbolicJ, 1)],
-                         ids=["exact", "power", "symbolic-negative", "symbolic"])
-def test_node_messages_quote_long_integers_short(make, sign, digits):
-    """Past the int->str limit too: the node's own message, not CPython's."""
-    with pytest.raises(ValueError) as err:
-        make(sign * 10**digits)
-    message = str(err.value)
-    assert len(message) < 300
-    assert "integer string conversion" not in message
-
-
-def test_node_messages_with_short_values_are_unchanged():
-    for make, value, message in [
-            (ExactInt, -5, "bounds are positive integers, got -5"),
-            (_power_of_j5, 1, "power nodes need exponent >= 2, got 1"),
-            (SymbolicJ, 200, "J(200) has a known exact value and must not stay symbolic")]:
-        with pytest.raises(ValueError) as err:
-            make(value)
-        assert str(err.value) == message
+    assert bound_lie(GroupDims(4, 2)).value == 2 * slow_factorial(105) ** 2
+    assert bound_algebraic(GroupDims(2, 3)).value == 3 * slow_factorial(105) ** 3
 
 
 def test_render():
-    assert SymbolicJ(54).render() == "J(54)"
-    assert ExactInt(720).render() == "720"
+    assert symbolic(54).render() == "J(54)"
+    assert exact(720, 5).render() == "720"
     assert bound_lie(GroupDims(3, 2)).render() == "2 * J(54)^2"
-    assert Power(Product((ExactInt(2), SymbolicJ(7))), 3).render() \
-        == "(2 * J(7))^3"
     assert bound_lie_connected(4).render() == str(slow_factorial(105))
 
 
 def test_json_round_trip():
-    """Each node kind serializes to the schema the README documents."""
-    def exact(value):
+    """Each shape of bound serializes to the schema the README documents."""
+    def integer(value):
         return {"kind": "exact", "value": str(value)}
 
     def j(arg):
@@ -190,32 +153,29 @@ def test_json_round_trip():
         return {"kind": "power", "operands": [base], "exponent": exponent}
 
     battery = [
-        (ExactInt(1), exact(1)),
-        (ExactInt(slow_factorial(105)), exact(slow_factorial(105))),
-        (SymbolicJ(54), j(54)),
-        (Power(SymbolicJ(28), 4), power(j(28), 4)),
-        (Product((ExactInt(2), Power(SymbolicJ(54), 2))),
-         {"kind": "product", "operands": [exact(2), power(j(54), 2)]}),
-        (Product((SymbolicJ(3), SymbolicJ(5))),
-         {"kind": "product", "operands": [j(3), j(5)]}),
-        (bound_lie(GroupDims(6, 3)), exact(3 * slow_factorial(445) ** 3)),
-        (bound_riemannian(3), exact(slow_factorial(445))),
+        (exact(1, 0), integer(1)),
+        (exact(slow_factorial(105), 104), integer(slow_factorial(105))),
+        (symbolic(54), j(54)),
+        (symbolic(54, 2), {"kind": "product", "operands": [integer(2), power(j(54), 2)]}),
+        (symbolic(28, 4), {"kind": "product", "operands": [integer(4), power(j(28), 4)]}),
+        (bound_lie(GroupDims(6, 3)), integer(3 * slow_factorial(445) ** 3)),
+        (bound_riemannian(3), integer(slow_factorial(445))),
     ]
     for expr, data in battery:
         assert expr_to_json(expr) == data
 
 
 def test_json_exact_values_travel_as_strings():
-    data = expr_to_json(ExactInt(slow_factorial(105)))
+    data = expr_to_json(exact(slow_factorial(105), 104))
     assert data == {"kind": "exact", "value": str(slow_factorial(105))}
     assert isinstance(data["value"], str)
 
 
 def test_is_exact_flag():
-    assert ExactInt(7).is_exact()
-    assert not SymbolicJ(7).is_exact()
-    assert not bound_lie(GroupDims(3, 2)).is_exact()
-    assert isinstance(bound_lie(GroupDims(3, 2)), BoundExpr)
+    assert bound_lie_connected(4).value is not None
+    assert jordan_gl(7).value is None
+    assert bound_lie(GroupDims(3, 2)).value is None
+    assert isinstance(bound_lie(GroupDims(3, 2)), Bound)
 
 
 # --- the family table against the paper's literal formulas -------------------
@@ -262,8 +222,7 @@ def paper_bound(family, n, b):
     paper's literal formula b * J(arg)^b."""
     arg = PAPER_ARGUMENTS[family](n)
     if 1 <= arg < 71 and arg not in (63, 65, 67, 69):
-        j = SymbolicJ(arg)
-        return "symbolic", j if b == 1 else Product((ExactInt(b), Power(j, b)))
+        return "symbolic", symbolic(arg, b)
     if arg + 1 > ORACLE_MAX_FACTORIAL:
         return "too big", None
     return "exact", b * cached_slow_factorial(arg + 1) ** b
@@ -289,7 +248,7 @@ def test_family_table_matches_paper_formulas():
                 if kind == "symbolic":
                     assert got == expected, (family, n, b)
                 else:
-                    assert got == ExactInt(expected), (family, n, b)
+                    assert got.value == expected, (family, n, b)
 
 
 def test_bound_validates_its_arguments():
@@ -306,7 +265,7 @@ def test_bound_validates_its_arguments():
     for family in set(FAMILIES) - set(WITH_COMPONENTS):
         with pytest.raises(ValueError, match="does not apply"):
             bound(family, 2, 1)
-    assert bound("lie", 3) == bound("lie", 3, 1) == SymbolicJ(54)
+    assert bound("lie", 3) == bound("lie", 3, 1) == symbolic(54)
 
 
 def test_bounds_past_the_digit_limit_are_refused():
@@ -327,16 +286,16 @@ def test_bounds_past_the_digit_limit_are_refused():
 
 
 def test_render_formatter_applies_to_exact_integers_only():
-    expr = Product((ExactInt(12), Power(SymbolicJ(54), 3)))
-    assert expr.render(lambda v: f"<{v}>") == "<12> * J(54)^3"
-    assert expr.render() == "12 * J(54)^3"
+    expr = symbolic(54, 12)
+    assert expr.render(lambda v: f"<{v}>") == "<12> * J(54)^12"
+    assert expr.render() == "12 * J(54)^12"
 
 
 def test_digit_limit_is_exact_and_follows_the_int_str_limit():
     budget = sys.get_int_max_str_digits()
-    assert ExactInt(10 ** budget - 1).render() == "9" * budget
+    assert exact(10 ** budget - 1, 0).render() == "9" * budget
     with pytest.raises(ResourceGuardError, match=f"has at least {budget + 1} decimal digits"):
-        ExactInt(10 ** budget).render()
+        exact(10 ** budget, 0).render()
     try:
         sys.set_int_max_str_digits(5000)
         assert len(bound("lie", 7, 2).render()) == 4938

@@ -436,6 +436,15 @@ def test_long_invalid_choices_are_quoted_short(capsys, argv):
     assert len(err.encode()) < 300
 
 
+def test_long_unrecognized_arguments_are_cut_short(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rdim", "--family", "A", "--rank", "2", *["x"] * 5000])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.endswith(f"error: unrecognized arguments: {'x ' * 20}...\n")
+    assert len(err.encode()) < 300
+
+
 def _refusal(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
@@ -629,10 +638,10 @@ def test_long_invalid_weight_exits_2_with_short_message(capsys, argv):
 def _cells(fam, rank):
     """Cartan, center-class and coroot cells of a type, counted from what
     the library builds for it."""
-    from liejordan.center import center_order
+    from liejordan.center import _center
     from liejordan.rootdata import SimpleType, build_root_datum
     datum = build_root_datum(SimpleType(fam, rank))
-    return rank * (len(datum.cartan) + center_order(datum) + len(datum.positive_coroots))
+    return rank * (len(datum.cartan) + _center(datum.cartan)[0] + len(datum.positive_coroots))
 
 
 SIZED_COMMANDS = {

@@ -3,8 +3,10 @@
 The oracle (old_cli.py) writes every subcommand's output three times, once
 per format; the interface under test builds one answer per subcommand and
 renders it through one renderer.  Exit codes, stdout and stderr must agree
-on every subcommand in every format, refusals included.  Inputs whose
-outcome changed on purpose (weight coordinates past the int->str digit
+on every subcommand in every format, refusals included.  The old interface
+reads its bounds from the expression tree they were once built from
+(old_bounds.py), so the grid pins the bound value that replaced it.  Inputs
+whose outcome changed on purpose (weight coordinates past the int->str digit
 limit, Weyl products refused before they are formed, permutation groups
 over --jordan-limit refused during their closure, unreadable input paths
 of more than 40 characters, cut in the message) are tested in test_cli.py
@@ -17,6 +19,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import old_bounds
 import old_center
 import old_cli as old
 import old_rootdata
@@ -89,6 +92,15 @@ CASES = {
 GRID = [(name, argv) for name, cases in CASES.items() for argv in cases]
 
 
+@pytest.fixture(autouse=True)
+def frozen_strands(monkeypatch):
+    """The old interface on the frozen bound expressions, and on the center
+    order as the Fraction oracle computes it."""
+    monkeypatch.setattr(old, "bounds", old_bounds)
+    monkeypatch.setattr(old, "center", SimpleNamespace(
+        **{**vars(center), "center_order": old_center.center_order}))
+
+
 def outcome(capsys, main, argv):
     """(exit code, stdout, stderr) of one call of main, argparse exits included."""
     try:
@@ -124,6 +136,7 @@ def test_same_outcome_as_old_cli(capsys, bad_table, command, argv):
     ["no-such-command"],
     ["bound", "--family-of-groups", "unknown", "--n", "1"],
     ["dim", "--family", "A", "--rank", "2"],
+    ["rdim", "--family", "A", "--rank", "2", "x", "y"],
 ])
 def test_same_usage_errors_as_old_cli(capsys, argv):
     assert assert_same(capsys, argv)[0] == 2
@@ -178,3 +191,4 @@ def test_root_commands_match_the_first_engines(capsys, first_engines, fam, rank)
     for argv in _root_argv(fam, rank):
         for fmt in ("text", "json", "csv"):
             assert assert_same(capsys, [*argv, "--format", fmt])[0] == 0
+

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from liejordan import finitegroup
 from liejordan.errors import OrderLimitError
-from liejordan.finitegroup import (FiniteGroup, Subgroup,
-                                   _abelian_largest_first, _mask, _min_index,
+from liejordan.finitegroup import (FiniteGroup, Subgroup, _largest_normal_abelian,
                                    all_subgroups, jordan_constant,
                                    jordan_constant_with_witness, parse_group)
 
@@ -61,12 +60,10 @@ def subgroup_group(G, sub):
 
 
 def min_normal_abelian_index(F, G):
-    """Smallest index of a normal abelian subgroup of F, by the scan that
+    """Smallest index of a normal abelian subgroup of F, by the search that
     jordan_constant_with_witness runs; an F given without generators is
     conjugated by all of its elements."""
-    abelian = _abelian_largest_first(G, all_subgroups(G))
-    return _min_index(G, _mask(F.elements), F.order,
-                      F.generators or F.elements, abelian)
+    return F.order // _largest_normal_abelian(G, F.elements, F.generators or F.elements)
 
 
 def element_order(G, g):

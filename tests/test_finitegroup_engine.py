@@ -61,7 +61,7 @@ def test_engine_matches_old_engine(name):
     assert witness.elements == old_witness.elements
 
 
-@pytest.mark.parametrize("name", ["s4", "o16_sd16", "o18_s3xc3", "o24_sl23"])
+@pytest.mark.parametrize("name", CORPUS + ["s4"])
 def test_min_normal_abelian_index_matches_old_scan(name):
     G = parse_group(group_text(name))
     lattice = old.all_subgroups(G)
