@@ -17,35 +17,44 @@ from liejordan.rootdata import DominantWeight, RootDatum, SimpleType, build_root
 
 W = DominantWeight
 
-# Class -> (fields as (name, compared, shown), sample arguments); a field is
-# an __init__ argument when it is shown.
-# Samples of one class include equal pairs and pairs that differ only in a
+BOUND_FIELDS = [("value", True, True), ("k", True, True), ("b", True, True)]
+
+# Case name -> (class, fields as (name, compared, shown), sample arguments);
+# a field is an __init__ argument when it is shown.
+# Samples of one case include equal pairs and pairs that differ only in a
 # field == ignores.
+# Bound's samples are grouped by the node of the expression tree that each
+# of its shapes replaced: ExactInt the exact values, SymbolicJ a bare J(k),
+# and the symbolic b * J(k)^b, a Product holding a Power, under both names:
+# Power varies the exponent b at one k, Product the k at one b.
 SPECS = {
-    Bound: ([("value", True, True), ("k", True, True), ("b", True, True)],
-            [(None, 54, 1), (None, 54, 1), (None, 54, 2), (None, 28, 2), (720, 5, 1),
-             (10 ** 60, 5, 1), (3, 0, 3)]),
-    GroupDims: ([("n", True, True), ("b", True, True)], [(0,), (3,), (3, 1), (3, 2)]),
-    SimpleType: ([("family", True, True), ("rank", True, True)],
-                 [("A", 1), ("A", 1), ("E", 7), ("G", 2), ("B", 12)]),
-    DominantWeight: ([("coords", True, True)], [((1, 0),), ([1, 0],), ((0, 2, 1),), ((),)]),
-    RootDatum: ([("type", True, True), ("cartan", True, True),
-                 ("positive_coroots", True, True), ("rho_pairings", False, False),
-                 ("rho_product", False, False)],
-                [tuple(getattr(build_root_datum(SimpleType(f, r)), name)
-                       for name in ("type", "cartan", "positive_coroots"))
-                 for f, r in (("A", 2), ("A", 2), ("G", 2), ("B", 3))]),
-    CenterClass: ([("coords", True, True)],
-                  [((Fraction(1, 2), 0),), ((Fraction(1, 2), Fraction(0)),), (("1/3", 0.5),),
-                   ((Fraction(1, 4), Fraction(3, 4)),)]),
-    WeightSet: ([("weights", True, True)],
-                [((W((1, 0)), W((0, 1))),), ((W((0, 1)), W((1, 0))),), ((W((2, 0)),),)]),
-    RdimResult: ([("total_dim", True, True), ("witness", True, True),
-                  ("per_weight_dims", True, True)],
-                 [(56, WeightSet((W((1, 0)),)), (56,)), (56, WeightSet((W((1, 0)),)), (56,)),
-                  (3, WeightSet((W((0, 1)),)), (3,))]),
-    Subgroup: ([("elements", True, True), ("generators", False, True)],
-               [((0,),), ((0, 1), (1,)), ((0, 1),), ((0, 1, 2), (1, 2))]),
+    "ExactInt": (Bound, BOUND_FIELDS,
+                 [(1, 0, 1), (720, 5, 1), (720, 5, 1), (10 ** 60, 71, 1), (3, 0, 3)]),
+    "SymbolicJ": (Bound, BOUND_FIELDS, [(None, 1, 1), (None, 54, 1), (None, 54, 1), (None, 70, 1)]),
+    "Power": (Bound, BOUND_FIELDS, [(None, 54, 2), (None, 54, 2), (None, 54, 3), (None, 54, 7)]),
+    "Product": (Bound, BOUND_FIELDS, [(None, 28, 2), (None, 28, 2), (None, 3, 2), (None, 54, 2)]),
+    "GroupDims": (GroupDims, [("n", True, True), ("b", True, True)], [(0,), (3,), (3, 1), (3, 2)]),
+    "SimpleType": (SimpleType, [("family", True, True), ("rank", True, True)],
+                   [("A", 1), ("A", 1), ("E", 7), ("G", 2), ("B", 12)]),
+    "DominantWeight": (DominantWeight, [("coords", True, True)],
+                       [((1, 0),), ([1, 0],), ((0, 2, 1),), ((),)]),
+    "RootDatum": (RootDatum, [("type", True, True), ("cartan", True, True),
+                              ("positive_coroots", True, True), ("rho_pairings", False, False),
+                              ("rho_product", False, False)],
+                  [tuple(getattr(build_root_datum(SimpleType(f, r)), name)
+                         for name in ("type", "cartan", "positive_coroots"))
+                   for f, r in (("A", 2), ("A", 2), ("G", 2), ("B", 3))]),
+    "CenterClass": (CenterClass, [("coords", True, True)],
+                    [((Fraction(1, 2), 0),), ((Fraction(1, 2), Fraction(0)),), (("1/3", 0.5),),
+                     ((Fraction(1, 4), Fraction(3, 4)),)]),
+    "WeightSet": (WeightSet, [("weights", True, True)],
+                  [((W((1, 0)), W((0, 1))),), ((W((0, 1)), W((1, 0))),), ((W((2, 0)),),)]),
+    "RdimResult": (RdimResult, [("total_dim", True, True), ("witness", True, True),
+                                ("per_weight_dims", True, True)],
+                   [(56, WeightSet((W((1, 0)),)), (56,)), (56, WeightSet((W((1, 0)),)), (56,)),
+                    (3, WeightSet((W((0, 1)),)), (3,))]),
+    "Subgroup": (Subgroup, [("elements", True, True), ("generators", False, True)],
+                 [((0,),), ((0, 1), (1,)), ((0, 1),), ((0, 1, 2), (1, 2))]),
 }
 
 REFUSALS = [
@@ -72,19 +81,19 @@ REFUSALS = [
 ]
 
 
-def reference(cls):
-    """The frozen dataclass cls was, as a class of the same name."""
-    fields, _ = SPECS[cls]
+def reference(case):
+    """The frozen dataclass the case's class was, as a class of the same name."""
+    cls, fields, _ = SPECS[case]
     return dataclasses.make_dataclass(cls.__name__, [
         (name, object, dataclasses.field(compare=compared, repr=shown, init=shown,
                                           **({} if shown else {"default": None})))
         for name, compared, shown in fields], frozen=True)
 
 
-def pairs(cls):
-    """(value, its reference dataclass twin) for each sample of cls."""
-    fields, samples = SPECS[cls]
-    ref = reference(cls)
+def pairs(case):
+    """(value, its reference dataclass twin) for each sample of the case."""
+    cls, fields, samples = SPECS[case]
+    ref = reference(case)
     out = []
     for args in samples:
         value = cls(*args)
@@ -92,9 +101,9 @@ def pairs(cls):
     return out
 
 
-@pytest.mark.parametrize("cls", list(SPECS), ids=lambda c: c.__name__)
-def test_repr_eq_hash_match_the_dataclass(cls):
-    samples = pairs(cls)
+@pytest.mark.parametrize("case", list(SPECS))
+def test_repr_eq_hash_match_the_dataclass(case):
+    samples = pairs(case)
     for value, ref in samples:
         assert repr(value) == repr(ref)
         assert hash(value) == hash(ref)
@@ -108,20 +117,20 @@ def test_repr_eq_hash_match_the_dataclass(cls):
     assert any(a == b and a is not b for a, _ in samples for b, _ in samples)
 
 
-@pytest.mark.parametrize("cls", list(SPECS), ids=lambda c: c.__name__)
-def test_unequal_across_classes(cls):
-    value, ref = pairs(cls)[0]
+@pytest.mark.parametrize("case", list(SPECS))
+def test_unequal_across_classes(case):
+    value, ref = pairs(case)[0]
     assert value.__eq__(ref) is NotImplemented
     assert value != ref and ref != value
     for other in SPECS:
-        if other is not cls:
+        if other != case:
             assert value != pairs(other)[0][0]
 
 
-@pytest.mark.parametrize("cls", list(SPECS), ids=lambda c: c.__name__)
-def test_frozen(cls):
-    fields, _ = SPECS[cls]
-    for value, ref in pairs(cls):
+@pytest.mark.parametrize("case", list(SPECS))
+def test_frozen(case):
+    _, fields, _ = SPECS[case]
+    for value, ref in pairs(case):
         for name in [f[0] for f in fields] + ["other"]:
             for obj in (value, ref):
                 with pytest.raises(AttributeError):
@@ -132,10 +141,10 @@ def test_frozen(cls):
                         delattr(obj, name)
 
 
-@pytest.mark.parametrize("cls", list(SPECS), ids=lambda c: c.__name__)
-def test_copy_and_pickle_keep_the_value(cls):
-    fields, _ = SPECS[cls]
-    for value, _ in pairs(cls):
+@pytest.mark.parametrize("case", list(SPECS))
+def test_copy_and_pickle_keep_the_value(case):
+    cls, fields, _ = SPECS[case]
+    for value, _ in pairs(case):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is cls and twin == value and repr(twin) == repr(value)
             assert all(getattr(twin, name) == getattr(value, name) for name, _, _ in fields)
