@@ -73,7 +73,7 @@ class FrozenValue:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        fields = ", ".join(f"{name}={_field_repr(getattr(self, name))}" for name in self._shown)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -84,6 +84,17 @@ class FrozenValue:
 
     def __reduce__(self):
         return _restore, (type(self), tuple([getattr(self, name) for name in self.__slots__]))
+
+
+def _field_repr(value) -> str:
+    """repr(value); an integer past the int->str limit, or a tuple or list
+    holding one, shows its start as _echo writes it instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, (int, tuple, list)):
+            return _echo(value)
+        raise
 
 
 def _restore(cls, values):

@@ -4,7 +4,9 @@ Everything is integer arithmetic on coordinate vectors: weights are
 written in the fundamental-weight basis, coroots in the simple-coroot
 basis, and the pairing of a weight with a coroot is then a plain dot
 product.  The Cartan matrix is stored with entry [i][j] equal to the
-pairing of simple root i against simple coroot j.
+pairing of simple root i against simple coroot j.  The positive coroots
+of A-D are written out from their closed form, and those of E-G come from
+the reflection closure over the transposed Cartan matrix.
 
 Each family is declared once, in _FAMILIES: its ranks, its Dynkin bonds,
 its number of positive roots and the order of its center.  The bonds fix
@@ -180,6 +182,43 @@ def _positive_roots(cartan) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda v: (sum(v), v))
 
 
+def _classical_coroots(stype: SimpleType) -> list[tuple[int, ...]]:
+    """Positive coroots of A_l-D_l over the simple coroots, from their closed
+    form, in the order _positive_roots gives them: by height, then
+    lexicographically.
+
+    The coroots of A and D are their roots, those of B the roots of C and
+    those of C the roots of B (Bourbaki, Lie Groups and Lie Algebras,
+    Plates I-IV).  With z(n), o(n), t(n) runs of n zeros, ones and twos, the
+    coroots are, for each i < l:
+      * the runs z(i) o(a) z(l-i-a), 1 <= a < l-i, which miss the last node;
+      * z(i) o(m-i-k) t(k) s for a suffix s, m = l - len(s), and
+        k = 0 .. K twos: s = (), K = 0 for A (the runs to the last node);
+        s = (1,), K = m-i for B; s = (), K = m-i-1 for C; s = (1, 1),
+        K = m-i-1 for D;
+      * for D and i <= l-2, the fork z(i) o(l-2-i) (0, 1).
+    Their heights a, m-i+k+sum(s) and l-1-i differ at one i, save the fork
+    and the run z(i) o(l-1-i) (0,), which it precedes; each starts at node
+    i, save the fork at i = l-2, which starts at l-1 where D has no other.
+    So walking i downwards and adding each coroot to the list of its height
+    leaves every list in lexicographic order, with no sort.
+    """
+    family, l = stype.family, stype.rank
+    suffix = {"A": (), "B": (1,), "C": (), "D": (1, 1)}[family]
+    m, lift = l - len(suffix), sum(suffix)
+    by_height = [[] for _ in range(2 * l)]
+    for i in range(l - 1, -1, -1):
+        zeros = (0,) * i
+        if family == "D" and i <= l - 2:
+            by_height[l - 1 - i].append(zeros + (1,) * (l - 2 - i) + (0, 1))
+        for a in range(1, l - i):
+            by_height[a].append(zeros + (1,) * a + (0,) * (l - i - a))
+        for k in range({"A": 1, "B": m - i + 1}.get(family, m - i)):
+            by_height[m - i + k + lift].append(
+                zeros + (1,) * (m - i - k) + (2,) * k + suffix)
+    return [coroot for level in by_height for coroot in level]
+
+
 class RootDatum(FrozenValue, shown=("type", "cartan", "positive_coroots")):
     """A simple type together with its Cartan matrix and positive coroots.
 
@@ -208,21 +247,25 @@ class RootDatum(FrozenValue, shown=("type", "cartan", "positive_coroots")):
 
 @lru_cache(maxsize=None)
 def build_root_datum(stype: SimpleType) -> RootDatum:
-    """Construct the root datum for a simple type.
+    """Construct the root datum for a simple type, refused past the cell
+    budget before anything is built.
 
     The positive coroots are the positive roots of the dual system, whose
-    Cartan matrix is the transpose of this one.  The count is checked
-    against the classical closed form, so a wrong matrix cannot slip
-    through quietly.
+    Cartan matrix is the transpose of this one: written out by their closed
+    form for A-D, and by the reflection closure over that matrix for E-G.
+    The count is checked against the classical closed form, so a wrong
+    matrix cannot slip through quietly.
     """
+    check_cell_budget(stype)
     cartan = cartan_matrix(stype)
-    rank = stype.rank
-    transposed = tuple(tuple(cartan[i][j] for i in range(rank)) for j in range(rank))
-    coroots = _positive_roots(transposed)
+    if stype.family in "ABCD":
+        coroots = _classical_coroots(stype)
+    else:
+        coroots = _positive_roots(tuple(zip(*cartan)))
     expected = positive_root_count(stype)
     if len(coroots) != expected:
         raise AssertionError(
-            f"{stype}: coroot closure produced {len(coroots)} vectors, expected {expected}")
+            f"{stype}: {len(coroots)} positive coroots, expected {expected}")
     return RootDatum(stype, cartan, tuple(coroots))
 
 
@@ -269,9 +312,9 @@ def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
 def _fundamental_weights(datum: RootDatum) -> list[tuple[DominantWeight, int]]:
     """The fundamental weights with their dimensions, in node order: the
     first probe of the enumeration at each position."""
-    out = []
+    out, rank = [], datum.rank
     for pos, column in enumerate(zip(*datum.positive_coroots)):
-        unit = tuple(int(i == pos) for i in range(datum.rank))
+        unit = (0,) * pos + (1,) + (0,) * (rank - pos - 1)
         dim = _weyl_dim(datum, unit, list(map(add, datum.rho_pairings, column)))
         out.append((DominantWeight(unit), dim))
     return out

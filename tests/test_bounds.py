@@ -285,6 +285,20 @@ def test_bounds_past_the_digit_limit_are_refused():
         jordan_gl(10 ** 9)
 
 
+def test_repr_of_a_value_past_the_int_str_limit_shows_its_leading_digits():
+    value = bound("compact-complex", 2)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        digits = str(value.value)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert len(digits) > saved
+    assert repr(value) == f"Bound(value={digits[:40]}..., k={value.k}, b={value.b})"
+    assert repr(exact(-10 ** saved, 0)) == f"Bound(value=-1{'0' * 38}..., k=0, b=1)"
+    assert repr(exact(10 ** saved - 1, 0)) == f"Bound(value={'9' * saved}, k=0, b=1)"
+
+
 def test_render_formatter_applies_to_exact_integers_only():
     expr = symbolic(54, 12)
     assert expr.render(lambda v: f"<{v}>") == "<12> * J(54)^12"

@@ -10,7 +10,8 @@ closure, forms the product in one guarded routine, and carries the factors
 down the enumeration so that each vector is evaluated once.  Their coroot
 lists, values and ordered (weight, dim) lists must agree; past the
 kept-digit limit the code under test refuses instead, before the product
-is formed.
+is formed.  Past rank 24 the closed-form coroots of A-D are checked
+against the live closure, the code under test for E-G.
 """
 import random
 import sys
@@ -166,3 +167,46 @@ def test_long_weights_are_echoed_short():
 
 def test_weights_past_the_int_str_limit_are_echoed_short():
     _assert_echoed_short(sys.int_info.default_max_str_digits + 700)
+
+
+def test_repr_of_a_weight_past_the_int_str_limit_is_short():
+    long = 10 ** (sys.get_int_max_str_digits() or DEFAULT_DIGITS)
+    assert repr(DominantWeight((2, long))) == "DominantWeight(coords=(2, 1" + "0" * 35 + "...)"
+    assert repr(DominantWeight((2, 10 ** 40))) == f"DominantWeight(coords=(2, {10 ** 40}))"
+
+
+def _closure(t):
+    return rootdata._positive_roots(tuple(zip(*rootdata.cartan_matrix(t))))
+
+
+@pytest.mark.parametrize("fam,rank", [(fam, rank) for fam in "ABCD" for rank in range(25, 41)]
+                         + [(fam, 100) for fam in "ABCD"])
+def test_classical_coroots_match_the_closure(fam, rank):
+    # Uncached, so the rank-100 data are not kept for the rest of the run.
+    t = SimpleType(fam, rank)
+    assert rootdata.build_root_datum.__wrapped__(t).positive_coroots == tuple(_closure(t))
+
+
+def test_only_the_exceptional_types_take_the_closure(monkeypatch):
+    def refused(cartan):
+        raise RuntimeError("closure")
+
+    monkeypatch.setattr(rootdata, "_positive_roots", refused)
+    build = rootdata.build_root_datum.__wrapped__  # past the cache of earlier builds
+    for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for rank in range(lo, 17):
+            build(SimpleType(fam, rank))  # the count check still runs
+    with pytest.raises(RuntimeError, match="closure"):
+        build(SimpleType("E", 6))
+
+
+def test_root_datum_past_the_cell_budget_is_refused_before_it_is_built(monkeypatch):
+    def built(stype):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(rootdata, "cartan_matrix", built)
+    before = build_root_datum.cache_info().currsize
+    with pytest.raises(ResourceGuardError, match=rootdata.CELLS_ENV_VAR) as refused:
+        build_root_datum(SimpleType("B", 300))
+    assert "type B300 takes" in str(refused.value)
+    assert build_root_datum.cache_info().currsize == before
