@@ -17,13 +17,16 @@ loads only bounds, for the family names it offers, and json and csv load
 only for their format.
 
 Exit codes: 0 success, 2 malformed input, 3 a resource guard refused
-the computation.  Big integers are printed in full in json and csv; in
-text they carry a digit count and a rounded magnitude once they pass
-40 digits.
+the computation.  A refusal writes one error line (after argparse's
+usage block on a usage error), each echo of input in it cut to 40
+characters by _echo or, in argparse's messages, by _Parser.error.
+Big integers are printed in full in json and csv; in text they carry a
+digit count and a rounded magnitude once they pass 40 digits.
 """
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .errors import (_ECHO_CHARS, DEFAULT_JORDAN_LIMIT, ResourceGuardError, _digit_budget, _echo,
@@ -74,49 +77,38 @@ def _render(fmt: str, text: str, doc, columns, rows=None) -> str:
     return text
 
 
-def _int_arg(text: str) -> int:
-    """An integer flag; argparse reports a bad value quoted through _echo."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+# A repr of more than 40 characters in an argparse message: the quote, the
+# first 40 characters (an escape such as \n or \x00 is one) and the rest.
+_LONG_REPR = r"""(['"])((?:(?!\1)[^\\]|\\(?:x..|u....|U........|.)){40})(?:(?!\1)[^\\]|\\.)+\1"""
 
 
-class _Quoted(str):
-    """A command-line value whose repr, in argparse's own messages, is cut
-    as _echo cuts it."""
-
-    def __repr__(self) -> str:
-        return _echo(str(self))
+def _cut(text: str) -> str:
+    """Input argparse echoes raw, cut as _echo cuts it and escaped as in its
+    repr, so on one line, without the quotes."""
+    return repr(text[:_ECHO_CHARS])[1:-1] + ("..." if len(text) > _ECHO_CHARS else "")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse, quoting an invalid choice (a --format, a subcommand) short
-    and cutting an echo of unrecognized arguments as _echo cuts input."""
+    """argparse, with every echo of input in its messages cut to 40
+    characters.  argparse echoes input raw in "unrecognized arguments: ..."
+    and "ambiguous option: ... could match ...", and as a repr elsewhere;
+    every message passes through error(), the public hook overridden here."""
 
-    def _check_value(self, action, value):
-        super()._check_value(action, _Quoted(value) if isinstance(value, str) else value)
-
-    def parse_args(self, args=None, namespace=None):
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            text = " ".join(extras)
-            cut = text[:_ECHO_CHARS] + ("..." if len(text) > _ECHO_CHARS else "")
-            self.error(f"unrecognized arguments: {cut}")
-        return args
+    def error(self, message):
+        head, sep, rest = message.partition(": ")
+        if head == "unrecognized arguments":
+            message = head + sep + _cut(rest)
+        elif head == "ambiguous option":
+            option, could, matches = rest.rpartition(" could match ")
+            message = head + sep + _cut(option) + could + matches
+        else:
+            message = re.sub(_LONG_REPR, r"\1\2\1...", message)
+        super().error(message)
 
 
 def _parse_type(args):
     from .rootdata import SimpleType
     return SimpleType(args.family.upper(), args.rank)
-
-
-def _parse_sized_type(args):
-    """The type of dim, center and faithful, refused past the cell budget."""
-    from .rootdata import check_cell_budget
-    stype = _parse_type(args)
-    check_cell_budget(stype)
-    return stype
 
 
 def _parse_coordinate(token: str, text: str) -> int:
@@ -181,9 +173,10 @@ def _cmd_table(args):
 
 def _cmd_dim(args):
     from . import rootdata
-    stype = _parse_sized_type(args)
-    datum = rootdata.build_root_datum(stype)
+    stype = _parse_type(args)
+    rootdata.cartan_matrix(stype)  # the cell budget, also when the datum is cached
     weight = _parse_weight(args.weight, stype.rank)
+    datum = rootdata.build_root_datum(stype)
     value = _within(rootdata.weyl_dim(datum, weight), _digit_budget())
     doc = {"family": stype.family, "rank": stype.rank, "weight": weight, "dim": value}
     return str(value), doc, ("family", "rank", "weight", "dim")
@@ -191,7 +184,7 @@ def _cmd_dim(args):
 
 def _cmd_center(args):
     from . import center, rootdata
-    stype = _parse_sized_type(args)
+    stype = _parse_type(args)
     cartan = rootdata.cartan_matrix(stype)
     order = center._center(cartan)[0]
     classes = center._center_classes(cartan)
@@ -205,7 +198,7 @@ def _cmd_center(args):
 
 def _cmd_faithful(args):
     from . import center, rootdata
-    stype = _parse_sized_type(args)
+    stype = _parse_type(args)
     cartan = rootdata.cartan_matrix(stype)
     weights = _parse_weights(args.weights, stype.rank)
     verdict = center._is_faithful(cartan, weights)
@@ -251,7 +244,7 @@ def _cmd_jordan_finite(args):
 def _add_type_flags(sub):
     sub.add_argument("--family", required=True,
                      help="family letter A..G")
-    sub.add_argument("--rank", required=True, type=_int_arg)
+    sub.add_argument("--rank", required=True, type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("table", _cmd_table,
             help="rdim for every simple type up to a rank")
-    p.add_argument("--max-rank", required=True, type=_int_arg)
+    p.add_argument("--max-rank", required=True, type=int)
 
     p = sub("dim", _cmd_dim, help="dimension of one irreducible representation")
     _add_type_flags(p)
@@ -292,14 +285,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub("bound", _cmd_bound, help="Jordan constant bound formulas")
     p.add_argument("--family-of-groups", required=True, choices=tuple(FAMILIES))
-    p.add_argument("--n", required=True, type=_int_arg)
-    p.add_argument("--components", type=_int_arg, default=None,
+    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--components", type=int, default=None,
                    help="component count b (lie and algebraic only)")
 
     p = sub("jordan-finite", _cmd_jordan_finite,
             help="brute-force the Jordan constant of an explicit finite group")
     p.add_argument("--input", required=True, help="group description file")
-    p.add_argument("--jordan-limit", type=_int_arg, default=DEFAULT_JORDAN_LIMIT,
+    p.add_argument("--jordan-limit", type=int, default=DEFAULT_JORDAN_LIMIT,
                    help="largest group order to accept (default %(default)s)")
 
     parser.set_defaults(_handlers=handlers)

@@ -87,14 +87,12 @@ class FrozenValue:
 
 
 def _field_repr(value) -> str:
-    """repr(value); an integer past the int->str limit, or a tuple or list
+    """repr(value); a number past the int->str limit, or a tuple or list
     holding one, shows its start as _echo writes it instead."""
     try:
         return repr(value)
     except ValueError:
-        if isinstance(value, (int, tuple, list)):
-            return _echo(value)
-        raise
+        return _echo(value)
 
 
 def _restore(cls, values):
@@ -155,7 +153,8 @@ def _echo(value) -> str:
 def _head(value) -> str:
     """str(value), or a start of it longer than 40 characters: a tuple or
     list stops once that long, and an integer of more than 4 * 40 bits shows
-    its leading digits, so no integer past the int->str limit is converted."""
+    its leading digits, also as a fraction's numerator or denominator, so no
+    integer past the int->str limit is converted."""
     if isinstance(value, (tuple, list)):
         parts, size = [], 0
         for x in value:
@@ -170,4 +169,7 @@ def _head(value) -> str:
     if isinstance(value, int) and value.bit_length() > 4 * _ECHO_CHARS:
         cut = _digits_from_bits(value.bit_length() - 1) - _ECHO_CHARS - 1
         return ("-" if value < 0 else "") + str(abs(value) // 10 ** cut)
+    if hasattr(value, "denominator") and not isinstance(value, int):  # a Fraction
+        numerator = _head(value.numerator)
+        return numerator if value.denominator == 1 else f"{numerator}/{_head(value.denominator)}"
     return str(value)

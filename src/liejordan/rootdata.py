@@ -130,10 +130,13 @@ class DominantWeight(FrozenValue):
 
 
 def cartan_matrix(stype: SimpleType) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of the given type; entry [i][j] = <alpha_i, alpha_j^vee>."""
+    """Cartan matrix of the given type; entry [i][j] = <alpha_i, alpha_j^vee>.
+    Every type's data starts here, so the cell budget is checked here first."""
+    check_cell_budget(stype)
     l = stype.rank
+    bonds = _FAMILIES[stype.family][1](l)
     m = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
-    for i, j, a, b in _FAMILIES[stype.family][1](l):
+    for i, j, a, b in bonds:
         m[i][j], m[j][i] = -a, -b
     return tuple(map(tuple, m))
 
@@ -248,7 +251,7 @@ class RootDatum(FrozenValue, shown=("type", "cartan", "positive_coroots")):
 @lru_cache(maxsize=None)
 def build_root_datum(stype: SimpleType) -> RootDatum:
     """Construct the root datum for a simple type, refused past the cell
-    budget before anything is built.
+    budget (by cartan_matrix) before anything is built.
 
     The positive coroots are the positive roots of the dual system, whose
     Cartan matrix is the transpose of this one: written out by their closed
@@ -256,7 +259,6 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     The count is checked against the classical closed form, so a wrong
     matrix cannot slip through quietly.
     """
-    check_cell_budget(stype)
     cartan = cartan_matrix(stype)
     if stype.family in "ABCD":
         coroots = _classical_coroots(stype)

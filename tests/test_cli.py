@@ -688,12 +688,12 @@ def test_huge_rank_is_refused_before_anything_is_built(capsys, monkeypatch, comm
 
     from liejordan import rootdata
 
-    def refuse(stype):
-        raise AssertionError(f"built data for {stype}")
+    def refuse(rank):
+        raise AssertionError(f"built data for A{rank}")
 
     monkeypatch.delenv("LIEJORDAN_MAX_CELLS", raising=False)
-    monkeypatch.setattr(rootdata, "cartan_matrix", refuse)
-    monkeypatch.setattr(rootdata, "build_root_datum", refuse)
+    # cartan_matrix, where every type's data starts, reads the bonds first.
+    monkeypatch.setitem(rootdata._FAMILIES, "A", (1, refuse, *rootdata._FAMILIES["A"][2:]))
     argv = [command, "--family", "A", "--rank", "100000", *SIZED_COMMANDS[command]]
     tracemalloc.start()
     try:

@@ -201,12 +201,29 @@ def test_only_the_exceptional_types_take_the_closure(monkeypatch):
 
 
 def test_root_datum_past_the_cell_budget_is_refused_before_it_is_built(monkeypatch):
-    def built(stype):
+    def built(rank):
         raise AssertionError("built")
 
-    monkeypatch.setattr(rootdata, "cartan_matrix", built)
+    # cartan_matrix, where every type's data starts, reads the bonds first.
+    monkeypatch.setitem(rootdata._FAMILIES, "B", (2, built, *rootdata._FAMILIES["B"][2:]))
     before = build_root_datum.cache_info().currsize
     with pytest.raises(ResourceGuardError, match=rootdata.CELLS_ENV_VAR) as refused:
         build_root_datum(SimpleType("B", 300))
     assert "type B300 takes" in str(refused.value)
     assert build_root_datum.cache_info().currsize == before
+
+
+def test_cartan_matrix_past_the_cell_budget_allocates_nothing(monkeypatch):
+    import tracemalloc
+
+    monkeypatch.delenv(rootdata.CELLS_ENV_VAR, raising=False)
+    stype = SimpleType("B", 300)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match=rootdata.CELLS_ENV_VAR) as refused:
+            rootdata.cartan_matrix(stype)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value).startswith("type B300 takes 27090600 cells")
+    assert peak < 2 ** 14  # the 90000 Cartan cells alone would take over 700 kB

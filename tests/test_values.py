@@ -5,6 +5,7 @@ what it refused before, with the same message."""
 import copy
 import dataclasses
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -167,3 +168,12 @@ def test_normalised_fields():
     datum = build_root_datum(SimpleType("A", 2))
     assert (datum.rho_pairings, datum.rho_product) == ((1, 1, 2), 2)
     assert Subgroup((0, 1)).generators == ()
+
+
+def test_repr_of_a_fraction_past_the_int_str_limit_is_short():
+    tiny = Fraction(1, 10 ** (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits))
+    short = "CenterClass(coords=(1/1" + "0" * 36 + "...)"
+    assert repr(CenterClass((tiny,))) == short
+    assert repr(CenterClass((tiny, Fraction(1, 2)))) == short
+    assert repr(CenterClass((1 - tiny,))) == "CenterClass(coords=(" + "9" * 39 + "...)"
+    assert repr(CenterClass((Fraction(1, 3),))) == "CenterClass(coords=(Fraction(1, 3),))"
