@@ -6,15 +6,15 @@ takes an integer value on it, i.e. when the Cartan matrix applied to mu
 is integral.  The center is therefore the finite group (C^-1 Z^l) / Z^l,
 of order d = det C.  Since C^-1 = adj(C) / d, every class is x/d mod 1
 for an integer vector x mod d, and the classes are kept in that form,
-computed once per Cartan matrix.  Every Dynkin diagram is a tree, so d
-and each column of adj C come from one integer sweep up the tree and
-one down, O(rank) steps each, and only as many columns are solved as
-it takes to generate the center.  CenterClass shows a class by its
-unique representative with all coordinates in [0, 1).
+computed once per type.  The family table in rootdata declares d and
+generators of the center for each family (Bourbaki's Plates I-IX), and
+the classes are their closure.  CenterClass shows a class by its unique
+representative with all coordinates in [0, 1).
 
-The center reads nothing but the Cartan matrix.  The public functions
+The center reads nothing but the family table.  The public functions
 take a root datum; the CLI's center and faithful commands call the
-Cartan-matrix forms underneath them, so they never build the coroots.
+forms on the type underneath them, so they never build the Cartan
+matrix or the coroots.
 Only CenterClass, center_classes and pair build fractions, and only they
 import the fractions module, so rdim and faithful never load it.  pair
 sums in integers over the common denominator and builds one Fraction.
@@ -36,8 +36,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import FrozenValue, _echo
-from .rootdata import DominantWeight, RootDatum
+from .errors import FrozenValue, _echo, _field_repr
+from .rootdata import _FAMILIES, DominantWeight, RootDatum, SimpleType
 
 
 class CenterClass(FrozenValue):
@@ -52,7 +52,7 @@ class CenterClass(FrozenValue):
             raise ValueError("the identity class is not represented")
         for c in coords:
             if not 0 <= c.numerator < c.denominator:
-                raise ValueError(f"class coordinates must lie in [0, 1), got {coords}")
+                raise ValueError(f"class coordinates must lie in [0, 1), got {_field_repr(coords)}")
         object.__setattr__(self, "coords", coords)
 
     def __str__(self) -> str:
@@ -88,75 +88,17 @@ class WeightSet(FrozenValue):
 
 
 @lru_cache(maxsize=None)
-def _center(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, classes): the Cartan determinant and the nonidentity central
-    classes as sorted integer vectors x mod d, x standing for x/d mod 1.
-    Keyed on the Cartan matrix, the only input, whose hash is far cheaper
-    than that of the whole root datum.
-
-    The Dynkin diagram is a tree; it is rooted at node 0.  With P_v the
-    product of D_c over the children c of v, the determinant of the
-    subtree at v is D_v = C_vv P_v - sum_c C_vc C_cv P_c (P_v / D_c), and
-    d is D at the root.  Column j of adj C solves C x = d e_j.  A sweep up
-    from the leaves leaves the equation D_v x_v + P_v C_vp x_p = d S_v at
-    each node v with parent p, where S_v = P_v [v = j] - sum_c C_vc S_c
-    (P_v / D_c); S is zero off the path from j to the root.  A sweep down
-    then gives x = S at the root and x_v = (d S_v - P_v C_vp x_p) / D_v
-    below it.  Every division is exact, so a column takes O(rank) integer
-    steps.  The columns generate the center mod d: each is added to the
-    group coset by coset, a column already in it is skipped, and no more
-    are solved once it has d elements.  That it ends with exactly d is
-    checked.
-    """
-    rank = len(cartan)
-    parent = [-1] * rank
-    children: list[list[int]] = [[] for _ in range(rank)]
-    order = [0]
-    for v in order:  # breadth first from node 0
-        for c, entry in enumerate(cartan[v]):
-            if entry and c != v and c != parent[v]:
-                if c == 0 or parent[c] >= 0:
-                    raise AssertionError(f"{cartan}: the Dynkin diagram is not a tree")
-                parent[c] = v
-                children[v].append(c)
-                order.append(c)
-    if len(order) != rank:
-        raise AssertionError(f"{cartan}: the Dynkin diagram is not connected")
-    prod = [1] * rank  # P_v
-    det = [1] * rank  # D_v
-    for v in reversed(order):  # children before their parent
-        for c in children[v]:
-            prod[v] *= det[c]
-        det[v] = cartan[v][v] * prod[v] - sum(
-            cartan[v][c] * cartan[c][v] * prod[c] * (prod[v] // det[c]) for c in children[v])
-    d = det[0]
-    up, down = [0] * rank, [0] * rank  # the sweeps' factors on each edge
-    for v in order[1:]:
-        p = parent[v]
-        up[v] = cartan[p][v] * (prod[p] // det[v])
-        down[v] = prod[v] * cartan[v][p]
-
-    def column(j: int) -> tuple[int, ...]:
-        s = [0] * rank
-        s[j] = prod[j]
-        v = j
-        while v:
-            s[parent[v]] = -up[v] * s[v]
-            v = parent[v]
-        x = s[:1] + [0] * (rank - 1)
-        for v in order[1:]:
-            x[v] = (d * s[v] - down[v] * x[parent[v]]) // det[v]
-        return tuple(e % d for e in x)
-
-    zero = (0,) * rank
-    group = [zero]
-    classes = {zero}
-    for j in range(rank):
-        if len(group) >= d:
-            break
-        x = column(j)
-        shift = x
-        added = []
+def _center(stype: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, classes): the center order and the nonidentity central classes
+    as sorted integer vectors x mod d, x standing for x/d mod 1, closed
+    coset by coset from the family table's generators; that the group ends
+    with d elements is checked.  Keyed on the type, whose hash is cheaper
+    than that of its Cartan matrix."""
+    *_, order, generators = _FAMILIES[stype.family]
+    d, zero = order(stype.rank), (0,) * stype.rank
+    group, classes = [zero], {zero}
+    for x in generators(stype.rank):
+        shift, added = x, []
         while shift not in classes:
             coset = [tuple([(a + b) % d for a, b in zip(h, shift)]) for h in group]
             classes.update(coset)
@@ -164,21 +106,20 @@ def _center(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, 
             shift = tuple([(a + b) % d for a, b in zip(shift, x)])
         group += added
     if len(classes) != d:
-        raise AssertionError(
-            f"{cartan}: found {len(classes)} central classes, determinant is {d}")
+        raise AssertionError(f"{stype}: found {len(classes)} central classes, order is {d}")
     classes.discard(zero)
     return d, tuple(sorted(classes))
 
 
 def center_classes(datum: RootDatum) -> list[CenterClass]:
     """All nonidentity central classes, sorted lexicographically."""
-    return _center_classes(datum.cartan)
+    return _center_classes(datum.type)
 
 
-def _center_classes(cartan) -> list[CenterClass]:
-    """center_classes from the Cartan matrix alone."""
+def _center_classes(stype: SimpleType) -> list[CenterClass]:
+    """center_classes from the type alone."""
     from fractions import Fraction
-    d, classes = _center(cartan)
+    d, classes = _center(stype)
     shares = [Fraction(c, d) for c in range(d)]  # each coordinate is some c/d, built once
     return [CenterClass(tuple([shares[c] for c in x])) for x in classes]
 
@@ -211,12 +152,12 @@ def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:
         if len(w.coords) != datum.rank:
             raise ValueError(
                 f"weight {_echo(w.coords)} does not match rank {datum.rank} of {datum.type}")
-    return _is_faithful(datum.cartan, weight_set)
+    return _is_faithful(datum.type, weight_set)
 
 
-def _is_faithful(cartan, weight_set: WeightSet) -> bool:
-    """is_faithful from the Cartan matrix alone, for weights of its rank."""
-    d, classes = _center(cartan)
+def _is_faithful(stype: SimpleType, weight_set: WeightSet) -> bool:
+    """is_faithful from the type alone, for weights of its rank."""
+    d, classes = _center(stype)
     return all(
         any(sum(l * c for l, c in zip(w.coords, x)) % d for w in weight_set)
         for x in classes)

@@ -174,7 +174,7 @@ def _cmd_table(args):
 def _cmd_dim(args):
     from . import rootdata
     stype = _parse_type(args)
-    rootdata.cartan_matrix(stype)  # the cell budget, also when the datum is cached
+    rootdata.check_cell_budget(stype)  # also when the datum is cached
     weight = _parse_weight(args.weight, stype.rank)
     datum = rootdata.build_root_datum(stype)
     value = _within(rootdata.weyl_dim(datum, weight), _digit_budget())
@@ -185,9 +185,9 @@ def _cmd_dim(args):
 def _cmd_center(args):
     from . import center, rootdata
     stype = _parse_type(args)
-    cartan = rootdata.cartan_matrix(stype)
-    order = center._center(cartan)[0]
-    classes = center._center_classes(cartan)
+    rootdata.check_cell_budget(stype)
+    order = center._center(stype)[0]
+    classes = center._center_classes(stype)
     doc = {"family": stype.family, "rank": stype.rank, "order": order,
            "classes": [[str(c) for c in cls.coords] for cls in classes]}
     rows = [[stype.family, stype.rank, order, cls] for cls in classes]
@@ -199,9 +199,9 @@ def _cmd_center(args):
 def _cmd_faithful(args):
     from . import center, rootdata
     stype = _parse_type(args)
-    cartan = rootdata.cartan_matrix(stype)
+    rootdata.check_cell_budget(stype)
     weights = _parse_weights(args.weights, stype.rank)
-    verdict = center._is_faithful(cartan, weights)
+    verdict = center._is_faithful(stype, weights)
     doc = {"family": stype.family, "rank": stype.rank,
            "weights": weights, "faithful": verdict}
     return _cell(verdict), doc, ("family", "rank", "weights", "faithful")

@@ -220,7 +220,11 @@ def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup
     try:
         size = int(raw_size)
     except ValueError:
-        raise ValueError(f"bad header size {_echo(raw_size)}") from None
+        if kind != "table" or not raw_size.isdecimal():
+            raise ValueError(f"bad header size {_echo(raw_size)}") from None
+        from decimal import Decimal  # exact past the int->str limit, in linear time
+        size = Decimal(raw_size)
+        size = int(size) if size <= max_order else size
     if size < 1:
         raise ValueError(f"header size must be positive, got {_echo(size)}")
 

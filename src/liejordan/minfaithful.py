@@ -104,7 +104,7 @@ def _fundamental_cap(datum: RootDatum, fundamentals=None) -> int:
     from their (weight, dim) pairs in node order, probed here if not given."""
     ordered = sorted(fundamentals or _fundamental_weights(datum),
                      key=lambda pair: (pair[1], pair[0].coords))
-    return _cheapest_cover(ordered, *_center(datum.cartan))[0]
+    return _cheapest_cover(ordered, *_center(datum.type))[0]
 
 
 def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
@@ -119,7 +119,7 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     cap = _fundamental_cap(datum, fundamentals)
     candidates = enumerate_dominant_weights(datum, cap, allow_large_cap=override,
                                             fundamental_dims=[dim for _, dim in fundamentals])
-    best = _cheapest_cover(candidates, *_center(datum.cartan))
+    best = _cheapest_cover(candidates, *_center(datum.type))
     if best is None:
         raise AssertionError(f"no faithful weight set under cap for {datum.type}")
     total, _, _, weights = best

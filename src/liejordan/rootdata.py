@@ -8,9 +8,9 @@ pairing of simple root i against simple coroot j.  The positive coroots
 of A-D are written out from their closed form, and those of E-G come from
 the reflection closure over the transposed Cartan matrix.
 
-Each family is declared once, in _FAMILIES: its ranks, its Dynkin bonds,
-its number of positive roots and the order of its center.  The bonds fix
-the node numbering, 0-based in the table and 1-based in the notes below:
+Each family is declared once, in _FAMILIES: ranks, Dynkin bonds, number
+of positive roots, and center order and generators.  The bonds fix the
+node numbering, 0-based in the table and 1-based in the notes below:
 
 * A, B, C: a chain 1..l; for B the short simple root is node l, for C
   the long one is node l.
@@ -45,24 +45,28 @@ def _chain(nodes: int) -> list[tuple[int, int, int, int]]:
     return [(i, i + 1, 1, 1) for i in range(nodes - 1)]
 
 
-# Family letter -> (ranks, bonds, positive-root count, center order).  The
-# ranks are the least one for A-D and all of them for E-G; a bond
-# (i, j, a, b) sets the Cartan entries [i][j] = -a and [j][i] = -b; the
-# center order is the Cartan determinant.  Bourbaki, Lie Groups and Lie
-# Algebras, Ch. 4-6, Plates I-IX.
+# Family letter -> (ranks, bonds, positive-root count, center order, center
+# generators).  The ranks are the least one for A-D and all of them for E-G;
+# a bond (i, j, a, b) sets the Cartan entries [i][j] = -a and [j][i] = -b;
+# the center order is the Cartan determinant d, and each generator of the
+# center is a class over the simple coroots, an integer vector x mod d
+# standing for x/d.  Bourbaki, Lie Groups and Lie Algebras, Ch. 4-6, Plates I-IX.
 _FAMILIES = {
-    "A": (1, _chain, lambda l: l * (l + 1) // 2, lambda l: l + 1),
+    "A": (1, _chain, lambda l: l * (l + 1) // 2, lambda l: l + 1,
+          lambda l: [tuple(range(1, l + 1))]),
     "B": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 2, 1)], lambda l: l * l,
-          lambda l: 2),
+          lambda l: 2, lambda l: [(0,) * (l - 1) + (1,)]),
     "C": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 1, 2)], lambda l: l * l,
-          lambda l: 2),
+          lambda l: 2, lambda l: [(1, 0) * (l // 2) + (1,) * (l % 2)]),
     "D": (3, lambda l: _chain(l - 1) + [(l - 3, l - 1, 1, 1)], lambda l: l * (l - 1),
-          lambda l: 4),
+          lambda l: 4, lambda l: [(0,) * (l - 2) + (2, 2),
+                                  (2, 0) * (l // 2 - 1) + ((2, 1, 3) if l % 2 else (0, 2))]),
     "E": ((6, 7, 8), lambda l: _chain(l - 1) + [(l - 4, l - 1, 1, 1)],
-          {6: 36, 7: 63, 8: 120}.get, {6: 3, 7: 2, 8: 1}.get),
+          {6: 36, 7: 63, 8: 120}.get, {6: 3, 7: 2, 8: 1}.get,
+          {6: [(1, 2, 0, 1, 2, 0)], 7: [(1, 0, 1, 0, 0, 0, 1)], 8: []}.get),
     "F": ((4,), lambda l: [(0, 1, 1, 1), (1, 2, 1, 2), (2, 3, 1, 1)], lambda l: 24,
-          lambda l: 1),
-    "G": ((2,), lambda l: [(0, 1, 1, 3)], lambda l: 6, lambda l: 1),
+          lambda l: 1, lambda l: []),
+    "G": ((2,), lambda l: [(0, 1, 1, 3)], lambda l: 6, lambda l: 1, lambda l: []),
 }
 
 
@@ -222,6 +226,16 @@ def _classical_coroots(stype: SimpleType) -> list[tuple[int, ...]]:
     return [coroot for level in by_height for coroot in level]
 
 
+def _product(values) -> int:
+    """The product of integers, multiplied in pairs round by round: a few
+    multiplications of the result's size, where math.prod's left-to-right
+    steps cost the square of that size."""
+    values = list(values) or [1]
+    while len(values) > 1:
+        values = [a * b for a, b in itertools.zip_longest(values[::2], values[1::2], fillvalue=1)]
+    return values[0]
+
+
 class RootDatum(FrozenValue, shown=("type", "cartan", "positive_coroots")):
     """A simple type together with its Cartan matrix and positive coroots.
 
@@ -241,7 +255,7 @@ class RootDatum(FrozenValue, shown=("type", "cartan", "positive_coroots")):
         object.__setattr__(self, "cartan", cartan)
         object.__setattr__(self, "positive_coroots", positive_coroots)
         object.__setattr__(self, "rho_pairings", pairings)
-        object.__setattr__(self, "rho_product", math.prod(pairings))
+        object.__setattr__(self, "rho_product", _product(pairings))
 
     @property
     def rank(self) -> int:
@@ -280,12 +294,12 @@ def _weyl_dim(datum: RootDatum, coords, factors) -> int:
     refused, before the product is formed when the factors show it (a
     factor f is at least 2**(f.bit_length() - 1)).  A factor is at most
     (max coordinate + 1) times the highest coroot height, the last
-    coroot's, which clears short answers at once.
+    coroot's: short answers clear at once, longer ones multiply in pairs.
     """
     rho = datum.rho_pairings
 
-    def quotient() -> int:
-        dim, rem = divmod(math.prod(factors), datum.rho_product)
+    def quotient(product=math.prod) -> int:
+        dim, rem = divmod(product(factors), datum.rho_product)
         if rem:
             raise AssertionError(f"non-integral dimension for {datum.type} at {_echo(coords)}")
         return dim
@@ -294,7 +308,7 @@ def _weyl_dim(datum: RootDatum, coords, factors) -> int:
     if len(rho) * top <= 3 * _FORMED_PER_PRINTED * _digit_budget():  # 8**k < 10**k
         return quotient()
     return _formed(sum(f.bit_length() - 1 - r.bit_length()
-                       for f, r in zip(factors, rho)), quotient)
+                       for f, r in zip(factors, rho)), lambda: quotient(_product))
 
 
 def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
@@ -399,7 +413,7 @@ def check_cell_budget(stype: SimpleType):
     """Refuse a type whose data would pass the cell budget, from the family
     table before any of it is built: rank**2 Cartan cells, d * rank cells
     for the d center classes and |positive roots| * rank coroot cells."""
-    _, _, roots, order = _FAMILIES[stype.family]
+    _, _, roots, order, _ = _FAMILIES[stype.family]
     l = stype.rank
     cells, budget = l * (l + order(l) + roots(l)), _budget(CELLS_ENV_VAR, DEFAULT_MAX_CELLS)
     if cells > budget:

@@ -92,7 +92,7 @@ def test_center_and_pairing():
         expected_orders[("A", l)] = l + 1
     for (fam, rank), order in expected_orders.items():
         datum = _datum(fam, rank)
-        assert _center(datum.cartan)[0] == order, f"center order wrong for {fam}{rank}"
+        assert _center(datum.type)[0] == order, f"center order wrong for {fam}{rank}"
         assert len(center_classes(datum)) == order - 1
 
     e7 = _datum("E", 7)

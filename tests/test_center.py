@@ -29,13 +29,13 @@ def _class_set(datum):
     ("A", 1, 2), ("A", 4, 5), ("A", 9, 10),
 ])
 def test_center_orders(fam, rank, expected):
-    assert _center(_datum(fam, rank).cartan)[0] == expected
+    assert _center(SimpleType(fam, rank))[0] == expected
 
 
 def test_class_count_matches_order():
     for fam, rank in BUDGET_TYPES:
         d = _datum(fam, rank)
-        assert len(center_classes(d)) == _center(d.cartan)[0] - 1
+        assert len(center_classes(d)) == _center(d.type)[0] - 1
 
 
 def test_classes_form_a_group_mod_one():
@@ -116,6 +116,14 @@ def test_center_class_validation():
         CenterClass((Fraction(0), Fraction(0)))
     with pytest.raises(ValueError):
         CenterClass((Fraction(3, 2),))
+
+
+def test_center_class_refusal_quotes_a_huge_coordinate_short():
+    # str() of this coordinate would pass the int->str limit.
+    huge = Fraction(10 ** 5000 + 1, 10 ** 5000)
+    with pytest.raises(ValueError, match=r"^class coordinates must lie in \[0, 1\), got \(1") as err:
+        CenterClass((huge,))
+    assert len(str(err.value)) < 100
 
 
 def test_weight_set_validation():

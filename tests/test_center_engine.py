@@ -39,7 +39,7 @@ def _datum(fam, rank):
 @pytest.mark.parametrize("fam,rank", _types(20))
 def test_center_matches_oracle(fam, rank):
     d = _datum(fam, rank)
-    assert _center(d.cartan)[0] == old.center_order(d)
+    assert _center(d.type)[0] == old.center_order(d)
     assert center_classes(d) == old.center_classes(d)
 
 

@@ -641,7 +641,7 @@ def _cells(fam, rank):
     from liejordan.center import _center
     from liejordan.rootdata import SimpleType, build_root_datum
     datum = build_root_datum(SimpleType(fam, rank))
-    return rank * (len(datum.cartan) + _center(datum.cartan)[0] + len(datum.positive_coroots))
+    return rank * (len(datum.cartan) + _center(datum.type)[0] + len(datum.positive_coroots))
 
 
 SIZED_COMMANDS = {
@@ -692,8 +692,10 @@ def test_huge_rank_is_refused_before_anything_is_built(capsys, monkeypatch, comm
         raise AssertionError(f"built data for A{rank}")
 
     monkeypatch.delenv("LIEJORDAN_MAX_CELLS", raising=False)
-    # cartan_matrix, where every type's data starts, reads the bonds first.
-    monkeypatch.setitem(rootdata._FAMILIES, "A", (1, refuse, *rootdata._FAMILIES["A"][2:]))
+    # cartan_matrix, where every type's data starts, reads the bonds, and
+    # the center reads the generators.
+    ranks, _, roots, order, _ = rootdata._FAMILIES["A"]
+    monkeypatch.setitem(rootdata._FAMILIES, "A", (ranks, refuse, roots, order, refuse))
     argv = [command, "--family", "A", "--rank", "100000", *SIZED_COMMANDS[command]]
     tracemalloc.start()
     try:

@@ -91,9 +91,13 @@ def corrupted_table(draw):
     return "\n".join(lines) + "\n"
 
 
-# A header past the default order limit, with or without the rows it names.
+# A header past the default order limit, of up to 5000 digits, past the
+# int->str limit from 4301, with or without the rows it names.
 HUGE_TABLE = st.builds(lambda n, rows: f"table {n}\n" + "0 1\n1 0\n" * rows,
-                       st.integers(201, 10 ** (DIGIT_LIMIT - 1)), st.integers(0, 2))
+                       st.one_of(st.integers(201, 999).map(str),
+                                 st.builds(operator.add, st.sampled_from("19"),
+                                           st.integers(3, 4999).map(lambda n: "0" * n))),
+                       st.integers(0, 2))
 GROUP_TEXT = st.one_of(
     st.sampled_from(GROUPS), corrupted_table(), HUGE_TABLE,
     st.builds(lambda kind, n, body: f"{kind} {n}\n{body}",
@@ -244,6 +248,7 @@ def run(argv, group_file, text=None):
 @example((["rdim", "--family", "A", "--rank", X], None, 2))
 @example((["rdim", "--family", "A", "--rank", "2", "--format", X], None, 2))
 @example((["rdim", "--family", "A", "--rank", "2", *["x"] * 5000], None, 2))
+@example((["jordan-finite", "--input", INPUT], "table " + "9" * 5000 + "\n", 3))
 def test_every_command_line_ends_in_an_answer_or_a_bounded_refusal(group_file, case):
     argv, text, expected = case
     code, out, err, guards, seconds, peak = run(argv, group_file, text)

@@ -298,9 +298,9 @@ def test_a_table_over_the_limit_is_refused_by_its_header():
 
 
 def test_a_long_header_is_quoted_short():
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(OrderLimitError) as err:
         parse_group("table " + "9" * 5000 + "\n")
-    assert str(err.value) == f"bad header size '{'9' * 40}'..."
+    assert str(err.value) == f"group order {'9' * 40}... exceeds limit 200"
     with pytest.raises(ValueError) as err:
         parse_group("table -" + "9" * 4000 + "\n")
     assert str(err.value) == f"header size must be positive, got -{'9' * 39}..."

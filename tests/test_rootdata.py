@@ -1,12 +1,15 @@
 """Root data construction, Weyl dimensions, dominant weight enumeration."""
 import itertools
+import math
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from liejordan.errors import RankBudgetError
-from liejordan.rootdata import (DominantWeight, SimpleType, build_root_datum,
+from liejordan.rootdata import (DominantWeight, SimpleType, _product, build_root_datum,
                                 cartan_matrix, check_rank_budget,
                                 enumerate_dominant_weights, max_rank,
                                 positive_root_count, weyl_dim)
@@ -207,3 +210,8 @@ def test_rank_budget_env(monkeypatch):
     monkeypatch.setenv("LIEJORDAN_MAX_RANK", "-2")
     with pytest.raises(ValueError):
         max_rank()
+
+
+@given(st.lists(st.integers(-2 ** 80, 2 ** 80), max_size=40))
+def test_product_in_pairs_is_math_prod(values):
+    assert _product(iter(values)) == math.prod(values)
