@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import FrozenValue, _echo, _field_repr
+from .errors import FrozenValue, _echo, _field_echo
 from .rootdata import _FAMILIES, DominantWeight, RootDatum, SimpleType
 
 
@@ -52,7 +52,7 @@ class CenterClass(FrozenValue):
             raise ValueError("the identity class is not represented")
         for c in coords:
             if not 0 <= c.numerator < c.denominator:
-                raise ValueError(f"class coordinates must lie in [0, 1), got {_field_repr(coords)}")
+                raise ValueError(f"class coordinates must lie in [0, 1), got {_field_echo(coords)}")
         object.__setattr__(self, "coords", coords)
 
     def __str__(self) -> str:

@@ -95,6 +95,12 @@ def _field_repr(value) -> str:
         return _echo(value)
 
 
+def _field_echo(value) -> str:
+    """_field_repr(value) cut to its first 40 characters, as _echo cuts."""
+    text = _field_repr(value)
+    return text[:_ECHO_CHARS] + ("..." if len(text) > _ECHO_CHARS else "")
+
+
 def _restore(cls, values):
     """A FrozenValue with these slot values, for copy and pickle."""
     value = object.__new__(cls)

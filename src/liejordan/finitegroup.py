@@ -19,27 +19,30 @@ nonabelian one at least 2, so:
 * J = |G|: G itself, the only subgroup that large;
 * J = 2: the least nonabelian subgroup, which two noncommuting elements
   generate;
-* otherwise the first F of the lattice walk that attains J: a nonabelian
-  F whose order J divides, with |F| / |A_F| = J for a largest normal
-  abelian subgroup A_F of F, found by the same search within F.
+* otherwise a supplement of A.  If F attains J, then J <= [F : A∩F] =
+  [FA : A] <= J, so FA = G, and B = A∩F is normalised by F and by the
+  abelian A, hence normal in G, with |F| = J |B|.  For generators t1..tk
+  of G modulo A, F = <B, t1 a1, ..., tk ak> for some aj in A that matter
+  only through their cosets aj B.  So B runs over the G-normal subgroups
+  of A, unions of classes found by the search for A, least first; each
+  choice of cosets is closed up to J |B| elements, and the least closure
+  with no normal abelian subgroup larger than B, at the first order that
+  has one, is the witness.
 
-In the lattice walk and the scan, subgroups are int bitmasks over the
-element indices, so a subset test is a & ~b == 0.  Enumeration is cyclic
-extension (Neubuser 1960; Holt, Eick & O'Brien, Handbook of
-Computational Group Theory, 2005): every subgroup is generated by its
-cyclic subgroups, so extending each known subgroup by each cyclic
-subgroup <g> not already inside it, breadth first from the trivial
-group, finds the whole lattice.  A join <H, g> is grown from H coset by
-coset.  Each subgroup keeps the generator list that built it, which
-makes the abelian test (generators commute) and conjugation within it
-(by its generators) cheap.
+Subgroups are int bitmasks over the element indices, so a subset test is
+a & ~b == 0, and a join is grown from a subgroup coset by coset.
+The library function all_subgroups, which no Jordan constant or witness
+needs, lists the lattice by cyclic extension (Neubuser 1960; Holt, Eick
+& O'Brien, Handbook of Computational Group Theory, 2005): extending each
+known subgroup by each cyclic subgroup not inside it, breadth first from
+the trivial group, reaches every subgroup.
 
-One order limit guards it all, since subgroup lattices explode quickly;
-it is checked on a table's header, during a permutation closure, and
-before any Jordan constant is computed.
+One order limit guards it all.  It is checked on a table's header,
+during a permutation closure, and before any Jordan constant is computed.
 """
 from __future__ import annotations
 
+from itertools import groupby, product
 from operator import itemgetter
 
 from .errors import DEFAULT_JORDAN_LIMIT, FrozenValue, OrderLimitError, _echo
@@ -58,8 +61,9 @@ class FiniteGroup:
     def __init__(self, mult, check_associativity: bool = True):
         self.mult = tuple(tuple(row) for row in mult)
         self.order = len(self.mult)
+        self._cols = tuple(zip(*self.mult))
         self._validate()
-        self._generators = _greedy_generators(self.mult)
+        self._generators = _greedy_generators(self.mult, range(self.order))
         if check_associativity:
             self._check_associativity()
         self.inverses = tuple(row.index(0) for row in self.mult)
@@ -74,7 +78,7 @@ class FiniteGroup:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
             if frozenset(row) != everything:
                 raise ValueError(f"row {i} is not a permutation of 0..{n - 1}")
-        for j, column in enumerate(zip(*self.mult)):
+        for j, column in enumerate(self._cols):
             if frozenset(column) != everything:
                 raise ValueError(f"column {j} is not a permutation of 0..{n - 1}")
         if any(self.mult[0][j] != j for j in range(n)):
@@ -124,7 +128,7 @@ def _parse_perm_line(line: str, degree: int, lineno: int) -> tuple[int, ...]:
     tokens = line.split()
     if len(tokens) != degree:
         raise ValueError(
-            f"line {lineno}: expected {degree} images, got {len(tokens)}")
+            f"line {lineno}: expected {_echo(degree)} images, got {len(tokens)}")
     try:
         images = tuple(int(t) - 1 for t in tokens)
     except ValueError:
@@ -285,16 +289,17 @@ def _closure(mult, gens, limit):
     return mask, reached
 
 
-def _greedy_generators(mult) -> tuple[int, ...]:
-    """The least element outside the closure of those before it, added
-    until the closure of the identity under right multiplication by them
-    is the whole table; in a group, each one at least doubles it."""
-    gens, mask = [], 1
-    for g in range(1, len(mult)):
+def _greedy_generators(mult, elements, base=()) -> tuple[int, ...]:
+    """The least of the elements outside the subgroup generated by base and
+    those before it, added until that subgroup holds all of them; in a
+    group, each one at least doubles it."""
+    gens = list(base)
+    mask = _closure(mult, gens, len(mult))[0]
+    for g in elements:
         if not mask >> g & 1:
             gens.append(g)
             mask = _closure(mult, gens, len(mult))[0]
-    return tuple(gens)
+    return tuple(gens[len(base):])
 
 
 def _join(mult, cols, bits, base, mask, gens) -> tuple[int, list[int]]:
@@ -329,8 +334,7 @@ def all_subgroups(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> list
     (number of subgroups) x (number of cyclic subgroups) joins.
     """
     _check_order(G, max_order)
-    mult = G.mult
-    cols = tuple(zip(*mult))
+    mult, cols = G.mult, G._cols
     bits = [1 << i for i in range(G.order)]
     cyclic = _cyclic_subgroups(mult, G.order)
     found: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
@@ -377,9 +381,29 @@ def _conjugacy_classes(G: FiniteGroup, elements, gens) -> list[tuple[int, list[i
     return classes
 
 
+def _class_unions(G: FiniteGroup, members, classes) -> dict[int, list[int]]:
+    """Each subgroup reached from the normal one with these elements by
+    joining classes (mask, elements, mask of all that commute with them)
+    one at a time, each to a subgroup its commuting mask holds: mask ->
+    elements."""
+    mult, cols = G.mult, G._cols
+    bits = [1 << i for i in range(G.order)]
+    start = sum(map(bits.__getitem__, members))
+    found, stack = {start: members}, [start]
+    while stack:
+        mask = stack.pop()
+        for omask, orbit, commuting in classes:
+            if omask & ~mask and not mask & ~commuting:
+                bigger, grown = _join(mult, cols, bits, found[mask], mask, orbit)
+                if bigger not in found:
+                    found[bigger] = grown
+                    stack.append(bigger)
+    return found
+
+
 def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
-    """Order of the largest normal abelian subgroup of the subgroup F of G
-    with these sorted elements and generators.
+    """Mask of a largest normal abelian subgroup of the subgroup F of G with
+    these sorted elements and generators.
 
     Each one A lies in the normal abelian AZ, with Z the center, so the
     search runs over unions of conjugacy classes that contain Z.  A class
@@ -390,9 +414,7 @@ def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
     so each subgroup found is extended by every class, not only by later
     ones.
     """
-    mult = G.mult
-    cols = tuple(zip(*mult))
-    bits = [1 << i for i in range(G.order)]
+    mult, cols = G.mult, G._cols
     center, classes = [], []
     for omask, orbit in _conjugacy_classes(G, elements, gens):
         c = orbit[0]
@@ -400,20 +422,10 @@ def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
             center.append(c)
             continue
         row, col = mult[c], cols[c]
-        commuting = sum(bits[x] for x in elements if row[x] == col[x])
+        commuting = sum(1 << x for x in elements if row[x] == col[x])
         if not omask & ~commuting:
             classes.append((omask, orbit, commuting))
-    start = sum(map(bits.__getitem__, center))
-    found, stack = {start}, [(start, center)]
-    while stack:
-        mask, members = stack.pop()
-        for omask, orbit, commuting in classes:
-            if omask & ~mask and not mask & ~commuting:
-                bigger, grown = _join(mult, cols, bits, members, mask, orbit)
-                if bigger not in found:
-                    found.add(bigger)
-                    stack.append((bigger, grown))
-    return max(map(int.bit_count, found))
+    return max(_class_unions(G, center, classes), key=int.bit_count)
 
 
 def _least_nonabelian(G: FiniteGroup) -> Subgroup:
@@ -428,8 +440,7 @@ def _least_nonabelian(G: FiniteGroup) -> Subgroup:
     pass looks for the least elements among the subgroups of order m, and
     skips a pair inside one already found, since it generates that one.
     """
-    mult, n = G.mult, G.order
-    cols = tuple(zip(*mult))
+    mult, cols, n = G.mult, G._cols, G.order
     m, first = n, None
     for _, orbit in _conjugacy_classes(G, range(n), G._generators):
         a = orbit[0]
@@ -459,12 +470,43 @@ def _least_nonabelian(G: FiniteGroup) -> Subgroup:
     return Subgroup(tuple(elements), pair)
 
 
+def _least_supplement(G: FiniteGroup, value: int) -> Subgroup:
+    """The witness when J = value is not 1, 2 or |G|: the supplement search
+    of the module docstring.  A closure holds B and meets every coset of A,
+    so one that stops at value * |B| elements has that order and meets A
+    in B.  B = A gives G itself, so some closure passes.
+    """
+    mult, n = G.mult, G.order
+    A = _largest_normal_abelian(G, range(n), G._generators)
+    in_a = [x for x in range(n) if A >> x & 1]
+    tops = _greedy_generators(mult, range(n), _greedy_generators(mult, in_a))
+    classes = [(omask, orbit, A) for omask, orbit in _conjugacy_classes(G, in_a, G._generators)]
+    unions = sorted(_class_unions(G, [0], classes).values(), key=len)
+    for size, normals in groupby(unions, key=len):
+        found = []
+        for members in normals:
+            cosets = [a for a in in_a if min(mult[a][b] for b in members) == a]
+            base = _greedy_generators(mult, members)
+            for lifts in product(cosets, repeat=len(tops)):
+                gens = base + tuple(mult[t][a] for t, a in zip(tops, lifts))
+                F = _closure(mult, gens, value * size)
+                if F is not None:
+                    found.append((sorted(F[1]), gens))
+        for elements, gens in sorted(found):
+            if _largest_normal_abelian(G, elements, gens).bit_count() == size:
+                return Subgroup(tuple(elements), gens)
+    raise AssertionError("G itself is a witness")
+
+
 def jordan_constant_with_witness(
     G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT
 ) -> tuple[int, Subgroup]:
     """Jordan constant of G plus the first subgroup, in (order, elements)
-    order, whose minimal normal abelian index attains it.  The module
-    docstring says why J = 1, |G| and 2 need no subgroup lattice."""
+    order, whose minimal normal abelian index attains it.  Past J = 1, |G|
+    and 2, it is a supplement F of a largest normal abelian A: J <= [F :
+    A∩F] = [FA : A] <= J gives FA = G, so F is generated by the G-normal
+    B = A∩F and a lift of each generator of G modulo A, and |F| = J |B|.
+    No case walks the subgroup lattice."""
     value = jordan_constant(G, max_order)
     if value == 1:
         return value, Subgroup((0,), ())
@@ -472,10 +514,7 @@ def jordan_constant_with_witness(
         return value, Subgroup(tuple(range(G.order)), G._generators)
     if value == 2:
         return value, _least_nonabelian(G)
-    return value, next(
-        F for F in all_subgroups(G, max_order)
-        if F.order % value == 0 and not _commute(G.mult, F.generators)
-        and F.order // _largest_normal_abelian(G, F.elements, F.generators) == value)
+    return value, _least_supplement(G, value)
 
 
 def jordan_constant(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> int:
@@ -484,4 +523,4 @@ def jordan_constant(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> in
     _check_order(G, max_order)
     if _commute(G.mult, G._generators):
         return 1
-    return G.order // _largest_normal_abelian(G, range(G.order), G._generators)
+    return G.order // _largest_normal_abelian(G, range(G.order), G._generators).bit_count()

@@ -126,6 +126,13 @@ def test_center_class_refusal_quotes_a_huge_coordinate_short():
     assert len(str(err.value)) < 100
 
 
+def test_center_class_refusal_quotes_many_coordinates_short():
+    with pytest.raises(ValueError) as err:
+        CenterClass((Fraction(1, 2),) * 1000 + (Fraction(3, 2),))
+    assert str(err.value) == ("class coordinates must lie in [0, 1), got "
+                              "(Fraction(1, 2), Fraction(1, 2), Fractio...")
+
+
 def test_weight_set_validation():
     with pytest.raises(ValueError):
         WeightSet(())

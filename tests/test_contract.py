@@ -249,6 +249,7 @@ def run(argv, group_file, text=None):
 @example((["rdim", "--family", "A", "--rank", "2", "--format", X], None, 2))
 @example((["rdim", "--family", "A", "--rank", "2", *["x"] * 5000], None, 2))
 @example((["jordan-finite", "--input", INPUT], "table " + "9" * 5000 + "\n", 3))
+@example((["jordan-finite", "--input", INPUT], "perm 1" + "0" * 4000 + "\n1 2\n", 2))
 def test_every_command_line_ends_in_an_answer_or_a_bounded_refusal(group_file, case):
     argv, text, expected = case
     code, out, err, guards, seconds, peak = run(argv, group_file, text)

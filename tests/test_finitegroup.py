@@ -63,7 +63,7 @@ def min_normal_abelian_index(F, G):
     """Smallest index of a normal abelian subgroup of F, by the search that
     jordan_constant_with_witness runs; an F given without generators is
     conjugated by all of its elements."""
-    return F.order // _largest_normal_abelian(G, F.elements, F.generators or F.elements)
+    return F.order // _largest_normal_abelian(G, F.elements, F.generators or F.elements).bit_count()
 
 
 def element_order(G, g):
