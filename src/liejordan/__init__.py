@@ -24,8 +24,8 @@ _EXPORTS = {name: module for module, names in (
                "expr_to_json stabilizer_bound_hyperbolic"),
     ("center", "CenterClass WeightSet center_classes is_faithful pair"),
     ("errors", "OrderLimitError RankBudgetError ResourceGuardError"),
-    ("finitegroup", "FiniteGroup Subgroup all_subgroups jordan_constant "
-                    "jordan_constant_with_witness parse_group"),
+    ("finitegroup", "FiniteGroup Subgroup jordan_constant jordan_constant_with_witness "
+                    "parse_group"),
     ("minfaithful", "RdimResult rdim rdim_table"),
     ("rootdata", "DominantWeight RootDatum SimpleType build_root_datum "
                  "enumerate_dominant_weights max_rank weyl_dim"),

@@ -46,8 +46,7 @@ class CenterClass(FrozenValue):
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[Fraction, ...]):
-        from fractions import Fraction
-        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
+        coords = _fractions(coords)
         if not any(coords):
             raise ValueError("the identity class is not represented")
         for c in coords:
@@ -111,6 +110,17 @@ def _center(stype: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return d, tuple(sorted(classes))
 
 
+def _fractions(coords) -> tuple[Fraction, ...]:
+    """The coordinates as Fractions; a zero denominator is malformed input."""
+    from fractions import Fraction
+    coords = tuple(coords)
+    try:
+        return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
+    except ZeroDivisionError:
+        raise ValueError(
+            f"coordinates need nonzero denominators, got {_field_echo(coords)}") from None
+
+
 def center_classes(datum: RootDatum) -> list[CenterClass]:
     """All nonidentity central classes, sorted lexicographically."""
     return _center_classes(datum.type)
@@ -132,11 +142,10 @@ def pair(weight: DominantWeight, element) -> Fraction:
     change the result because weight coordinates are integers.
     """
     from fractions import Fraction
-    coords = element.coords if isinstance(element, CenterClass) else tuple(element)
+    coords = element.coords if isinstance(element, CenterClass) else _fractions(element)
     if len(coords) != len(weight.coords):
         raise ValueError(
             f"element has {len(coords)} coordinates, weight has {len(weight.coords)}")
-    coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
     den = math.lcm(*[c.denominator for c in coords])
     s = sum(l * c.numerator * (den // c.denominator) for l, c in zip(weight.coords, coords))
     return Fraction(s % den, den)

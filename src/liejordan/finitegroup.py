@@ -30,12 +30,8 @@ nonabelian one at least 2, so:
   has one, is the witness.
 
 Subgroups are int bitmasks over the element indices, so a subset test is
-a & ~b == 0, and a join is grown from a subgroup coset by coset.
-The library function all_subgroups, which no Jordan constant or witness
-needs, lists the lattice by cyclic extension (Neubuser 1960; Holt, Eick
-& O'Brien, Handbook of Computational Group Theory, 2005): extending each
-known subgroup by each cyclic subgroup not inside it, breadth first from
-the trivial group, reaches every subgroup.
+a & ~b == 0, and a join is grown from a normal subgroup coset by coset.
+One search for A serves both J and the witness.
 
 One order limit guards it all.  It is checked on a table's header,
 during a permutation closure, and before any Jordan constant is computed.
@@ -46,6 +42,8 @@ from itertools import groupby, product
 from operator import itemgetter
 
 from .errors import DEFAULT_JORDAN_LIMIT, FrozenValue, OrderLimitError, _echo
+
+_KNOB = "; raise it with --jordan-limit (max_order in the library)"
 
 
 class FiniteGroup:
@@ -160,7 +158,7 @@ def _perm_closure(generators, degree: int, limit: int) -> dict:
                 if q not in reached:
                     if len(reached) >= limit:
                         raise OrderLimitError(
-                            f"permutation closure exceeded {limit} elements")
+                            f"permutation closure exceeded {limit} elements{_KNOB}")
                     reached[q] = (p, k)
                     nxt.append(q)
         frontier = nxt
@@ -187,15 +185,10 @@ def _perm_table(reached, generators) -> list:
 
 
 def _check_limit(max_order: int) -> None:
+    if type(max_order) is not int:
+        raise ValueError(f"the order limit must be an integer, got {_echo(max_order)}")
     if max_order < 1:
         raise ValueError(f"the order limit must be positive, got {_echo(max_order)}")
-
-
-def _check_order(G: FiniteGroup, max_order: int) -> None:
-    _check_limit(max_order)
-    if G.order > max_order:
-        raise OrderLimitError(
-            f"group order {G.order} exceeds limit {max_order}")
 
 
 def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup:
@@ -242,7 +235,7 @@ def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup
 
     if kind == "table":
         if size > max_order:
-            raise OrderLimitError(f"group order {_echo(size)} exceeds limit {max_order}")
+            raise OrderLimitError(f"group order {_echo(size)} exceeds limit {max_order}{_KNOB}")
         rows = lines[1:]
         if len(rows) != size:
             raise ValueError(f"expected {size} table rows, got {len(rows)}")
@@ -258,18 +251,6 @@ def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup
         return FiniteGroup(mult)
 
     raise ValueError(f"unknown format {_echo(kind)}, expected 'perm' or 'table'")
-
-
-def _cyclic_subgroups(mult, order) -> list[tuple[int, int]]:
-    """Every nontrivial cyclic subgroup as (mask, smallest generator)."""
-    cyclic: dict[int, int] = {}
-    for g in range(1, order):
-        mask, x = 1, g
-        while x:
-            mask |= 1 << x
-            x = mult[x][g]
-        cyclic.setdefault(mask, g)
-    return list(cyclic.items())
 
 
 def _closure(mult, gens, limit):
@@ -302,61 +283,6 @@ def _greedy_generators(mult, elements, base=()) -> tuple[int, ...]:
     return tuple(gens[len(base):])
 
 
-def _join(mult, cols, bits, base, mask, gens) -> tuple[int, list[int]]:
-    """Mask and elements of the subgroup K generated by the subgroup H with
-    elements base and mask and by gens, which include the generators of H
-    unless H is normal.
-
-    K is grown as a union of right cosets Hy.  Such a union contains the
-    identity, and it is closed under right multiplication by the generators
-    (hence is K) once y*s lies in it for every coset representative y and
-    generator s, so the work is |K| + [K:H]*len(gens) table lookups.  A
-    union of cosets of a normal H is closed under H as well.
-    """
-    elements = list(base)
-    reps = [0]
-    for x in reps:
-        row = mult[x]
-        for s in gens:
-            y = row[s]
-            if not mask >> y & 1:
-                coset = list(map(cols[y].__getitem__, base))
-                elements += coset
-                mask |= sum(map(bits.__getitem__, coset))
-                reps.append(y)
-    return mask, elements
-
-
-def all_subgroups(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> list[Subgroup]:
-    """Every subgroup, sorted by order then element list.
-
-    Groups over max_order are refused: the lattice walk costs about
-    (number of subgroups) x (number of cyclic subgroups) joins.
-    """
-    _check_order(G, max_order)
-    mult, cols = G.mult, G._cols
-    bits = [1 << i for i in range(G.order)]
-    cyclic = _cyclic_subgroups(mult, G.order)
-    found: dict[int, tuple[list[int], tuple[int, ...]]] = {1: ([0], ())}
-    frontier = [1]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            base, gens = found[mask]
-            for cmask, g in cyclic:
-                if cmask & ~mask:
-                    grown = gens + (g,)
-                    bigger, elements = _join(mult, cols, bits, base, mask, grown)
-                    if bigger not in found:
-                        found[bigger] = (elements, grown)
-                        nxt.append(bigger)
-        frontier = nxt
-    subs = [Subgroup(tuple(sorted(elements)), gens)
-            for elements, gens in found.values()]
-    subs.sort(key=lambda s: (s.order, s.elements))
-    return subs
-
-
 def _commute(mult, elements) -> bool:
     return all(mult[a][b] == mult[b][a] for a in elements for b in elements)
 
@@ -385,19 +311,37 @@ def _class_unions(G: FiniteGroup, members, classes) -> dict[int, list[int]]:
     """Each subgroup reached from the normal one with these elements by
     joining classes (mask, elements, mask of all that commute with them)
     one at a time, each to a subgroup its commuting mask holds: mask ->
-    elements."""
+    elements.
+
+    Each subgroup H reached is normal, so its join K with a class C is
+    grown as a union of right cosets Hy: such a union contains the
+    identity and is closed under H, so it is K once y*c lies in it for
+    every coset representative y and c in C.  That costs |K| + [K:H]*|C|
+    table lookups.
+    """
     mult, cols = G.mult, G._cols
     bits = [1 << i for i in range(G.order)]
     start = sum(map(bits.__getitem__, members))
     found, stack = {start: members}, [start]
     while stack:
         mask = stack.pop()
+        base = found[mask]
         for omask, orbit, commuting in classes:
-            if omask & ~mask and not mask & ~commuting:
-                bigger, grown = _join(mult, cols, bits, found[mask], mask, orbit)
-                if bigger not in found:
-                    found[bigger] = grown
-                    stack.append(bigger)
+            if not omask & ~mask or mask & ~commuting:
+                continue
+            bigger, grown, reps = mask, list(base), [0]
+            for x in reps:
+                row = mult[x]
+                for c in orbit:
+                    y = row[c]
+                    if not bigger >> y & 1:
+                        coset = list(map(cols[y].__getitem__, base))
+                        grown += coset
+                        bigger |= sum(map(bits.__getitem__, coset))
+                        reps.append(y)
+            if bigger not in found:
+                found[bigger] = grown
+                stack.append(bigger)
     return found
 
 
@@ -470,14 +414,15 @@ def _least_nonabelian(G: FiniteGroup) -> Subgroup:
     return Subgroup(tuple(elements), pair)
 
 
-def _least_supplement(G: FiniteGroup, value: int) -> Subgroup:
+def _least_supplement(G: FiniteGroup, value: int, A: int) -> Subgroup:
     """The witness when J = value is not 1, 2 or |G|: the supplement search
-    of the module docstring.  A closure holds B and meets every coset of A,
-    so one that stops at value * |B| elements has that order and meets A
-    in B.  B = A gives G itself, so some closure passes.
+    of the module docstring over the largest normal abelian A, a mask.  A
+    closure holds B and meets every coset of A, so one that stops at value
+    * |B| elements has that order and meets A in B.  B = A gives G itself,
+    which passes unchecked, since A is a largest normal abelian subgroup
+    of G.
     """
     mult, n = G.mult, G.order
-    A = _largest_normal_abelian(G, range(n), G._generators)
     in_a = [x for x in range(n) if A >> x & 1]
     tops = _greedy_generators(mult, range(n), _greedy_generators(mult, in_a))
     classes = [(omask, orbit, A) for omask, orbit in _conjugacy_classes(G, in_a, G._generators)]
@@ -493,9 +438,21 @@ def _least_supplement(G: FiniteGroup, value: int) -> Subgroup:
                 if F is not None:
                     found.append((sorted(F[1]), gens))
         for elements, gens in sorted(found):
-            if _largest_normal_abelian(G, elements, gens).bit_count() == size:
+            if len(elements) == n or _largest_normal_abelian(G, elements, gens).bit_count() == size:
                 return Subgroup(tuple(elements), gens)
     raise AssertionError("G itself is a witness")
+
+
+def _jordan(G: FiniteGroup, max_order: int) -> tuple[int, int]:
+    """J and the mask of a largest normal abelian subgroup A of G, from
+    which J = |G| / |A|, once G passes the order limit."""
+    _check_limit(max_order)
+    if G.order > max_order:
+        raise OrderLimitError(f"group order {G.order} exceeds limit {max_order}{_KNOB}")
+    if _commute(G.mult, G._generators):
+        return 1, (1 << G.order) - 1
+    A = _largest_normal_abelian(G, range(G.order), G._generators)
+    return G.order // A.bit_count(), A
 
 
 def jordan_constant_with_witness(
@@ -507,20 +464,17 @@ def jordan_constant_with_witness(
     A∩F] = [FA : A] <= J gives FA = G, so F is generated by the G-normal
     B = A∩F and a lift of each generator of G modulo A, and |F| = J |B|.
     No case walks the subgroup lattice."""
-    value = jordan_constant(G, max_order)
+    value, A = _jordan(G, max_order)
     if value == 1:
         return value, Subgroup((0,), ())
     if value == G.order:
         return value, Subgroup(tuple(range(G.order)), G._generators)
     if value == 2:
         return value, _least_nonabelian(G)
-    return value, _least_supplement(G, value)
+    return value, _least_supplement(G, value, A)
 
 
 def jordan_constant(G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT) -> int:
     """Maximum over subgroups F of the minimal normal abelian index in F,
     which is the least index of a normal abelian subgroup of G itself."""
-    _check_order(G, max_order)
-    if _commute(G.mult, G._generators):
-        return 1
-    return G.order // _largest_normal_abelian(G, range(G.order), G._generators).bit_count()
+    return _jordan(G, max_order)[0]

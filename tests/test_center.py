@@ -133,6 +133,19 @@ def test_center_class_refusal_quotes_many_coordinates_short():
                               "(Fraction(1, 2), Fraction(1, 2), Fractio...")
 
 
+def test_a_zero_denominator_is_malformed():
+    with pytest.raises(ValueError) as err:
+        CenterClass(("1/0",))
+    assert str(err.value) == "coordinates need nonzero denominators, got ('1/0',)"
+    with pytest.raises(ValueError) as err:
+        pair(DominantWeight((1,)), ["1/0"])
+    assert str(err.value) == "coordinates need nonzero denominators, got ('1/0',)"
+    with pytest.raises(ValueError) as err:
+        pair(DominantWeight((1,) * 1000), ["1/2"] * 999 + ["1/0"])
+    assert str(err.value) == ("coordinates need nonzero denominators, got "
+                              "('1/2', '1/2', '1/2', '1/2', '1/2', '1/2...")
+
+
 def test_weight_set_validation():
     with pytest.raises(ValueError):
         WeightSet(())

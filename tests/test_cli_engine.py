@@ -10,7 +10,9 @@ whose outcome changed on purpose (weight coordinates past the int->str digit
 limit, Weyl products refused before they are formed, permutation groups
 over --jordan-limit refused during their closure, unreadable input paths
 of more than 40 characters, cut in the message) are tested in test_cli.py
-instead.
+instead.  The old interface parses groups and computes Jordan constants
+with the library under test, so the grid does not pin the wording of the
+order-limit refusals; test_cli.py does.
 """
 import sys
 from functools import lru_cache

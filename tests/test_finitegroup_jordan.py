@@ -19,7 +19,7 @@ from liejordan import finitegroup
 from liejordan.errors import OrderLimitError
 from liejordan.finitegroup import (FiniteGroup, jordan_constant, jordan_constant_with_witness,
                                    parse_group)
-from test_finitegroup import _oracle_close, corpus
+from test_finitegroup import KNOB, _oracle_close, corpus
 from test_finitegroup_engine import CORPUS, PERM_GROUPS, S5, group_text, perm_text
 
 # Groups of order 128 whose lattices have 29212 and 7420 subgroups.
@@ -40,15 +40,8 @@ S4XC2CUBED = perm_text(10, [[(1, 2)], [(1, 2, 3, 4)], [(5, 6)], [(7, 8)], [(9, 1
 S4XC2CUBED_WITNESS = tuple(range(0, 192, 8))
 
 
-def lattice_never_walked(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the subgroup lattice was walked")
-    monkeypatch.setattr(finitegroup, "all_subgroups", refuse)
-
-
 @pytest.mark.parametrize("name", sorted(BIG_GROUPS))
-def test_big_groups_answer_without_their_lattice(monkeypatch, name):
-    lattice_never_walked(monkeypatch)
+def test_big_groups_answer_without_their_lattice(name):
     text = perm_text(*BIG_GROUPS[name])
     times = []
     for _ in range(3):
@@ -59,8 +52,7 @@ def test_big_groups_answer_without_their_lattice(monkeypatch, name):
     assert min(times) < 0.2, f"{name} took {min(times):.3f} s"
 
 
-def test_s4xc2cubed_answers_without_its_lattice(monkeypatch):
-    lattice_never_walked(monkeypatch)
+def test_s4xc2cubed_answers_without_its_lattice():
     G = parse_group(S4XC2CUBED)
     start = time.perf_counter()
     value, witness = jordan_constant_with_witness(G)
@@ -73,10 +65,30 @@ def test_s4xc2cubed_answers_without_its_lattice(monkeypatch):
 @pytest.mark.parametrize("text", [S5] + [perm_text(*BIG_GROUPS[n]) for n in sorted(BIG_GROUPS)],
                          ids=["s5"] + sorted(BIG_GROUPS))
 def test_jordan_constant_never_walks_the_lattice(monkeypatch, text):
+    """No lattice function is left to walk; J alone starts no witness search."""
     G = parse_group(text)
     expected = jordan_constant_with_witness(G)[0]
-    lattice_never_walked(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a witness search began")
+    for name in ("_least_nonabelian", "_least_supplement"):
+        monkeypatch.setattr(finitegroup, name, refuse)
     assert jordan_constant(G) == expected
+
+
+@pytest.mark.parametrize("name", ["o24_s4", "s4xc2"])
+def test_the_witness_searches_g_for_a_once(monkeypatch, name):
+    G = parse_group(group_text(name))
+    searched = []
+    search = finitegroup._largest_normal_abelian
+
+    def counted(H, elements, gens):
+        searched.append(len(elements))
+        return search(H, elements, gens)
+    monkeypatch.setattr(finitegroup, "_largest_normal_abelian", counted)
+    value, _ = jordan_constant_with_witness(G)
+    assert value not in (1, 2, G.order)
+    assert searched.count(G.order) == 1
 
 
 def test_the_order_limit_comes_before_any_work(monkeypatch):
@@ -84,17 +96,18 @@ def test_the_order_limit_comes_before_any_work(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("work began before the order check")
-    for name in ("_commute", "_largest_normal_abelian", "_least_nonabelian", "all_subgroups"):
+    for name in ("_commute", "_largest_normal_abelian", "_least_nonabelian",
+                 "_least_supplement"):
         monkeypatch.setattr(finitegroup, name, refuse)
     for jordan in (jordan_constant, jordan_constant_with_witness):
-        with pytest.raises(OrderLimitError, match="^group order 720 exceeds limit 200$"):
+        with pytest.raises(OrderLimitError) as err:
             jordan(s6)
+        assert str(err.value) == "group order 720 exceeds limit 200" + KNOB
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_witness_generators_generate_the_witness(monkeypatch, name):
+def test_witness_generators_generate_the_witness(name):
     G = parse_group(group_text(name))
-    lattice_never_walked(monkeypatch)
     value, witness = jordan_constant_with_witness(G)
     assert _oracle_close(G.mult, witness.generators) == witness.elements
     if value == 1:
