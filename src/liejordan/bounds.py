@@ -85,9 +85,9 @@ class GroupDims(FrozenValue):
     __slots__ = ("n", "b")
 
     def __init__(self, n: int, b: int = 1):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"dimension must be a non-negative integer, got {_echo(n)}")
-        if not isinstance(b, int) or b < 1:
+        if type(b) is not int or b < 1:
             raise ValueError(f"component count must be a positive integer, got {_echo(b)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "b", b)

@@ -111,14 +111,18 @@ def _center(stype: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def _fractions(coords) -> tuple[Fraction, ...]:
-    """The coordinates as Fractions; a zero denominator is malformed input."""
-    from fractions import Fraction
+    """The coordinates as Fractions; a zero denominator or an infinite
+    float is malformed input."""
+    import fractions
+    Fraction = fractions.Fraction
     coords = tuple(coords)
     try:
         return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
     except ZeroDivisionError:
         raise ValueError(
             f"coordinates need nonzero denominators, got {_field_echo(coords)}") from None
+    except OverflowError:
+        raise ValueError(f"coordinates must be finite, got {_field_echo(coords)}") from None
 
 
 def center_classes(datum: RootDatum) -> list[CenterClass]:
@@ -128,9 +132,9 @@ def center_classes(datum: RootDatum) -> list[CenterClass]:
 
 def _center_classes(stype: SimpleType) -> list[CenterClass]:
     """center_classes from the type alone."""
-    from fractions import Fraction
+    import fractions
     d, classes = _center(stype)
-    shares = [Fraction(c, d) for c in range(d)]  # each coordinate is some c/d, built once
+    shares = [fractions.Fraction(c, d) for c in range(d)]  # each coordinate is some c/d, built once
     return [CenterClass(tuple([shares[c] for c in x])) for x in classes]
 
 
@@ -141,14 +145,14 @@ def pair(weight: DominantWeight, element) -> Fraction:
     over the simple coroots; integer shifts of the coordinates do not
     change the result because weight coordinates are integers.
     """
-    from fractions import Fraction
+    import fractions
     coords = element.coords if isinstance(element, CenterClass) else _fractions(element)
     if len(coords) != len(weight.coords):
         raise ValueError(
             f"element has {len(coords)} coordinates, weight has {len(weight.coords)}")
     den = math.lcm(*[c.denominator for c in coords])
     s = sum(l * c.numerator * (den // c.denominator) for l, c in zip(weight.coords, coords))
-    return Fraction(s % den, den)
+    return fractions.Fraction(s % den, den)
 
 
 def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:

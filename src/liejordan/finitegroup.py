@@ -12,22 +12,17 @@ F <= G, then A∩F is normal abelian in F and [F : A∩F] = [FA : A] <=
 G (Popov, Jordan groups and automorphism groups of algebraic varieties,
 2014), found among unions of conjugacy classes without any subgroup
 lattice.  The witness is the first subgroup in (order, elements) order
-that attains J.  No subgroup exceeds J, an abelian one has index 1 and a
-nonabelian one at least 2, so:
-
-* J = 1: the trivial subgroup;
-* J = |G|: G itself, the only subgroup that large;
-* J = 2: the least nonabelian subgroup, which two noncommuting elements
-  generate;
-* otherwise a supplement of A.  If F attains J, then J <= [F : A∩F] =
-  [FA : A] <= J, so FA = G, and B = A∩F is normalised by F and by the
-  abelian A, hence normal in G, with |F| = J |B|.  For generators t1..tk
-  of G modulo A, F = <B, t1 a1, ..., tk ak> for some aj in A that matter
-  only through their cosets aj B.  So B runs over the G-normal subgroups
-  of A, unions of classes found by the search for A, least first; each
-  choice of cosets is closed up to J |B| elements, and the least closure
-  with no normal abelian subgroup larger than B, at the first order that
-  has one, is the witness.
+that attains J.  For J = 1 it is the trivial subgroup, and otherwise a
+supplement of A.  If F attains J, then J <= [F : A∩F] = [FA : A] <= J,
+so FA = G, and B = A∩F is normalised by F and by the abelian A, hence
+normal in G, with |F| = J |B|.  For generators t1..tk of G modulo A,
+F = <B, t1 a1, ..., tk ak> for some aj in A that matter only through
+their cosets aj B.  So B runs over the G-normal subgroups of A, unions
+of classes found by the search for A, least first; each choice of
+cosets is closed up to J |B| elements, and the least nonabelian closure
+with no normal abelian subgroup larger than B, at the first order that
+has one, is the witness.  For J = |G|, A is trivial and the one closure
+is G itself.
 
 Subgroups are int bitmasks over the element indices, so a subset test is
 a & ~b == 0, and a join is grown from a normal subgroup coset by coset.
@@ -38,6 +33,7 @@ during a permutation closure, and before any Jordan constant is computed.
 """
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import groupby, product
 from operator import itemgetter
 
@@ -307,11 +303,12 @@ def _conjugacy_classes(G: FiniteGroup, elements, gens) -> list[tuple[int, list[i
     return classes
 
 
-def _class_unions(G: FiniteGroup, members, classes) -> dict[int, list[int]]:
+def _class_unions(G: FiniteGroup, members, classes):
     """Each subgroup reached from the normal one with these elements by
     joining classes (mask, elements, mask of all that commute with them)
-    one at a time, each to a subgroup its commuting mask holds: mask ->
-    elements.
+    one at a time, each to a subgroup its commuting mask holds, as (mask,
+    elements) in increasing (order, mask) order: a join always grows the
+    subgroup, so a heap on that key releases each order complete.
 
     Each subgroup H reached is normal, so its join K with a class C is
     grown as a union of right cosets Hy: such a union contains the
@@ -322,10 +319,10 @@ def _class_unions(G: FiniteGroup, members, classes) -> dict[int, list[int]]:
     mult, cols = G.mult, G._cols
     bits = [1 << i for i in range(G.order)]
     start = sum(map(bits.__getitem__, members))
-    found, stack = {start: members}, [start]
-    while stack:
-        mask = stack.pop()
-        base = found[mask]
+    seen, heap = {start}, [(len(members), start, members)]
+    while heap:
+        _, mask, base = heappop(heap)
+        yield mask, base
         for omask, orbit, commuting in classes:
             if not omask & ~mask or mask & ~commuting:
                 continue
@@ -339,10 +336,9 @@ def _class_unions(G: FiniteGroup, members, classes) -> dict[int, list[int]]:
                         grown += coset
                         bigger |= sum(map(bits.__getitem__, coset))
                         reps.append(y)
-            if bigger not in found:
-                found[bigger] = grown
-                stack.append(bigger)
-    return found
+            if bigger not in seen:
+                seen.add(bigger)
+                heappush(heap, (len(grown), bigger, grown))
 
 
 def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
@@ -356,7 +352,7 @@ def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
     normal abelian again.  Every such subgroup is reached by adding its
     classes one at a time, in any order; a closure can swallow classes,
     so each subgroup found is extended by every class, not only by later
-    ones.
+    ones.  The last one reached is the largest.
     """
     mult, cols = G.mult, G._cols
     center, classes = [], []
@@ -369,67 +365,26 @@ def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
         commuting = sum(1 << x for x in elements if row[x] == col[x])
         if not omask & ~commuting:
             classes.append((omask, orbit, commuting))
-    return max(_class_unions(G, center, classes), key=int.bit_count)
-
-
-def _least_nonabelian(G: FiniteGroup) -> Subgroup:
-    """The first nonabelian subgroup in (order, elements) order.
-
-    Any two of its elements that do not commute generate it: they generate
-    a nonabelian subgroup of it, which cannot be smaller.  So its order m
-    is the least order of a subgroup <a, b> with ab != ba.  Conjugation
-    preserves orders, so the first pass
-    finds m with a a class representative, and a closure stops as soon as
-    it outgrows the least order so far (past |G|/2 it is G).  The second
-    pass looks for the least elements among the subgroups of order m, and
-    skips a pair inside one already found, since it generates that one.
-    """
-    mult, cols, n = G.mult, G._cols, G.order
-    m, first = n, None
-    for _, orbit in _conjugacy_classes(G, range(n), G._generators):
-        a = orbit[0]
-        row, col = mult[a], cols[a]
-        for b in range(1, n):
-            if row[b] != col[b]:
-                first = first or (a, b)
-                closed = _closure(mult, (a, b), min(m - 1, n // 2))
-                if closed is not None:
-                    m = len(closed[1])
-    if m == n:
-        return Subgroup(tuple(range(n)), first)
-    best, within = None, [0] * n  # within[x]: the subgroups found that hold x
-    for a in range(1, n):
-        row, col = mult[a], cols[a]
-        for b in range(a + 1, n):
-            if row[b] != col[b] and not within[a] >> b & 1:
-                closed = _closure(mult, (a, b), m)
-                if closed is not None:
-                    mask, elements = closed
-                    for x in elements:
-                        within[x] |= mask
-                    elements.sort()
-                    if best is None or elements < best[0]:
-                        best = elements, (a, b)
-    elements, pair = best
-    return Subgroup(tuple(elements), pair)
+    *_, (A, _) = _class_unions(G, center, classes)
+    return A
 
 
 def _least_supplement(G: FiniteGroup, value: int, A: int) -> Subgroup:
-    """The witness when J = value is not 1, 2 or |G|: the supplement search
-    of the module docstring over the largest normal abelian A, a mask.  A
-    closure holds B and meets every coset of A, so one that stops at value
-    * |B| elements has that order and meets A in B.  B = A gives G itself,
-    which passes unchecked, since A is a largest normal abelian subgroup
-    of G.
+    """The witness when J = value is not 1: the supplement search of the
+    module docstring over the largest normal abelian A, a mask.  A closure
+    holds B and meets every coset of A, so one that stops at value * |B|
+    elements has that order and meets A in B.  B = A gives G itself, which
+    passes unchecked, since A is a largest normal abelian subgroup of G.
+    An abelian closure has J = 1 < value and fails at once.
     """
     mult, n = G.mult, G.order
     in_a = [x for x in range(n) if A >> x & 1]
     tops = _greedy_generators(mult, range(n), _greedy_generators(mult, in_a))
     classes = [(omask, orbit, A) for omask, orbit in _conjugacy_classes(G, in_a, G._generators)]
-    unions = sorted(_class_unions(G, [0], classes).values(), key=len)
-    for size, normals in groupby(unions, key=len):
+    unions = _class_unions(G, [0], classes)
+    for size, normals in groupby(unions, key=lambda union: len(union[1])):
         found = []
-        for members in normals:
+        for _, members in normals:
             cosets = [a for a in in_a if min(mult[a][b] for b in members) == a]
             base = _greedy_generators(mult, members)
             for lifts in product(cosets, repeat=len(tops)):
@@ -438,7 +393,8 @@ def _least_supplement(G: FiniteGroup, value: int, A: int) -> Subgroup:
                 if F is not None:
                     found.append((sorted(F[1]), gens))
         for elements, gens in sorted(found):
-            if len(elements) == n or _largest_normal_abelian(G, elements, gens).bit_count() == size:
+            if len(elements) == n or not _commute(mult, gens) and (
+                    _largest_normal_abelian(G, elements, gens).bit_count() == size):
                 return Subgroup(tuple(elements), gens)
     raise AssertionError("G itself is a witness")
 
@@ -459,18 +415,14 @@ def jordan_constant_with_witness(
     G: FiniteGroup, max_order: int = DEFAULT_JORDAN_LIMIT
 ) -> tuple[int, Subgroup]:
     """Jordan constant of G plus the first subgroup, in (order, elements)
-    order, whose minimal normal abelian index attains it.  Past J = 1, |G|
-    and 2, it is a supplement F of a largest normal abelian A: J <= [F :
-    A∩F] = [FA : A] <= J gives FA = G, so F is generated by the G-normal
-    B = A∩F and a lift of each generator of G modulo A, and |F| = J |B|.
-    No case walks the subgroup lattice."""
+    order, whose minimal normal abelian index attains it.  Past J = 1, it
+    is a supplement F of a largest normal abelian A: J <= [F : A∩F] = [FA :
+    A] <= J gives FA = G, so F is generated by the G-normal B = A∩F and a
+    lift of each generator of G modulo A, and |F| = J |B|.  No case walks
+    the subgroup lattice."""
     value, A = _jordan(G, max_order)
     if value == 1:
         return value, Subgroup((0,), ())
-    if value == G.order:
-        return value, Subgroup(tuple(range(G.order)), G._generators)
-    if value == 2:
-        return value, _least_nonabelian(G)
     return value, _least_supplement(G, value, A)
 
 

@@ -120,7 +120,7 @@ class DominantWeight(FrozenValue):
 
     def __init__(self, coords: tuple[int, ...]):
         for c in coords:
-            if not isinstance(c, int) or c < 0:
+            if type(c) is not int or c < 0:
                 raise ValueError(
                     f"weight coordinates must be non-negative integers, got {_echo(coords)}")
         object.__setattr__(self, "coords", tuple(coords))
@@ -368,7 +368,7 @@ def enumerate_dominant_weights(
     searches under the total of the cheapest faithful set of fundamental
     weights, which never passes 2**rank + 10.
     """
-    if not isinstance(cap, int) or cap < 1:
+    if type(cap) is not int or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {_echo(cap)}")
     budget = max_rank()
     # A cap of at most budget bits is below 2**budget: no need to form it.

@@ -2,8 +2,9 @@
 lattice-and-scan engine it replaced (old_finitegroup.py).
 
 J(G) is the least index of a normal abelian subgroup of G, and no witness
-needs the subgroup lattice: for J = 1, J = |G| and J = 2 it comes directly,
-and otherwise from the supplements of a largest normal abelian subgroup.
+needs the subgroup lattice: for J = 1 it is the trivial subgroup, and
+otherwise the least supplement of a largest normal abelian subgroup that
+attains J, which for J = |G| is G itself.
 """
 import itertools
 import math
@@ -17,8 +18,8 @@ from hypothesis import strategies as st
 import old_finitegroup as old
 from liejordan import finitegroup
 from liejordan.errors import OrderLimitError
-from liejordan.finitegroup import (FiniteGroup, jordan_constant, jordan_constant_with_witness,
-                                   parse_group)
+from liejordan.finitegroup import (FiniteGroup, _commute, jordan_constant,
+                                   jordan_constant_with_witness, parse_group)
 from test_finitegroup import KNOB, _oracle_close, corpus
 from test_finitegroup_engine import CORPUS, PERM_GROUPS, S5, group_text, perm_text
 
@@ -52,6 +53,34 @@ def test_big_groups_answer_without_their_lattice(name):
     assert min(times) < 0.2, f"{name} took {min(times):.3f} s"
 
 
+def reflection(n):
+    """The reflection of the n-gon 1..n that fixes 1, as cycles."""
+    return [(i, n + 2 - i) for i in range(2, (n + 3) // 2)]
+
+
+# Dihedral groups with J = 2 and a large cyclic part, where a scan of pairs
+# of noncommuting elements took 0.16 to 0.55 s: J and witness elements as
+# the lattice-scan oracle gives them, in about 1.2 s each.
+DIHEDRAL = {
+    "d47xc2": (perm_text(49, [[tuple(range(1, 48))], reflection(47), [(48, 49)]]),
+               (2, tuple(range(0, 188, 2)))),
+    "d97": (perm_text(97, [[tuple(range(1, 98))], reflection(97)]), (2, tuple(range(194)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIHEDRAL))
+def test_dihedral_groups_with_j_2_answer_fast(name):
+    text, expected = DIHEDRAL[name]
+    G = parse_group(text)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        value, witness = jordan_constant_with_witness(G)
+        times.append(time.perf_counter() - start)
+    assert (value, witness.elements) == expected
+    assert min(times) < 0.1, f"{name} took {min(times):.3f} s"
+
+
 def test_s4xc2cubed_answers_without_its_lattice():
     G = parse_group(S4XC2CUBED)
     start = time.perf_counter()
@@ -71,8 +100,7 @@ def test_jordan_constant_never_walks_the_lattice(monkeypatch, text):
 
     def refuse(*args, **kwargs):
         raise AssertionError("a witness search began")
-    for name in ("_least_nonabelian", "_least_supplement"):
-        monkeypatch.setattr(finitegroup, name, refuse)
+    monkeypatch.setattr(finitegroup, "_least_supplement", refuse)
     assert jordan_constant(G) == expected
 
 
@@ -96,8 +124,7 @@ def test_the_order_limit_comes_before_any_work(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("work began before the order check")
-    for name in ("_commute", "_largest_normal_abelian", "_least_nonabelian",
-                 "_least_supplement"):
+    for name in ("_commute", "_largest_normal_abelian", "_least_supplement"):
         monkeypatch.setattr(finitegroup, name, refuse)
     for jordan in (jordan_constant, jordan_constant_with_witness):
         with pytest.raises(OrderLimitError) as err:
@@ -114,9 +141,8 @@ def test_witness_generators_generate_the_witness(name):
         assert witness.generators == ()
     elif value == G.order:
         assert witness.generators == G._generators
-    elif value == 2:
-        a, b = witness.generators
-        assert G.mult[a][b] != G.mult[b][a]
+    else:
+        assert not _commute(G.mult, witness.generators)
 
 
 def test_every_shortcut_is_taken_in_the_corpus():

@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from liejordan.bounds import Bound, GroupDims
-from liejordan.center import CenterClass, WeightSet
+from liejordan.bounds import Bound, GroupDims, bound
+from liejordan.center import CenterClass, WeightSet, pair
 from liejordan.finitegroup import Subgroup
 from liejordan.minfaithful import RdimResult
-from liejordan.rootdata import DominantWeight, RootDatum, SimpleType, build_root_datum
+from liejordan.rootdata import (DominantWeight, RootDatum, SimpleType, build_root_datum,
+                                enumerate_dominant_weights)
 
 W = DominantWeight
 
@@ -58,10 +59,18 @@ SPECS = {
                  [((0,),), ((0, 1), (1,)), ((0, 1),), ((0, 1, 2), (1, 2))]),
 }
 
+# Each constructor, and each function that checks the same field, refuses
+# with the same message; a bool is not an integer anywhere.
 REFUSALS = [
     (GroupDims, (-1,), "dimension must be a non-negative integer, got -1"),
     (GroupDims, (1.5,), "dimension must be a non-negative integer, got 1.5"),
     (GroupDims, (1, 0), "component count must be a positive integer, got 0"),
+    (GroupDims, (True,), "dimension must be a non-negative integer, got True"),
+    (GroupDims, (1, True), "component count must be a positive integer, got True"),
+    (bound, ("lie", True), "dimension must be a non-negative integer, got True"),
+    (bound, ("lie", 3, True), "component count must be a positive integer, got True"),
+    (enumerate_dominant_weights, (build_root_datum(SimpleType("A", 1)), True),
+     "cap must be a positive integer, got True"),
     (SimpleType, ("H", 2), "unknown family 'H', expected one of A..G"),
     (SimpleType, ("A", 0), "family A requires rank >= 1, got 0"),
     (SimpleType, ("E", 5), "family E exists only in rank 6, 7, 8, got 5"),
@@ -70,12 +79,15 @@ REFUSALS = [
     (DominantWeight, ((1, -1),), "weight coordinates must be non-negative integers, got (1, -1)"),
     (DominantWeight, ([0, "x"],), "weight coordinates must be non-negative integers, got [0, x]"),
     (DominantWeight, ((1.0,),), "weight coordinates must be non-negative integers, got (1.0,)"),
+    (DominantWeight, ((True,),), "weight coordinates must be non-negative integers, got (True,)"),
     (CenterClass, ((0, 0),), "the identity class is not represented"),
     (CenterClass, ((Fraction(1, 2), 1),),
      "class coordinates must lie in [0, 1), got (Fraction(1, 2), Fraction(1, 1))"),
     (CenterClass, (("1/2", -0.5),),
      "class coordinates must lie in [0, 1), got (Fraction(1, 2), Fraction(-1, 2))"),
     (CenterClass, ((Fraction(3, 2),),), "class coordinates must lie in [0, 1), got (Fraction(3, 2),)"),
+    (CenterClass, ((float("inf"),),), "coordinates must be finite, got (inf,)"),
+    (pair, (W((1,)), [float("inf")]), "coordinates must be finite, got (inf,)"),
     (WeightSet, ((),), "a weight set must contain at least one weight"),
     (WeightSet, ((W((0, 0)),),), "the zero weight detects nothing and is not allowed"),
     (WeightSet, ((W((1, 0)), W((1, 0))),), "duplicate weight (1, 0)"),
