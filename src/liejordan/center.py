@@ -111,18 +111,22 @@ def _center(stype: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def _fractions(coords) -> tuple[Fraction, ...]:
-    """The coordinates as Fractions; a zero denominator or an infinite
-    float is malformed input."""
+    """The coordinates as Fractions.  Only int, Fraction and str ones are
+    taken, so arithmetic stays exact: a float, a bool, a Decimal or a zero
+    denominator is malformed input."""
     import fractions
     Fraction = fractions.Fraction
     coords = tuple(coords)
     try:
-        return tuple([c if type(c) is Fraction else Fraction(c) for c in coords])
+        exact = [c if type(c) is Fraction else Fraction(c) for c in coords
+                 if type(c) is Fraction or type(c) is int or type(c) is str]
     except ZeroDivisionError:
         raise ValueError(
             f"coordinates need nonzero denominators, got {_field_echo(coords)}") from None
-    except OverflowError:
-        raise ValueError(f"coordinates must be finite, got {_field_echo(coords)}") from None
+    if len(exact) < len(coords):
+        raise ValueError(
+            f"coordinates must be integers, Fractions or strings, got {_field_echo(coords)}")
+    return tuple(exact)
 
 
 def center_classes(datum: RootDatum) -> list[CenterClass]:

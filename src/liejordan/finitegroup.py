@@ -21,8 +21,8 @@ their cosets aj B.  So B runs over the G-normal subgroups of A, unions
 of classes found by the search for A, least first; each choice of
 cosets is closed up to J |B| elements, and the least nonabelian closure
 with no normal abelian subgroup larger than B, at the first order that
-has one, is the witness.  For J = |G|, A is trivial and the one closure
-is G itself.
+has one, is the witness.  For J = |G|, A is trivial, so the witness has
+at least |G| elements and is G itself, found with no search.
 
 Subgroups are int bitmasks over the element indices, so a subset test is
 a & ~b == 0, and a join is grown from a normal subgroup coset by coset.
@@ -53,7 +53,7 @@ class FiniteGroup:
     """
 
     def __init__(self, mult, check_associativity: bool = True):
-        self.mult = tuple(tuple(row) for row in mult)
+        self.mult = tuple(map(tuple, mult))
         self.order = len(self.mult)
         self._cols = tuple(zip(*self.mult))
         self._validate()
@@ -132,6 +132,19 @@ def _parse_perm_line(line: str, degree: int, lineno: int) -> tuple[int, ...]:
     return images
 
 
+def _parse_table_row(tokens, size: int, i: int) -> tuple[int, ...]:
+    """Table row i from tokens that are not all plain indices: int() still
+    accepts spellings such as 01, +3, 1_0 and Arabic-Indic digits, and a
+    bad row is refused by what is wrong with it."""
+    try:
+        row = tuple([int(t) for t in tokens])
+    except ValueError:
+        raise ValueError(f"table row {i} has non-integer entries") from None
+    if any(not 0 <= x < size for x in row):
+        raise ValueError(f"table row {i} has entries outside 0..{size - 1}")
+    return row
+
+
 def _times(q):
     """The map p -> p*q = p[q[.]]; itemgetter of one index returns a bare
     item, so degree 1 (q the identity) gets the identity map."""
@@ -196,7 +209,9 @@ def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup
       images of 1..degree.  The group is the closure of the generators;
       the product p*q acts by applying q first.
     * "table <n>" followed by n rows of n indices in 0..n-1, with the
-      identity at index 0.
+      identity at index 0.  A row is decoded by one lookup of its tokens
+      in a map from the spellings of 0..n-1; a row with another token
+      goes through int(), which accepts it or names what is wrong.
 
     Groups over max_order are refused before any table of them is built;
     a max_order below 1 is malformed input.
@@ -235,25 +250,25 @@ def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup
         rows = lines[1:]
         if len(rows) != size:
             raise ValueError(f"expected {size} table rows, got {len(rows)}")
+        index = {str(i): i for i in range(size)}.__getitem__
         mult = []
         for i, ln in enumerate(rows):
+            tokens = ln.split()
             try:
-                row = [int(t) for t in ln.split()]
-            except ValueError:
-                raise ValueError(f"table row {i} has non-integer entries") from None
-            if any(not 0 <= x < size for x in row):
-                raise ValueError(f"table row {i} has entries outside 0..{size - 1}")
-            mult.append(row)
+                mult.append(tuple(map(index, tokens)))
+            except KeyError:
+                mult.append(_parse_table_row(tokens, size, i))
         return FiniteGroup(mult)
 
     raise ValueError(f"unknown format {_echo(kind)}, expected 'perm' or 'table'")
 
 
-def _closure(mult, gens, limit):
-    """Mask and elements of the closure of the identity under right
-    multiplication by gens, the subgroup they generate in a group, or
-    None once it outgrows limit elements."""
-    mask, reached = 1, [0]
+def _closure(mult, gens, limit, start=(1, (0,))):
+    """Mask and elements of the closure of start, a subgroup as (mask,
+    elements), under right multiplication by gens, or None once it outgrows
+    limit elements.  For a normal start, or the trivial one, that is the
+    subgroup generated by start and gens."""
+    mask, reached = start[0], list(start[1])
     for x in reached:
         row = mult[x]
         for s in gens:
@@ -266,17 +281,17 @@ def _closure(mult, gens, limit):
     return mask, reached
 
 
-def _greedy_generators(mult, elements, base=()) -> tuple[int, ...]:
-    """The least of the elements outside the subgroup generated by base and
-    those before it, added until that subgroup holds all of them; in a
-    group, each one at least doubles it."""
-    gens = list(base)
-    mask = _closure(mult, gens, len(mult))[0]
+def _greedy_generators(mult, elements, start=(1, (0,))) -> tuple[int, ...]:
+    """The least of the elements outside the subgroup generated by start, a
+    normal subgroup as (mask, elements), and those before it, added until
+    that subgroup holds all of them; in a group, each one at least doubles
+    it."""
+    gens, mask = [], start[0]
     for g in elements:
         if not mask >> g & 1:
             gens.append(g)
-            mask = _closure(mult, gens, len(mult))[0]
-    return tuple(gens[len(base):])
+            mask = _closure(mult, gens, len(mult), start)[0]
+    return tuple(gens)
 
 
 def _commute(mult, elements) -> bool:
@@ -326,18 +341,17 @@ def _class_unions(G: FiniteGroup, members, classes):
         for omask, orbit, commuting in classes:
             if not omask & ~mask or mask & ~commuting:
                 continue
-            bigger, grown, reps = mask, list(base), [0]
+            bigger, reps = mask, [0]
             for x in reps:
                 row = mult[x]
                 for c in orbit:
                     y = row[c]
                     if not bigger >> y & 1:
-                        coset = list(map(cols[y].__getitem__, base))
-                        grown += coset
-                        bigger |= sum(map(bits.__getitem__, coset))
+                        bigger |= sum(map(bits.__getitem__, map(cols[y].__getitem__, base)))
                         reps.append(y)
             if bigger not in seen:
                 seen.add(bigger)
+                grown = [z for y in reps for z in map(cols[y].__getitem__, base)]
                 heappush(heap, (len(grown), bigger, grown))
 
 
@@ -370,22 +384,26 @@ def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
 
 
 def _least_supplement(G: FiniteGroup, value: int, A: int) -> Subgroup:
-    """The witness when J = value is not 1: the supplement search of the
-    module docstring over the largest normal abelian A, a mask.  A closure
-    holds B and meets every coset of A, so one that stops at value * |B|
-    elements has that order and meets A in B.  B = A gives G itself, which
-    passes unchecked, since A is a largest normal abelian subgroup of G.
-    An abelian closure has J = 1 < value and fails at once.
+    """The witness when J = value is neither 1 nor |G|: the supplement
+    search of the module docstring over the largest normal abelian A, a
+    mask.  A closure holds B and meets every coset of A, so one that stops
+    at value * |B| elements has that order and meets A in B.  B = A gives
+    G itself, which passes unchecked, since A is a largest normal abelian
+    subgroup of G.  An abelian closure has J = 1 < value and fails at once.
     """
     mult, n = G.mult, G.order
     in_a = [x for x in range(n) if A >> x & 1]
-    tops = _greedy_generators(mult, range(n), _greedy_generators(mult, in_a))
+    tops = _greedy_generators(mult, range(n), (A, in_a))
     classes = [(omask, orbit, A) for omask, orbit in _conjugacy_classes(G, in_a, G._generators)]
     unions = _class_unions(G, [0], classes)
     for size, normals in groupby(unions, key=lambda union: len(union[1])):
         found = []
         for _, members in normals:
-            cosets = [a for a in in_a if min(mult[a][b] for b in members) == a]
+            cosets, covered = [], set()
+            for a in in_a:  # the least element of each coset aB comes first
+                if a not in covered:
+                    cosets.append(a)
+                    covered.update(map(mult[a].__getitem__, members))
             base = _greedy_generators(mult, members)
             for lifts in product(cosets, repeat=len(tops)):
                 gens = base + tuple(mult[t][a] for t, a in zip(tops, lifts))
@@ -423,6 +441,8 @@ def jordan_constant_with_witness(
     value, A = _jordan(G, max_order)
     if value == 1:
         return value, Subgroup((0,), ())
+    if value == G.order:
+        return value, Subgroup(tuple(range(G.order)), G._generators)
     return value, _least_supplement(G, value, A)
 
 

@@ -188,6 +188,87 @@ def test_parse_rejects_malformed_text():
         parse_group("table 2\n0 1\n1 7\n")
 
 
+def int_parse_table(text):
+    """The table of a well-headed "table n" text as parse_group built it
+    when every row went through int(): the same rows, range checks and
+    messages, then FiniteGroup's validation."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln]
+    size = int(lines[0].split()[1])
+    mult = []
+    for i, ln in enumerate(lines[1:]):
+        try:
+            row = [int(t) for t in ln.split()]
+        except ValueError:
+            raise ValueError(f"table row {i} has non-integer entries") from None
+        if any(not 0 <= x < size for x in row):
+            raise ValueError(f"table row {i} has entries outside 0..{size - 1}")
+        mult.append(row)
+    return FiniteGroup(mult).mult
+
+
+def table_outcome(parse, text):
+    """The table parse builds from text, or the text of its ValueError."""
+    try:
+        return parse(text)
+    except ValueError as err:
+        return str(err)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+# Ways to rewrite one table entry: spellings int() accepts, then
+# corruptions (not an integer, out of range, a copy of the next entry).
+ENTRY_EDITS = {
+    "padded": lambda row, j, n: "0" + row[j],
+    "signed": lambda row, j, n: "+" + row[j],
+    "grouped": lambda row, j, n: row[j][0] + "_" + row[j][1:] if len(row[j]) > 1 else "0_" + row[j],
+    "arabic-indic": lambda row, j, n: row[j].translate(ARABIC_INDIC),
+    "non-integer": lambda row, j, n: row[j] + "x",
+    "out-of-range": lambda row, j, n: str(n),
+    "duplicate": lambda row, j, n: row[(j + 1) % n],
+}
+
+
+def edited_table(text, edits):
+    """text with entry (i, j) of the table replaced by ENTRY_EDITS[name]
+    for each (name, i, j) in edits."""
+    header, *rows = text.split("\n")
+    rows = [row.split() for row in rows if row.strip()]
+    n = len(rows)
+    for name, i, j in edits:
+        rows[i][j] = ENTRY_EDITS[name](rows[i], j, n)
+    return "\n".join([header] + [" ".join(row) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in (FIXTURES / "corpus").glob("*.grp")))
+def test_table_rows_decode_as_int_reads_them(name):
+    text = (FIXTURES / "corpus" / f"{name}.grp").read_text()
+    table = parse_group(text).mult
+    rng = random.Random(name)
+    for edit in ENTRY_EDITS:
+        edited = edited_table(text, [(edit, rng.randrange(len(table)), rng.randrange(len(table)))])
+        expected = table_outcome(int_parse_table, edited)
+        assert table_outcome(lambda t: parse_group(t).mult, edited) == expected, edit
+        if edit in ("padded", "signed", "grouped", "arabic-indic"):
+            assert expected == table
+
+
+def test_the_first_bad_row_is_named_first():
+    text = (FIXTURES / "corpus" / "o08_d4.grp").read_text()
+    header, *rows = text.split("\n")
+    short = "\n".join([header] + rows[:2] + [rows[2].rsplit(" ", 1)[0]] + rows[3:])
+    cases = {
+        edited_table(short, [("out-of-range", 5, 2)]): "table row 5 has entries outside 0..7",
+        edited_table(text, [("out-of-range", 7, 0), ("non-integer", 3, 4)]):
+            "table row 3 has non-integer entries",
+    }
+    for table, message in cases.items():
+        for parse in (parse_group, int_parse_table):
+            with pytest.raises(ValueError) as err:
+                parse(table)
+            assert str(err.value) == message
+
+
 def test_table_validation():
     with pytest.raises(ValueError, match="row 1 has 1 entries"):
         FiniteGroup([[0, 1], [1]])

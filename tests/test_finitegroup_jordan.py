@@ -119,6 +119,23 @@ def test_the_witness_searches_g_for_a_once(monkeypatch, name):
     assert searched.count(G.order) == 1
 
 
+@pytest.mark.parametrize("name,generators", [("a5", (1, 3, 12)), ("s5", (1, 2, 6, 24))],
+                         ids=["a5", "s5"])
+def test_a_witness_of_j_equal_to_the_order_starts_no_closure(monkeypatch, name, generators):
+    G = parse_group(S5 if name == "s5" else group_text(name))
+    closures = []
+    closure = finitegroup._closure
+
+    def counted(*args):
+        closures.append(args)
+        return closure(*args)
+    monkeypatch.setattr(finitegroup, "_closure", counted)
+    value, witness = jordan_constant_with_witness(G)
+    assert (value, witness.elements, witness.generators) == (
+        G.order, tuple(range(G.order)), generators)
+    assert closures == []
+
+
 def test_the_order_limit_comes_before_any_work(monkeypatch):
     s6 = parse_group("perm 6\n2 1 3 4 5 6\n2 3 4 5 6 1\n", max_order=720)
 

@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import pickle
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -47,7 +48,7 @@ SPECS = {
                          for name in ("type", "cartan", "positive_coroots"))
                    for f, r in (("A", 2), ("A", 2), ("G", 2), ("B", 3))]),
     "CenterClass": (CenterClass, [("coords", True, True)],
-                    [((Fraction(1, 2), 0),), ((Fraction(1, 2), Fraction(0)),), (("1/3", 0.5),),
+                    [((Fraction(1, 2), 0),), ((Fraction(1, 2), Fraction(0)),), (("1/3", "1/2"),),
                      ((Fraction(1, 4), Fraction(3, 4)),)]),
     "WeightSet": (WeightSet, [("weights", True, True)],
                   [((W((1, 0)), W((0, 1))),), ((W((0, 1)), W((1, 0))),), ((W((2, 0)),),)]),
@@ -60,7 +61,9 @@ SPECS = {
 }
 
 # Each constructor, and each function that checks the same field, refuses
-# with the same message; a bool is not an integer anywhere.
+# with the same message; a bool is not an integer anywhere, and a center
+# coordinate is an int, a Fraction or a str, never a float, bool or Decimal.
+INEXACT = "coordinates must be integers, Fractions or strings, got"
 REFUSALS = [
     (GroupDims, (-1,), "dimension must be a non-negative integer, got -1"),
     (GroupDims, (1.5,), "dimension must be a non-negative integer, got 1.5"),
@@ -83,11 +86,18 @@ REFUSALS = [
     (CenterClass, ((0, 0),), "the identity class is not represented"),
     (CenterClass, ((Fraction(1, 2), 1),),
      "class coordinates must lie in [0, 1), got (Fraction(1, 2), Fraction(1, 1))"),
-    (CenterClass, (("1/2", -0.5),),
+    (CenterClass, (("1/2", "-1/2"),),
      "class coordinates must lie in [0, 1), got (Fraction(1, 2), Fraction(-1, 2))"),
     (CenterClass, ((Fraction(3, 2),),), "class coordinates must lie in [0, 1), got (Fraction(3, 2),)"),
-    (CenterClass, ((float("inf"),),), "coordinates must be finite, got (inf,)"),
-    (pair, (W((1,)), [float("inf")]), "coordinates must be finite, got (inf,)"),
+    (CenterClass, ((float("inf"),),), f"{INEXACT} (inf,)"),
+    (pair, (W((1,)), [float("inf")]), f"{INEXACT} (inf,)"),
+    (CenterClass, (("1/3", 0.5),), f"{INEXACT} ('1/3', 0.5)"),
+    (CenterClass, (("1/2", -0.5),), f"{INEXACT} ('1/2', -0.5)"),
+    (CenterClass, ((Fraction(1, 2), True),), f"{INEXACT} (Fraction(1, 2), True)"),
+    (CenterClass, ((Decimal("0.5"),),), f"{INEXACT} (Decimal('0.5'),)"),
+    (pair, (W((1,)), [0.5]), f"{INEXACT} (0.5,)"),
+    (pair, (W((1, 1)), (False, "1/2")), f"{INEXACT} (False, '1/2')"),
+    (pair, (W((1,)), [Decimal(1)]), f"{INEXACT} (Decimal('1'),)"),
     (WeightSet, ((),), "a weight set must contain at least one weight"),
     (WeightSet, ((W((0, 0)),),), "the zero weight detects nothing and is not allowed"),
     (WeightSet, ((W((1, 0)), W((1, 0))),), "duplicate weight (1, 0)"),
@@ -173,7 +183,7 @@ def test_refusals_unchanged(cls, args, message):
 
 def test_normalised_fields():
     assert DominantWeight([1, 0]).coords == (1, 0)
-    coords = CenterClass(("1/3", 0.5, 0)).coords
+    coords = CenterClass(("1/3", Fraction(1, 2), 0)).coords
     assert coords == (Fraction(1, 3), Fraction(1, 2), Fraction(0))
     assert all(type(c) is Fraction for c in coords)
     assert [w.coords for w in WeightSet((W((0, 1)), W((1, 0))))] == [(0, 1), (1, 0)]
