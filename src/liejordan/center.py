@@ -5,16 +5,15 @@ rational coefficients; it is central exactly when every simple root
 takes an integer value on it, i.e. when the Cartan matrix applied to mu
 is integral.  The center is therefore the finite group (C^-1 Z^l) / Z^l,
 of order d = det C.  Since C^-1 = adj(C) / d, every class is x/d mod 1
-for an integer vector x mod d, and the classes are kept in that form,
-computed once per type.  The family table in rootdata declares d and
-generators of the center for each family (Bourbaki's Plates I-IX), and
-the classes are their closure.  CenterClass shows a class by its unique
-representative with all coordinates in [0, 1).
+for an integer vector x mod d, and the classes are kept in that form.
+rootdata._center closes the center generators the family table declares
+(Bourbaki's Plates I-IX) into the pair (d, classes), and each root datum
+carries that pair as its center.  CenterClass shows a class by its
+unique representative with all coordinates in [0, 1).
 
-The center reads nothing but the family table.  The public functions
-take a root datum; the CLI's center and faithful commands call the
-forms on the type underneath them, so they never build the Cartan
-matrix or the coroots.
+The public functions read a root datum's center; the CLI's center and
+faithful commands call the forms underneath them on rootdata._center of
+the type, so they never build the Cartan matrix or the coroots.
 Only CenterClass, center_classes and pair build fractions, and only they
 import the fractions module, so rdim and faithful never load it.  pair
 sums in integers over the common denominator and builds one Fraction.
@@ -34,10 +33,9 @@ compare class sets, not individual lifts.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import FrozenValue, _echo, _field_echo
-from .rootdata import _FAMILIES, DominantWeight, RootDatum, SimpleType
+from .rootdata import DominantWeight, RootDatum
 
 
 class CenterClass(FrozenValue):
@@ -86,36 +84,11 @@ class WeightSet(FrozenValue):
         return ";".join(str(w) for w in self.weights)
 
 
-@lru_cache(maxsize=None)
-def _center(stype: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, classes): the center order and the nonidentity central classes
-    as sorted integer vectors x mod d, x standing for x/d mod 1, closed
-    coset by coset from the family table's generators; that the group ends
-    with d elements is checked.  Keyed on the type, whose hash is cheaper
-    than that of its Cartan matrix."""
-    *_, order, generators = _FAMILIES[stype.family]
-    d, zero = order(stype.rank), (0,) * stype.rank
-    group, classes = [zero], {zero}
-    for x in generators(stype.rank):
-        shift, added = x, []
-        while shift not in classes:
-            coset = [tuple([(a + b) % d for a, b in zip(h, shift)]) for h in group]
-            classes.update(coset)
-            added += coset
-            shift = tuple([(a + b) % d for a, b in zip(shift, x)])
-        group += added
-    if len(classes) != d:
-        raise AssertionError(f"{stype}: found {len(classes)} central classes, order is {d}")
-    classes.discard(zero)
-    return d, tuple(sorted(classes))
-
-
 def _fractions(coords) -> tuple[Fraction, ...]:
     """The coordinates as Fractions.  Only int, Fraction and str ones are
-    taken, so arithmetic stays exact: a float, a bool, a Decimal or a zero
-    denominator is malformed input."""
-    import fractions
-    Fraction = fractions.Fraction
+    taken, so arithmetic stays exact: a float, a bool, a Decimal, a zero
+    denominator or a string Fraction cannot parse is malformed input."""
+    from fractions import Fraction
     coords = tuple(coords)
     try:
         exact = [c if type(c) is Fraction else Fraction(c) for c in coords
@@ -123,6 +96,9 @@ def _fractions(coords) -> tuple[Fraction, ...]:
     except ZeroDivisionError:
         raise ValueError(
             f"coordinates need nonzero denominators, got {_field_echo(coords)}") from None
+    except ValueError:
+        raise ValueError(f"coordinate strings must be rationals such as -1/2 within the "
+                         f"int->str digit limit, got {_field_echo(coords)}") from None
     if len(exact) < len(coords):
         raise ValueError(
             f"coordinates must be integers, Fractions or strings, got {_field_echo(coords)}")
@@ -131,13 +107,13 @@ def _fractions(coords) -> tuple[Fraction, ...]:
 
 def center_classes(datum: RootDatum) -> list[CenterClass]:
     """All nonidentity central classes, sorted lexicographically."""
-    return _center_classes(datum.type)
+    return _center_classes(datum.center)
 
 
-def _center_classes(stype: SimpleType) -> list[CenterClass]:
-    """center_classes from the type alone."""
+def _center_classes(center) -> list[CenterClass]:
+    """center_classes from the (d, classes) pair of rootdata._center."""
     import fractions
-    d, classes = _center(stype)
+    d, classes = center
     shares = [fractions.Fraction(c, d) for c in range(d)]  # each coordinate is some c/d, built once
     return [CenterClass(tuple([shares[c] for c in x])) for x in classes]
 
@@ -160,21 +136,18 @@ def pair(weight: DominantWeight, element) -> Fraction:
 
 
 def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:
-    """Whether the direct sum over the weight set has trivial kernel.
-
-    True exactly when every nonidentity central class is detected by at
-    least one weight in the set.
-    """
+    """Whether the direct sum over the weight set has trivial kernel: whether
+    every nonidentity central class is detected by some weight in the set."""
     for w in weight_set:
         if len(w.coords) != datum.rank:
             raise ValueError(
                 f"weight {_echo(w.coords)} does not match rank {datum.rank} of {datum.type}")
-    return _is_faithful(datum.type, weight_set)
+    return _is_faithful(datum.center, weight_set)
 
 
-def _is_faithful(stype: SimpleType, weight_set: WeightSet) -> bool:
-    """is_faithful from the type alone, for weights of its rank."""
-    d, classes = _center(stype)
+def _is_faithful(center, weight_set: WeightSet) -> bool:
+    """is_faithful from rootdata._center's (d, classes), for weights of its rank."""
+    d, classes = center
     return all(
         any(sum(l * c for l, c in zip(w.coords, x)) % d for w in weight_set)
         for x in classes)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 
-from .center import WeightSet, _center
+from .center import WeightSet
 from .errors import FrozenValue, _echo
 from .rootdata import (_FAMILIES, RootDatum, SimpleType, _fundamental_weights,
                        build_root_datum, check_rank_budget, enumerate_dominant_weights)
@@ -104,7 +104,7 @@ def _fundamental_cap(datum: RootDatum, fundamentals=None) -> int:
     from their (weight, dim) pairs in node order, probed here if not given."""
     ordered = sorted(fundamentals or _fundamental_weights(datum),
                      key=lambda pair: (pair[1], pair[0].coords))
-    return _cheapest_cover(ordered, *_center(datum.type))[0]
+    return _cheapest_cover(ordered, *datum.center)[0]
 
 
 def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
@@ -119,7 +119,7 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     cap = _fundamental_cap(datum, fundamentals)
     candidates = enumerate_dominant_weights(datum, cap, allow_large_cap=override,
                                             fundamental_dims=[dim for _, dim in fundamentals])
-    best = _cheapest_cover(candidates, *_center(datum.type))
+    best = _cheapest_cover(candidates, *datum.center)
     if best is None:
         raise AssertionError(f"no faithful weight set under cap for {datum.type}")
     total, _, _, weights = best
@@ -134,6 +134,8 @@ def rdim_table(table_max_rank: int):
     Returns (SimpleType, RdimResult) pairs, ordered by family letter
     then rank.  Exceptional types appear when their rank fits.
     """
+    if type(table_max_rank) is not int:
+        raise ValueError(f"max rank must be an integer, got {_echo(table_max_rank)}")
     if table_max_rank < 1:
         raise ValueError(f"max rank must be positive, got {_echo(table_max_rank)}")
     check_rank_budget(SimpleType("A", table_max_rank))

@@ -9,8 +9,10 @@ of A-D are written out from their closed form, and those of E-G come from
 the reflection closure over the transposed Cartan matrix.
 
 Each family is declared once, in _FAMILIES: ranks, Dynkin bonds, number
-of positive roots, and center order and generators.  The bonds fix the
-node numbering, 0-based in the table and 1-based in the notes below:
+of positive roots, and center order and generators, which _center closes
+into the classes each RootDatum carries.  Nothing is cached: a datum goes
+with its last reference.  The bonds fix the node numbering, 0-based in
+the table and 1-based in the notes below:
 
 * A, B, C: a chain 1..l; for B the short simple root is node l, for C
   the long one is node l.
@@ -28,11 +30,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from functools import lru_cache
 from operator import add, mul
 
 from .errors import (_FORMED_PER_PRINTED, FrozenValue, RankBudgetError, ResourceGuardError,
-                     _digit_budget, _echo, _formed)
+                     _digit_budget, _echo, _field_echo, _formed)
 
 DEFAULT_MAX_RANK = 9
 RANK_ENV_VAR = "LIEJORDAN_MAX_RANK"
@@ -68,6 +69,27 @@ _FAMILIES = {
           lambda l: 1, lambda l: []),
     "G": ((2,), lambda l: [(0, 1, 1, 3)], lambda l: 6, lambda l: 1, lambda l: []),
 }
+
+
+def _center(stype: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(d, classes): the center order and the nonidentity central classes
+    as sorted integer vectors x mod d, x standing for x/d mod 1, closed
+    coset by coset from the family table's generators; the count is checked against d."""
+    *_, order, generators = _FAMILIES[stype.family]
+    d, zero = order(stype.rank), (0,) * stype.rank
+    group, classes = [zero], {zero}
+    for x in generators(stype.rank):
+        shift, added = x, []
+        while shift not in classes:
+            coset = [tuple([(a + b) % d for a, b in zip(h, shift)]) for h in group]
+            classes.update(coset)
+            added += coset
+            shift = tuple([(a + b) % d for a, b in zip(shift, x)])
+        group += added
+    if len(classes) != d:
+        raise AssertionError(f"{stype}: found {len(classes)} central classes, order is {d}")
+    classes.discard(zero)
+    return d, tuple(sorted(classes))
 
 
 def _budget(env_var: str, default: int) -> int:
@@ -236,17 +258,17 @@ def _product(values) -> int:
     return values[0]
 
 
-class RootDatum(FrozenValue, shown=("type", "cartan", "positive_coroots")):
+class RootDatum(FrozenValue, shown=("type",), compared=("type", "cartan", "positive_coroots")):
     """A simple type together with its Cartan matrix and positive coroots.
 
     Coroot vectors are coordinates in the simple-coroot basis, so the
     pairing of a weight lambda with a coroot c is sum(lambda_i * c_i).
     rho pairs to the coordinate sum of c; those pairings and their product,
     the denominator of the Weyl dimension formula, are derived on
-    construction.
+    construction, and so is the center (d, classes) of _center.
     """
 
-    __slots__ = ("type", "cartan", "positive_coroots", "rho_pairings", "rho_product")
+    __slots__ = ("type", "cartan", "positive_coroots", "rho_pairings", "rho_product", "center")
 
     def __init__(self, type: SimpleType, cartan: tuple[tuple[int, ...], ...],
                  positive_coroots: tuple[tuple[int, ...], ...]):
@@ -256,13 +278,13 @@ class RootDatum(FrozenValue, shown=("type", "cartan", "positive_coroots")):
         object.__setattr__(self, "positive_coroots", positive_coroots)
         object.__setattr__(self, "rho_pairings", pairings)
         object.__setattr__(self, "rho_product", _product(pairings))
+        object.__setattr__(self, "center", _center(type))
 
     @property
     def rank(self) -> int:
         return self.type.rank
 
 
-@lru_cache(maxsize=None)
 def build_root_datum(stype: SimpleType) -> RootDatum:
     """Construct the root datum for a simple type, refused past the cell
     budget (by cartan_matrix) before anything is built.
@@ -280,8 +302,7 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
         coroots = _positive_roots(tuple(zip(*cartan)))
     expected = positive_root_count(stype)
     if len(coroots) != expected:
-        raise AssertionError(
-            f"{stype}: {len(coroots)} positive coroots, expected {expected}")
+        raise AssertionError(f"{stype}: {len(coroots)} positive coroots, expected {expected}")
     return RootDatum(stype, cartan, tuple(coroots))
 
 
@@ -375,9 +396,12 @@ def enumerate_dominant_weights(
     if not allow_large_cap and cap.bit_length() > budget and cap > 2 ** budget + 10:
         raise RankBudgetError(f"cap {_echo(cap)} exceeds budget {_echo(2 ** budget + 10)}; "
                               "pass allow_large_cap=True to override")
+    rank = datum.rank
     if fundamental_dims is None:
         fundamental_dims = [dim for _, dim in _fundamental_weights(datum)]
-    rank = datum.rank
+    elif (type(fundamental_dims) not in (list, tuple) or len(fundamental_dims) != rank
+          or any(type(dim) is not int for dim in fundamental_dims)):
+        raise ValueError(f"fundamental_dims must be {rank} ints, got {_field_echo(fundamental_dims)}")
     columns = list(zip(*datum.positive_coroots))
     coords = [0] * rank
     out: list[tuple[DominantWeight, int]] = []

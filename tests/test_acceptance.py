@@ -14,11 +14,11 @@ from fractions import Fraction
 from pathlib import Path
 
 from liejordan.bounds import bound, bound_lie_connected
-from liejordan.center import WeightSet, _center, center_classes, is_faithful, pair
+from liejordan.center import WeightSet, center_classes, is_faithful, pair
 from liejordan.cli import main as cli_main
 from liejordan.finitegroup import jordan_constant, parse_group
 from liejordan.minfaithful import rdim
-from liejordan.rootdata import (DominantWeight, SimpleType, build_root_datum,
+from liejordan.rootdata import (DominantWeight, SimpleType, _center, build_root_datum,
                                 enumerate_dominant_weights,
                                 positive_root_count, weyl_dim)
 

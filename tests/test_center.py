@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from liejordan.center import (CenterClass, WeightSet, _center, center_classes, is_faithful,
-                              pair)
+from liejordan import rootdata
+from liejordan.center import CenterClass, WeightSet, center_classes, is_faithful, pair
 from liejordan.minfaithful import rdim
-from liejordan.rootdata import (DominantWeight, RootDatum, SimpleType,
-                                build_root_datum)
+from liejordan.rootdata import DominantWeight, RootDatum, SimpleType, _center, build_root_datum
 
 from test_rootdata import BUDGET_TYPES, _datum, _fund
 
@@ -146,6 +145,16 @@ def test_a_zero_denominator_is_malformed():
                               "('1/2', '1/2', '1/2', '1/2', '1/2', '1/2...")
 
 
+def test_an_unparsable_string_is_quoted_short():
+    # Fraction's own message quotes the whole token: 5,032 characters here.
+    for refused in (lambda: pair(DominantWeight((1,)), ["x" * 5000]),
+                    lambda: CenterClass(("y" * 5000,)),
+                    lambda: CenterClass(("9" * 5000,))):
+        with pytest.raises(ValueError, match="^coordinate strings must be rationals") as err:
+            refused()
+        assert len(str(err.value).encode()) < 300
+
+
 def test_weight_set_validation():
     with pytest.raises(ValueError):
         WeightSet(())
@@ -224,3 +233,17 @@ def test_center_is_cached_on_the_cartan_matrix(fam, rank):
     assert is_faithful(unhashable, fundamental) is True
     assert center_classes(unhashable) == center_classes(d)
     assert rdim(unhashable) == rdim(d)
+
+
+@pytest.mark.parametrize("fam,rank", [("E", 7), ("D", 5), ("A", 3), ("G", 2)])
+def test_a_built_datum_carries_its_center(monkeypatch, fam, rank):
+    d = build_root_datum(SimpleType(fam, rank))
+    expected = (center_classes(d), rdim(d))
+    fundamental = WeightSet(tuple(_fund(rank, i) for i in range(rank)))
+
+    def refused(stype):
+        raise AssertionError("the center is computed again")
+
+    monkeypatch.setattr(rootdata, "_center", refused)
+    assert (center_classes(d), rdim(d)) == expected
+    assert is_faithful(d, fundamental) is True

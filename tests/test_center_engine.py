@@ -20,10 +20,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import old_center as old
-from liejordan.center import (CenterClass, WeightSet, _center, center_classes, is_faithful,
-                              pair)
+from liejordan.center import CenterClass, WeightSet, center_classes, is_faithful, pair
 from liejordan.minfaithful import rdim
-from liejordan.rootdata import DominantWeight, SimpleType, build_root_datum
+from liejordan.rootdata import DominantWeight, SimpleType, _center, build_root_datum
 
 EXCEPTIONAL = [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 

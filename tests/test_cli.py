@@ -638,8 +638,7 @@ def test_long_invalid_weight_exits_2_with_short_message(capsys, argv):
 def _cells(fam, rank):
     """Cartan, center-class and coroot cells of a type, counted from what
     the library builds for it."""
-    from liejordan.center import _center
-    from liejordan.rootdata import SimpleType, build_root_datum
+    from liejordan.rootdata import SimpleType, _center, build_root_datum
     datum = build_root_datum(SimpleType(fam, rank))
     return rank * (len(datum.cartan) + _center(datum.type)[0] + len(datum.positive_coroots))
 
@@ -724,10 +723,8 @@ def test_cell_budget_message_quotes_a_long_rank_short(capsys):
 ], ids=["center", "faithful"])
 def test_a200_center_and_faithful_read_only_the_cartan_matrix(capsys, argv, limit):
     # With the 20100 coroots built first, each took 0.7-0.8 s on a 2-vCPU Xeon.
-    from liejordan import center
     times = []
     for _ in range(3):
-        center._center.cache_clear()
         start = time.perf_counter()
         code, out, err = run_cli(capsys, argv[0], "--family", "A", "--rank", "200", *argv[1:])
         times.append(time.perf_counter() - start)

@@ -5,8 +5,8 @@ of malformed input (exit 2) or a refusal by a resource guard (exit 3, and
 exactly when a ResourceGuardError was raised).  A refusal writes nothing to
 stdout; stderr stays under a fixed number of bytes whatever the length of
 the input; each call stays under fixed bounds of wall time and traced
-memory.  Each example runs cli.main in process, with the root-datum and
-center caches emptied first, as in a fresh process.
+memory.  Each example runs cli.main in process; the library keeps no
+root datum or center between calls, so each runs as in a fresh process.
 
 Some branches of the strategy also know their exit code: a `table N`
 header past the order limit and a weight coordinate past the int->str
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liejordan import center, cli, rootdata
+from liejordan import cli
 from liejordan.bounds import FAMILIES
 from liejordan.errors import ResourceGuardError
 
@@ -221,8 +221,6 @@ def run(argv, group_file, text=None):
     if text is not None:
         group_file.write_text(text, encoding="utf-8")
     argv = [str(group_file) if a == INPUT else a for a in argv]
-    rootdata.build_root_datum.cache_clear()
-    center._center.cache_clear()
     out, err = io.StringIO(), io.StringIO()
     tracemalloc.start()
     try:

@@ -182,9 +182,8 @@ def _closure(t):
 @pytest.mark.parametrize("fam,rank", [(fam, rank) for fam in "ABCD" for rank in range(25, 41)]
                          + [(fam, 100) for fam in "ABCD"])
 def test_classical_coroots_match_the_closure(fam, rank):
-    # Uncached, so the rank-100 data are not kept for the rest of the run.
     t = SimpleType(fam, rank)
-    assert rootdata.build_root_datum.__wrapped__(t).positive_coroots == tuple(_closure(t))
+    assert rootdata.build_root_datum(t).positive_coroots == tuple(_closure(t))
 
 
 def test_only_the_exceptional_types_take_the_closure(monkeypatch):
@@ -192,12 +191,11 @@ def test_only_the_exceptional_types_take_the_closure(monkeypatch):
         raise RuntimeError("closure")
 
     monkeypatch.setattr(rootdata, "_positive_roots", refused)
-    build = rootdata.build_root_datum.__wrapped__  # past the cache of earlier builds
     for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
         for rank in range(lo, 17):
-            build(SimpleType(fam, rank))  # the count check still runs
+            build_root_datum(SimpleType(fam, rank))  # the count check still runs
     with pytest.raises(RuntimeError, match="closure"):
-        build(SimpleType("E", 6))
+        build_root_datum(SimpleType("E", 6))
 
 
 def test_root_datum_past_the_cell_budget_is_refused_before_it_is_built(monkeypatch):
@@ -206,11 +204,9 @@ def test_root_datum_past_the_cell_budget_is_refused_before_it_is_built(monkeypat
 
     # cartan_matrix, where every type's data starts, reads the bonds first.
     monkeypatch.setitem(rootdata._FAMILIES, "B", (2, built, *rootdata._FAMILIES["B"][2:]))
-    before = build_root_datum.cache_info().currsize
     with pytest.raises(ResourceGuardError, match=rootdata.CELLS_ENV_VAR) as refused:
         build_root_datum(SimpleType("B", 300))
     assert "type B300 takes" in str(refused.value)
-    assert build_root_datum.cache_info().currsize == before
 
 
 def test_cartan_matrix_past_the_cell_budget_allocates_nothing(monkeypatch):
@@ -227,3 +223,30 @@ def test_cartan_matrix_past_the_cell_budget_allocates_nothing(monkeypatch):
         tracemalloc.stop()
     assert str(refused.value).startswith("type B300 takes 27090600 cells")
     assert peak < 2 ** 14  # the 90000 Cartan cells alone would take over 700 kB
+
+
+def test_dropped_datums_leave_no_memory_behind():
+    # Nothing keeps a root datum or its center past its last reference.  Kept,
+    # these datums would hold several MB: B61 alone has 3721 coroots of 61 cells.
+    import gc
+    import tracemalloc
+
+    from liejordan.center import center_classes, is_faithful
+
+    def use(t):
+        datum = build_root_datum(t)
+        center_classes(datum)
+        is_faithful(datum, WeightSet((DominantWeight((1,) * t.rank),)))
+
+    use(SimpleType("A", 2))  # the lazy imports, before the baseline
+    tracemalloc.start()
+    try:
+        gc.collect()
+        baseline = tracemalloc.get_traced_memory()[0]
+        for fam, rank in (("A", 73), ("B", 61), ("C", 59), ("D", 67), ("E", 8), ("F", 4)):
+            use(SimpleType(fam, rank))
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - baseline
+    finally:
+        tracemalloc.stop()
+    assert left < 2 ** 16, f"{left} bytes stayed behind"

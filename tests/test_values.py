@@ -14,7 +14,7 @@ import pytest
 from liejordan.bounds import Bound, GroupDims, bound
 from liejordan.center import CenterClass, WeightSet, pair
 from liejordan.finitegroup import Subgroup
-from liejordan.minfaithful import RdimResult
+from liejordan.minfaithful import RdimResult, rdim_table
 from liejordan.rootdata import (DominantWeight, RootDatum, SimpleType, build_root_datum,
                                 enumerate_dominant_weights)
 
@@ -22,8 +22,9 @@ W = DominantWeight
 
 BOUND_FIELDS = [("value", True, True), ("k", True, True), ("b", True, True)]
 
-# Case name -> (class, fields as (name, compared, shown), sample arguments);
-# a field is an __init__ argument when it is shown.
+# Case name -> (class, fields as (name, compared, shown[, init]), sample
+# arguments); a field is an __init__ argument when it is shown, unless init
+# says otherwise.
 # Samples of one case include equal pairs and pairs that differ only in a
 # field == ignores.
 # Bound's samples are grouped by the node of the expression tree that each
@@ -41,9 +42,10 @@ SPECS = {
                    [("A", 1), ("A", 1), ("E", 7), ("G", 2), ("B", 12)]),
     "DominantWeight": (DominantWeight, [("coords", True, True)],
                        [((1, 0),), ([1, 0],), ((0, 2, 1),), ((),)]),
-    "RootDatum": (RootDatum, [("type", True, True), ("cartan", True, True),
-                              ("positive_coroots", True, True), ("rho_pairings", False, False),
-                              ("rho_product", False, False)],
+    "RootDatum": (RootDatum, [("type", True, True), ("cartan", True, False, True),
+                              ("positive_coroots", True, False, True),
+                              ("rho_pairings", False, False), ("rho_product", False, False),
+                              ("center", False, False)],
                   [tuple(getattr(build_root_datum(SimpleType(f, r)), name)
                          for name in ("type", "cartan", "positive_coroots"))
                    for f, r in (("A", 2), ("A", 2), ("G", 2), ("B", 3))]),
@@ -101,6 +103,15 @@ REFUSALS = [
     (WeightSet, ((),), "a weight set must contain at least one weight"),
     (WeightSet, ((W((0, 0)),),), "the zero weight detects nothing and is not allowed"),
     (WeightSet, ((W((1, 0)), W((1, 0))),), "duplicate weight (1, 0)"),
+    (rdim_table, ("3",), "max rank must be an integer, got '3'"),
+    (rdim_table, (True,), "max rank must be an integer, got True"),
+    (rdim_table, (2.5,), "max rank must be an integer, got 2.5"),
+    (enumerate_dominant_weights, (build_root_datum(SimpleType("A", 2)), 5, False, [1]),
+     "fundamental_dims must be 2 ints, got [1]"),
+    (enumerate_dominant_weights, (build_root_datum(SimpleType("A", 2)), 5, False, "ab"),
+     "fundamental_dims must be 2 ints, got 'ab'"),
+    (enumerate_dominant_weights, (build_root_datum(SimpleType("A", 2)), 5, False, (3, True)),
+     "fundamental_dims must be 2 ints, got (3, True)"),
 ]
 
 
@@ -108,9 +119,14 @@ def reference(case):
     """The frozen dataclass the case's class was, as a class of the same name."""
     cls, fields, _ = SPECS[case]
     return dataclasses.make_dataclass(cls.__name__, [
-        (name, object, dataclasses.field(compare=compared, repr=shown, init=shown,
-                                          **({} if shown else {"default": None})))
-        for name, compared, shown in fields], frozen=True)
+        (f[0], object, dataclasses.field(compare=f[1], repr=f[2], init=_init(f),
+                                          **({} if _init(f) else {"default": None})))
+        for f in fields], frozen=True)
+
+
+def _init(field) -> bool:
+    """Whether a field spec names an __init__ argument."""
+    return field[3] if len(field) > 3 else field[2]
 
 
 def pairs(case):
@@ -120,7 +136,7 @@ def pairs(case):
     out = []
     for args in samples:
         value = cls(*args)
-        out.append((value, ref(*(getattr(value, name) for name, _, shown in fields if shown))))
+        out.append((value, ref(*(getattr(value, f[0]) for f in fields if _init(f)))))
     return out
 
 
@@ -170,7 +186,7 @@ def test_copy_and_pickle_keep_the_value(case):
     for value, _ in pairs(case):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is cls and twin == value and repr(twin) == repr(value)
-            assert all(getattr(twin, name) == getattr(value, name) for name, _, _ in fields)
+            assert all(getattr(twin, name) == getattr(value, name) for name, *_ in fields)
 
 
 @pytest.mark.parametrize("cls,args,message", REFUSALS,
@@ -199,3 +215,17 @@ def test_repr_of_a_fraction_past_the_int_str_limit_is_short():
     assert repr(CenterClass((tiny, Fraction(1, 2)))) == short
     assert repr(CenterClass((1 - tiny,))) == "CenterClass(coords=(" + "9" * 39 + "...)"
     assert repr(CenterClass((Fraction(1, 3),))) == "CenterClass(coords=(Fraction(1, 3),))"
+
+
+def test_root_datum_repr_shows_the_type_only():
+    datum = build_root_datum(SimpleType("B", 30))
+    assert repr(datum) == "RootDatum(type=SimpleType(family='B', rank=30))"
+    assert len(repr(datum)) <= 1024
+
+
+def test_root_datum_equality_still_reads_the_coroots():
+    datum = build_root_datum(SimpleType("A", 2))
+    other = RootDatum(datum.type, datum.cartan, datum.positive_coroots[::-1])
+    assert repr(other) == repr(datum)
+    assert other != datum and hash(other) != hash(datum)
+    assert RootDatum(datum.type, datum.cartan, datum.positive_coroots) == datum
