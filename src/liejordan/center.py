@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import FrozenValue, _echo, _field_echo
+from .errors import FrozenValue, ResourceGuardError, _digit_budget, _echo, _field_echo
 from .rootdata import DominantWeight, RootDatum
 
 
@@ -87,9 +87,16 @@ class WeightSet(FrozenValue):
 def _fractions(coords) -> tuple[Fraction, ...]:
     """The coordinates as Fractions.  Only int, Fraction and str ones are
     taken, so arithmetic stays exact: a float, a bool, a Decimal, a zero
-    denominator or a string Fraction cannot parse is malformed input."""
+    denominator or a string Fraction cannot parse is malformed input, and
+    an exponent past the int->str digit limit is refused unexpanded."""
     from fractions import Fraction
-    coords = tuple(coords)
+    coords, budget = tuple(coords), _digit_budget()
+    for text in [c for c in coords if type(c) is str]:
+        exp = text.lower().partition("e")[2].strip().replace("_", "")
+        exp = (exp[1:] if exp[:1] in "+-" else exp).lstrip("0")
+        if exp.isdecimal() and (len(exp) > len(str(budget)) or int(exp) > budget):
+            raise ResourceGuardError(f"coordinate {_echo(text)} has an exponent over {budget} "
+                                     "(raise the digit limit with PYTHONINTMAXSTRDIGITS)")
     try:
         exact = [c if type(c) is Fraction else Fraction(c) for c in coords
                  if type(c) is Fraction or type(c) is int or type(c) is str]

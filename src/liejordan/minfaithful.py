@@ -14,10 +14,9 @@ cyclic or Z2 x Z2, so there are at most 1 + (divisors of its order)
 states, or 6.
 
 The search for candidate weights is capped by the total dimension of the
-cheapest faithful set of fundamental weights, found by the same DP; their
-dimensions, probed once for the cap, are handed to the enumeration.  It
-takes them for its first probe at each position, which would be those
-weights again, and for its prune: no weight lambda + omega_i with
+cheapest faithful set of fundamental weights, found by the same DP from
+the fundamental dimensions the family table declares.  The enumeration
+reads the same column for its prune: no weight lambda + omega_i with
 dim(lambda) + dim(omega_i) - 1 over the cap is probed, since
 dim(lambda + mu) >= dim(lambda) + dim(mu) - 1 for dominant lambda, mu
 (see enumerate_dominant_weights).  The fundamental weights together are
@@ -34,8 +33,8 @@ import heapq
 
 from .center import WeightSet
 from .errors import FrozenValue, _echo
-from .rootdata import (_FAMILIES, RootDatum, SimpleType, _fundamental_weights,
-                       build_root_datum, check_rank_budget, enumerate_dominant_weights)
+from .rootdata import (_FAMILIES, DominantWeight, RootDatum, SimpleType, build_root_datum,
+                       check_rank_budget, enumerate_dominant_weights)
 
 
 class RdimResult(FrozenValue):
@@ -99,10 +98,12 @@ def _cheapest_cover(weighted, d: int, classes):
     return best.get(2 * nonempty - 1)
 
 
-def _fundamental_cap(datum: RootDatum, fundamentals=None) -> int:
+def _fundamental_cap(datum: RootDatum) -> int:
     """Total dimension of the cheapest faithful set of fundamental weights,
-    from their (weight, dim) pairs in node order, probed here if not given."""
-    ordered = sorted(fundamentals or _fundamental_weights(datum),
+    whose dimensions the family table declares in node order."""
+    rank = datum.rank
+    units = [DominantWeight((0,) * i + (1,) + (0,) * (rank - i - 1)) for i in range(rank)]
+    ordered = sorted(zip(units, _FAMILIES[datum.type.family][5](rank)),
                      key=lambda pair: (pair[1], pair[0].coords))
     return _cheapest_cover(ordered, *datum.center)[0]
 
@@ -115,10 +116,7 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     are refused unless override is set.
     """
     check_rank_budget(datum.type, override)
-    fundamentals = _fundamental_weights(datum)
-    cap = _fundamental_cap(datum, fundamentals)
-    candidates = enumerate_dominant_weights(datum, cap, allow_large_cap=override,
-                                            fundamental_dims=[dim for _, dim in fundamentals])
+    candidates = enumerate_dominant_weights(datum, _fundamental_cap(datum), override)
     best = _cheapest_cover(candidates, *datum.center)
     if best is None:
         raise AssertionError(f"no faithful weight set under cap for {datum.type}")

@@ -9,10 +9,11 @@ of A-D are written out from their closed form, and those of E-G come from
 the reflection closure over the transposed Cartan matrix.
 
 Each family is declared once, in _FAMILIES: ranks, Dynkin bonds, number
-of positive roots, and center order and generators, which _center closes
-into the classes each RootDatum carries.  Nothing is cached: a datum goes
-with its last reference.  The bonds fix the node numbering, 0-based in
-the table and 1-based in the notes below:
+of positive roots, center order and generators, which _center closes
+into the classes each RootDatum carries, and the fundamental dimensions,
+which the dominant-weight enumeration prunes by.  Nothing is cached: a
+datum goes with its last reference.  The bonds fix the node numbering,
+0-based in the table and 1-based in the notes below:
 
 * A, B, C: a chain 1..l; for B the short simple root is node l, for C
   the long one is node l.
@@ -33,7 +34,7 @@ import os
 from operator import add, mul
 
 from .errors import (_FORMED_PER_PRINTED, FrozenValue, RankBudgetError, ResourceGuardError,
-                     _digit_budget, _echo, _field_echo, _formed)
+                     _digit_budget, _echo, _formed)
 
 DEFAULT_MAX_RANK = 9
 RANK_ENV_VAR = "LIEJORDAN_MAX_RANK"
@@ -46,28 +47,37 @@ def _chain(nodes: int) -> list[tuple[int, int, int, int]]:
     return [(i, i + 1, 1, 1) for i in range(nodes - 1)]
 
 
-# Family letter -> (ranks, bonds, positive-root count, center order, center
-# generators).  The ranks are the least one for A-D and all of them for E-G;
-# a bond (i, j, a, b) sets the Cartan entries [i][j] = -a and [j][i] = -b;
-# the center order is the Cartan determinant d, and each generator of the
-# center is a class over the simple coroots, an integer vector x mod d
-# standing for x/d.  Bourbaki, Lie Groups and Lie Algebras, Ch. 4-6, Plates I-IX.
+# Family letter -> (ranks, bonds, positive-root count, center order, center generators,
+# fundamental dimensions).  The ranks are the least one for A-D and all of them for E-G;
+# a bond (i, j, a, b) sets the Cartan entries [i][j] = -a and [j][i] = -b; the center
+# order is the Cartan determinant d, and each generator of the center is a class over
+# the simple coroots, an integer vector x mod d standing for x/d; dim V(omega_k) in node
+# order is an exterior power of the defining representation for A-D (its primitive part
+# for C) or a spin one.  Bourbaki, Lie Groups and Lie Algebras, Ch. 4-6, Plates I-IX.
 _FAMILIES = {
     "A": (1, _chain, lambda l: l * (l + 1) // 2, lambda l: l + 1,
-          lambda l: [tuple(range(1, l + 1))]),
+          lambda l: [tuple(range(1, l + 1))],
+          lambda l: [math.comb(l + 1, k) for k in range(1, l + 1)]),
     "B": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 2, 1)], lambda l: l * l,
-          lambda l: 2, lambda l: [(0,) * (l - 1) + (1,)]),
+          lambda l: 2, lambda l: [(0,) * (l - 1) + (1,)],
+          lambda l: [math.comb(2 * l + 1, k) for k in range(1, l)] + [2 ** l]),
     "C": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 1, 2)], lambda l: l * l,
-          lambda l: 2, lambda l: [(1, 0) * (l // 2) + (1,) * (l % 2)]),
+          lambda l: 2, lambda l: [(1, 0) * (l // 2) + (1,) * (l % 2)],
+          lambda l: [2 * l] + [math.comb(2 * l, k) - math.comb(2 * l, k - 2)
+                               for k in range(2, l + 1)]),
     "D": (3, lambda l: _chain(l - 1) + [(l - 3, l - 1, 1, 1)], lambda l: l * (l - 1),
           lambda l: 4, lambda l: [(0,) * (l - 2) + (2, 2),
-                                  (2, 0) * (l // 2 - 1) + ((2, 1, 3) if l % 2 else (0, 2))]),
+                                  (2, 0) * (l // 2 - 1) + ((2, 1, 3) if l % 2 else (0, 2))],
+          lambda l: [math.comb(2 * l, k) for k in range(1, l - 1)] + [2 ** (l - 1)] * 2),
     "E": ((6, 7, 8), lambda l: _chain(l - 1) + [(l - 4, l - 1, 1, 1)],
           {6: 36, 7: 63, 8: 120}.get, {6: 3, 7: 2, 8: 1}.get,
-          {6: [(1, 2, 0, 1, 2, 0)], 7: [(1, 0, 1, 0, 0, 0, 1)], 8: []}.get),
+          {6: [(1, 2, 0, 1, 2, 0)], 7: [(1, 0, 1, 0, 0, 0, 1)], 8: []}.get,
+          {6: [27, 351, 2925, 351, 27, 78], 7: [56, 1539, 27664, 365750, 8645, 133, 912],
+           8: [248, 30380, 2450240, 146325270, 6899079264, 6696000, 3875, 147250]}.get),
     "F": ((4,), lambda l: [(0, 1, 1, 1), (1, 2, 1, 2), (2, 3, 1, 1)], lambda l: 24,
-          lambda l: 1, lambda l: []),
-    "G": ((2,), lambda l: [(0, 1, 1, 3)], lambda l: 6, lambda l: 1, lambda l: []),
+          lambda l: 1, lambda l: [], lambda l: [26, 273, 1274, 52]),
+    "G": ((2,), lambda l: [(0, 1, 1, 3)], lambda l: 6, lambda l: 1, lambda l: [],
+          lambda l: [7, 14]),
 }
 
 
@@ -75,7 +85,7 @@ def _center(stype: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, classes): the center order and the nonidentity central classes
     as sorted integer vectors x mod d, x standing for x/d mod 1, closed
     coset by coset from the family table's generators; the count is checked against d."""
-    *_, order, generators = _FAMILIES[stype.family]
+    _, _, _, order, generators, _ = _FAMILIES[stype.family]
     d, zero = order(stype.rank), (0,) * stype.rank
     group, classes = [zero], {zero}
     for x in generators(stype.rank):
@@ -141,6 +151,7 @@ class DominantWeight(FrozenValue):
     __slots__ = ("coords",)
 
     def __init__(self, coords: tuple[int, ...]):
+        coords = tuple(coords) if iter(coords) is coords else coords  # an iterator is read once
         for c in coords:
             if type(c) is not int or c < 0:
                 raise ValueError(
@@ -346,19 +357,8 @@ def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
     return _weyl_dim(datum, coords, [sum(map(mul, shifted, c)) for c in datum.positive_coroots])
 
 
-def _fundamental_weights(datum: RootDatum) -> list[tuple[DominantWeight, int]]:
-    """The fundamental weights with their dimensions, in node order: the
-    first probe of the enumeration at each position."""
-    out, rank = [], datum.rank
-    for pos, column in enumerate(zip(*datum.positive_coroots)):
-        unit = (0,) * pos + (1,) + (0,) * (rank - pos - 1)
-        dim = _weyl_dim(datum, unit, list(map(add, datum.rho_pairings, column)))
-        out.append((DominantWeight(unit), dim))
-    return out
-
-
 def enumerate_dominant_weights(
-    datum: RootDatum, cap: int, allow_large_cap: bool = False, fundamental_dims=None
+    datum: RootDatum, cap: int, allow_large_cap: bool = False
 ) -> list[tuple[DominantWeight, int]]:
     """All nonzero dominant weights with dimension <= cap, with dimensions.
 
@@ -372,17 +372,16 @@ def enumerate_dominant_weights(
     coordinate pos by one adds column pos of the coroots to them.
 
     The search also stops before raising coordinate pos when
-    dim + fundamental_dims[pos] - 1 > cap, since for dominant lambda, mu
+    dim + dim(omega_pos) - 1 > cap, since for dominant lambda, mu
     dim(lambda + mu) >= dim(lambda) + dim(mu) - 1, and every completion
     is at least lambda + omega_pos.  Proof: each Weyl ratio
     <lambda + mu + rho, c> / <rho, c> is 1 + x_c + y_c, with
     x_c = <lambda, c> / <rho, c> >= 0 and y_c likewise for mu; expanding
     the product gives every monomial of prod(1 + x_c) and of
     prod(1 + y_c), and the constant 1 only once.  The fundamental
-    dimensions, in node order, are probed here unless the caller hands
-    them in as fundamental_dims; they also stand for the first probe at
-    each position after an all-zero prefix, which is that fundamental
-    weight.
+    dimensions are read off the family table; they also stand for the
+    first probe at each position after an all-zero prefix, which is that
+    fundamental weight, so no fundamental weight is ever probed.
 
     Caps above 2**max_rank() + 10 are refused unless allow_large_cap is
     set, to keep accidental huge searches from running away.  rdim
@@ -397,12 +396,7 @@ def enumerate_dominant_weights(
         raise RankBudgetError(f"cap {_echo(cap)} exceeds budget {_echo(2 ** budget + 10)}; "
                               "pass allow_large_cap=True to override")
     rank = datum.rank
-    if fundamental_dims is None:
-        fundamental_dims = [dim for _, dim in _fundamental_weights(datum)]
-    elif (type(fundamental_dims) not in (list, tuple) or len(fundamental_dims) != rank
-          or any(type(dim) is not int for dim in fundamental_dims)):
-        raise ValueError(f"fundamental_dims must be {rank} ints, got {_field_echo(fundamental_dims)}")
-    columns = list(zip(*datum.positive_coroots))
+    steps = list(zip(zip(*datum.positive_coroots), _FAMILIES[datum.type.family][5](rank)))
     coords = [0] * rank
     out: list[tuple[DominantWeight, int]] = []
 
@@ -414,7 +408,7 @@ def enumerate_dominant_weights(
                 out.append((DominantWeight(tuple(coords)), dim))
             return
         extend(pos + 1, factors, dim)
-        column, fundamental = columns[pos], fundamental_dims[pos]
+        column, fundamental = steps[pos]  # column pos of the coroots, dim(omega_pos)
         grown = dim
         for value in itertools.count(1):
             if grown + fundamental - 1 > cap:  # no completion of coords + omega_pos fits
@@ -437,7 +431,7 @@ def check_cell_budget(stype: SimpleType):
     """Refuse a type whose data would pass the cell budget, from the family
     table before any of it is built: rank**2 Cartan cells, d * rank cells
     for the d center classes and |positive roots| * rank coroot cells."""
-    _, _, roots, order, _ = _FAMILIES[stype.family]
+    _, _, roots, order, _, _ = _FAMILIES[stype.family]
     l = stype.rank
     cells, budget = l * (l + order(l) + roots(l)), _budget(CELLS_ENV_VAR, DEFAULT_MAX_CELLS)
     if cells > budget:

@@ -1,11 +1,13 @@
 """Center computation and faithfulness of weight sets."""
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from liejordan import rootdata
 from liejordan.center import CenterClass, WeightSet, center_classes, is_faithful, pair
+from liejordan.errors import ResourceGuardError
 from liejordan.minfaithful import rdim
 from liejordan.rootdata import DominantWeight, RootDatum, SimpleType, _center, build_root_datum
 
@@ -103,6 +105,27 @@ def test_pairing_values_pinned():
 def test_pairing_of_integer_lift_is_zero():
     assert pair(DominantWeight((3, 5)), (2, 7)) == 0
     assert pair(DominantWeight((1, 2)), (Fraction(1), Fraction(-4))) == 0
+
+
+@pytest.mark.parametrize("coord", ["1e10000000", "1E-10000000", "-2e+1_000_000_000",
+                                   "1e" + "9" * 10000, "1e4301"])
+def test_an_exponent_past_the_digit_limit_is_refused_unexpanded(coord):
+    # Fraction would raise 10 to it: "1e10000000" took about 22 s.
+    start = time.perf_counter()
+    with pytest.raises((ValueError, ResourceGuardError)) as err:
+        pair(DominantWeight((1,)), [coord])
+    assert time.perf_counter() - start < 0.1
+    assert len(str(err.value).encode()) <= 1024
+    with pytest.raises((ValueError, ResourceGuardError)):
+        CenterClass(("1/2", coord))
+
+
+def test_an_exponent_within_the_digit_limit_still_parses():
+    assert pair(DominantWeight((1,)), ["1e2"]) == 0
+    assert pair(DominantWeight((3,)), ["1e-2"]) == Fraction(3, 100)
+    assert pair(DominantWeight((1,)), [" 25E-" + "0" * 50 + "2 "]) == Fraction(1, 4)
+    assert CenterClass(("5e-1",)).coords == (Fraction(1, 2),)
+    assert pair(DominantWeight((1,)), ["1e4300"]) == 0
 
 
 def test_pairing_rejects_length_mismatch():

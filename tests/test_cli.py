@@ -691,10 +691,10 @@ def test_huge_rank_is_refused_before_anything_is_built(capsys, monkeypatch, comm
         raise AssertionError(f"built data for A{rank}")
 
     monkeypatch.delenv("LIEJORDAN_MAX_CELLS", raising=False)
-    # cartan_matrix, where every type's data starts, reads the bonds, and
-    # the center reads the generators.
-    ranks, _, roots, order, _ = rootdata._FAMILIES["A"]
-    monkeypatch.setitem(rootdata._FAMILIES, "A", (ranks, refuse, roots, order, refuse))
+    # cartan_matrix, where every type's data starts, reads the bonds, the
+    # center reads the generators, and rdim's cap the fundamental dimensions.
+    ranks, _, roots, order, _, _ = rootdata._FAMILIES["A"]
+    monkeypatch.setitem(rootdata._FAMILIES, "A", (ranks, refuse, roots, order, refuse, refuse))
     argv = [command, "--family", "A", "--rank", "100000", *SIZED_COMMANDS[command]]
     tracemalloc.start()
     try:

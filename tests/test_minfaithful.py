@@ -10,8 +10,8 @@ from liejordan.center import WeightSet, is_faithful
 from liejordan.errors import RankBudgetError
 from liejordan import rootdata
 from liejordan.minfaithful import _fundamental_cap, rdim, rdim_table
-from liejordan.rootdata import (DominantWeight, SimpleType, _fundamental_weights,
-                                build_root_datum, enumerate_dominant_weights, weyl_dim)
+from liejordan.rootdata import (DominantWeight, SimpleType, build_root_datum,
+                                enumerate_dominant_weights, weyl_dim)
 
 from test_rootdata import BUDGET_TYPES, _datum, _fund
 
@@ -186,29 +186,34 @@ def test_table_quotes_a_long_rank_short():
 
 
 def test_rdim_probes_each_fundamental_weight_once(monkeypatch):
-    # The cap probes every fundamental weight (566 probes over these 65
-    # types); the enumeration takes those dimensions instead of probing the
-    # same weights again (2588 probes in all when it did), and by the
-    # superadditivity prune probes no weight lambda + omega_i with
-    # dim(lambda) + dim(omega_i) - 1 over the cap (194 probes left of its
-    # 1456 without the prune, 2022 in all).
+    # The cap and the enumeration read the fundamental dimensions off the
+    # family table, so no fundamental weight is probed (the cap probed all
+    # 566 of them over these 65 types, 760 probes in all when it did), and
+    # by the superadditivity prune the enumeration probes no weight
+    # lambda + omega_i with dim(lambda) + dim(omega_i) - 1 over the cap (194
+    # probes left of its 1456 without the prune).
     calls = []
     probe = rootdata._weyl_dim
-    monkeypatch.setattr(rootdata, "_weyl_dim", lambda *args: calls.append(1) or probe(*args))
+    monkeypatch.setattr(rootdata, "_weyl_dim",
+                        lambda datum, coords, factors: calls.append(tuple(coords))
+                        or probe(datum, coords, factors))
     for fam, rank in RANK_16_TYPES:
         rdim(_datum(fam, rank), override=True)
-    assert len(calls) == 760
+    assert len(calls) == 194
+    assert not [coords for coords in calls if sum(coords) == 1]
 
 
 @pytest.mark.parametrize("fam,rank", RANK_16_TYPES)
-def test_handed_fundamental_dimensions_change_no_candidate(fam, rank):
+def test_handed_fundamental_dimensions_change_no_candidate(fam, rank, monkeypatch):
+    # The enumeration takes the fundamental dimensions the family table
+    # hands it; with dimensions probed by weyl_dim instead, it keeps the
+    # same candidates.
     d = _datum(fam, rank)
-    fundamentals = _fundamental_weights(d)
-    cap = _fundamental_cap(d, fundamentals)
-    assert cap == _fundamental_cap(d)
-    dims = [dim for _, dim in fundamentals]
-    assert (enumerate_dominant_weights(d, cap, True, fundamental_dims=dims)
-            == enumerate_dominant_weights(d, cap, True))
+    cap = _fundamental_cap(d)
+    declared = enumerate_dominant_weights(d, cap, True)
+    probed = [weyl_dim(d, _fund(rank, i)) for i in range(rank)]
+    monkeypatch.setitem(rootdata._FAMILIES, fam, rootdata._FAMILIES[fam][:5] + (lambda l: probed,))
+    assert enumerate_dominant_weights(d, cap, True) == declared
 
 
 @pytest.mark.parametrize("fam,rank", RANK_16_TYPES)

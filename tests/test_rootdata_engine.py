@@ -16,6 +16,8 @@ against the live closure, the code under test for E-G.
 import random
 import sys
 import time
+from itertools import combinations
+from operator import add
 
 import pytest
 
@@ -66,6 +68,50 @@ def test_coroots_match_oracle(fam, rank):
     assert d.positive_coroots == tuple(old._positive_roots(transposed))
 
 
+def _orthonormal_fundamental_dim(fam, l, k):
+    """dim V(omega_k) of A_l-D_l, k 0-based, by Weyl's formula in the
+    orthonormal basis of Bourbaki's Plates I-IV, with coordinates doubled:
+    the product over the positive roots a of <m, a^vee> / <rho, a^vee> for
+    m = rho + omega_k.  The coroot pairings are v_i - v_j for A; the pair
+    e_i -+ e_j of B-D contributes v_i**2 - v_j**2, and the root at e_i of B
+    or C contributes v_i (up to a factor 2 that cancels)."""
+    rho = {"A": range(2 * l, -1, -2), "B": range(2 * l - 1, 0, -2),
+           "C": range(2 * l, 0, -2), "D": range(2 * l - 2, -1, -2)}[fam]
+    if fam == "B" and k == l - 1 or fam == "D" and k >= l - 2:  # a spin node
+        omega = [1] * (l - 1) + [1 if k == l - 1 else -1]
+    else:
+        omega = [2] * (k + 1) + [0] * (len(rho) - k - 1)
+
+    def product(v):
+        pairs = combinations(v, 2)
+        factors = [a - b for a, b in pairs] if fam == "A" else [a * a - b * b for a, b in pairs]
+        return rootdata._product(factors + (list(v) if fam in "BC" else []))
+
+    dim, rem = divmod(product(list(map(add, rho, omega))), product(rho))
+    assert not rem
+    return dim
+
+
+def test_fundamental_dimensions_match_the_weyl_formula():
+    # The family table's column against weyl_dim at each unit weight, whose
+    # Weyl factors <omega_i + rho, c> are <rho, c> + c_i, at every node of
+    # every type of rank <= 24.  At ranks 60 and 100, where a datum has up to
+    # 10**4 coroots, the first, middle and last two nodes of A-D are checked
+    # against the formula in the orthonormal basis instead.
+    for fam, rank in _types(24):
+        d = _datum(fam, rank)
+        assert rootdata._FAMILIES[fam][5](rank) == [
+            rootdata._weyl_dim(d, (0,) * i + (1,) + (0,) * (rank - i - 1),
+                               list(map(add, d.rho_pairings, column)))
+            for i, column in enumerate(zip(*d.positive_coroots))]
+    for fam in "ABCD":
+        for rank in (60, 100):
+            table = rootdata._FAMILIES[fam][5](rank)
+            assert len(table) == rank
+            for k in (0, rank // 2, rank - 2, rank - 1):
+                assert table[k] == _orthonormal_fundamental_dim(fam, rank, k), (fam, rank, k)
+
+
 @pytest.mark.parametrize("fam,rank", _types(12))
 def test_enumeration_matches_oracle(fam, rank):
     d = _datum(fam, rank)
@@ -96,10 +142,16 @@ def test_enumeration_evaluates_each_vector_once(monkeypatch, fam, rank):
         return evaluate(datum, coords, factors)
 
     monkeypatch.setattr(rootdata, "_weyl_dim", recording)
-    out = enumerate_dominant_weights(_datum(fam, rank), 2 ** rank + 10)
+    d = _datum(fam, rank)
+    out = enumerate_dominant_weights(d, 2 ** rank + 10)
     assert len(probed) == len(set(probed))
     assert (0,) * rank not in probed
-    assert {w.coords for w, _ in out} <= set(probed)
+    # A fundamental weight is never probed: its dimension is the family table's.
+    units = [(w, dim) for w, dim in out if sum(w.coords) == 1]
+    assert {w.coords for w, _ in out if sum(w.coords) > 1} <= set(probed)
+    assert units and not {w.coords for w, _ in units} & set(probed)
+    monkeypatch.undo()
+    assert all(dim == weyl_dim(d, w) for w, dim in units)
 
 
 def test_huge_e8_weight_refused_before_the_product_is_formed():
