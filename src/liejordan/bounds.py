@@ -36,12 +36,18 @@ _factorial = lru_cache(maxsize=32)(math.factorial)  # see the module docstring
 
 class Bound(FrozenValue):
     """The bound b * J(k)^b: value is its exact integer, or None while J(k)
-    stays symbolic.  render() takes an optional formatter for the exact
-    integers in it."""
+    stays symbolic; k is a non-negative and b a positive integer.
+    render() takes an optional formatter for the exact integers in it."""
 
     __slots__ = ("value", "k", "b")
 
     def __init__(self, value: int | None, k: int, b: int):
+        if value is not None and (type(value) is not int or value < 1):
+            raise ValueError(f"bound value must be None or a positive integer, got {_echo(value)}")
+        if type(k) is not int or k < 0:
+            raise ValueError(f"J's argument k must be a non-negative integer, got {_echo(k)}")
+        if type(b) is not int or b < 1:
+            raise ValueError(f"exponent b must be a positive integer, got {_echo(b)}")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "b", b)

@@ -14,18 +14,20 @@ cyclic or Z2 x Z2, so there are at most 1 + (divisors of its order)
 states, or 6.
 
 The search for candidate weights is capped by the total dimension of the
-cheapest faithful set of fundamental weights, found by the same DP from
-the fundamental dimensions the family table declares.  The enumeration
-reads the same column for its prune: no weight lambda + omega_i with
-dim(lambda) + dim(omega_i) - 1 over the cap is probed, since
-dim(lambda + mu) >= dim(lambda) + dim(mu) - 1 for dominant lambda, mu
-(see enumerate_dominant_weights).  The fundamental weights together are
-faithful, so that total is at least the optimum, and every weight of an
-optimal or tied set has dimension at most the optimum: neither the cap
-nor the prune changes the answer or its witness.  The total never passes
-2**rank + 10, which only F4's 26 reaches, so the enumeration's budget
-check on caps over 2**max_rank() + 10 is never what refuses an rdim
-within the rank budget.
+cheapest faithful set of fundamental weights, a column of the family
+table: l + 1 for A_l, 2**l for B_l, 2l for C_l, 2**(l-1) for D_l of odd l
+and 2l + 2**(l-1) of even l, and 27, 56, 248, 26, 7 for E6, E7, E8, F4,
+G2.  The enumeration reads the fundamental dimensions for its prune: no
+weight lambda + omega_i with dim(lambda) + dim(omega_i) - 1 over the cap
+is probed, since dim(lambda + mu) >= dim(lambda) + dim(mu) - 1 for
+dominant lambda, mu (see enumerate_dominant_weights).  The fundamental
+weights together are faithful, so that total is at least the optimum,
+and every weight of an optimal or tied set has dimension at most the
+optimum: neither the cap nor the prune changes the answer or its
+witness.  The column never passes 2**rank + 10: B's is 2**l, the others
+of A-D are at most that, E's are far below it, and only F4's 26 reaches
+it.  So the enumeration's budget check on caps over 2**max_rank() + 10 is
+never what refuses an rdim within the rank budget.
 """
 from __future__ import annotations
 
@@ -33,8 +35,8 @@ import heapq
 
 from .center import WeightSet
 from .errors import FrozenValue, _echo
-from .rootdata import (_FAMILIES, DominantWeight, RootDatum, SimpleType, build_root_datum,
-                       check_rank_budget, enumerate_dominant_weights)
+from .rootdata import (_FAMILIES, RootDatum, SimpleType, build_root_datum, check_rank_budget,
+                       enumerate_dominant_weights)
 
 
 class RdimResult(FrozenValue):
@@ -98,16 +100,6 @@ def _cheapest_cover(weighted, d: int, classes):
     return best.get(2 * nonempty - 1)
 
 
-def _fundamental_cap(datum: RootDatum) -> int:
-    """Total dimension of the cheapest faithful set of fundamental weights,
-    whose dimensions the family table declares in node order."""
-    rank = datum.rank
-    units = [DominantWeight((0,) * i + (1,) + (0,) * (rank - i - 1)) for i in range(rank)]
-    ordered = sorted(zip(units, _FAMILIES[datum.type.family][5](rank)),
-                     key=lambda pair: (pair[1], pair[0].coords))
-    return _cheapest_cover(ordered, *datum.center)[0]
-
-
 def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     """Minimal faithful total dimension, with a deterministic witness.
 
@@ -116,7 +108,8 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     are refused unless override is set.
     """
     check_rank_budget(datum.type, override)
-    candidates = enumerate_dominant_weights(datum, _fundamental_cap(datum), override)
+    cap = _FAMILIES[datum.type.family][6](datum.rank)
+    candidates = enumerate_dominant_weights(datum, cap, override)
     best = _cheapest_cover(candidates, *datum.center)
     if best is None:
         raise AssertionError(f"no faithful weight set under cap for {datum.type}")

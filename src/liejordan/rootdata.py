@@ -1,19 +1,32 @@
 """Exact root-system combinatorics for the simple Lie types A through G.
 
-Everything is integer arithmetic on coordinate vectors: weights are
-written in the fundamental-weight basis, coroots in the simple-coroot
-basis, and the pairing of a weight with a coroot is then a plain dot
-product.  The Cartan matrix is stored with entry [i][j] equal to the
-pairing of simple root i against simple coroot j.  The positive coroots
-of A-D are written out from their closed form, and those of E-G come from
-the reflection closure over the transposed Cartan matrix.
+Everything is integer arithmetic.  Weights are written in the
+fundamental-weight basis and coroots in the simple-coroot basis; the
+Cartan matrix is stored with entry [i][j] equal to the pairing of simple
+root i against simple coroot j.  The Weyl dimension formula needs the
+pairings <lambda + rho, c> with the positive coroots c, and a root datum
+reads them off lambda + rho in its own coordinates:
+
+* A-D: the orthonormal basis e_i of Bourbaki's Plates I-IV, doubled for
+  B and D so the coordinates stay integers, where each pairing is
+  x_i -+ x_j, a half of it, or x_i: O(rank) numbers in place of the
+  rank * |positive roots| cells of the coroots;
+* E-G: the pairings themselves, over the coroots that the reflection
+  closure finds from the transposed Cartan matrix, at most 120.
+
+Raising lambda_k adds one increment vector per node in either basis: the
+epsilon vector of omega_k, or column k of the coroots.  The coroots of a
+datum are a view, formed when read: by their closed form for A-D, and from
+the closure's columns for E-G.
 
 Each family is declared once, in _FAMILIES: ranks, Dynkin bonds, number
 of positive roots, center order and generators, which _center closes
-into the classes each RootDatum carries, and the fundamental dimensions,
-which the dominant-weight enumeration prunes by.  Nothing is cached: a
-datum goes with its last reference.  The bonds fix the node numbering,
-0-based in the table and 1-based in the notes below:
+into the classes each RootDatum carries, the fundamental dimensions,
+which the dominant-weight enumeration prunes by, the fundamental cap,
+which rdim searches under, and the epsilon form of A-D.  Nothing is
+cached: a datum goes with its last reference.  The bonds fix the node
+numbering, 0-based in the table and 1-based in the notes below, which is
+Bourbaki's for A-D:
 
 * A, B, C: a chain 1..l; for B the short simple root is node l, for C
   the long one is node l.
@@ -31,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from operator import add, mul
+from operator import add, sub
 
 from .errors import (_FORMED_PER_PRINTED, FrozenValue, RankBudgetError, ResourceGuardError,
                      _digit_budget, _echo, _formed)
@@ -47,37 +60,76 @@ def _chain(nodes: int) -> list[tuple[int, int, int, int]]:
     return [(i, i + 1, 1, 1) for i in range(nodes - 1)]
 
 
+def _prefixes(size: int, scale: int, count: int) -> list[tuple[int, ...]]:
+    """The vectors scale * (e_0 + ... + e_k), k < count, of the given size."""
+    return [(scale,) * (k + 1) + (0,) * (size - k - 1) for k in range(count)]
+
+
+def _differences(x: list[int]) -> list[int]:
+    """x_i - x_j over the pairs i < j."""
+    return list(itertools.starmap(sub, itertools.combinations(x, 2)))
+
+
+def _pairs(x: list[int]) -> list[int]:
+    """x_i - x_j, then x_i + x_j, over the pairs i < j."""
+    return _differences(x) + list(itertools.starmap(add, itertools.combinations(x, 2)))
+
+
+def _halves(x: list[int]) -> list[int]:
+    """(x_i - x_j) / 2, then (x_i + x_j) / 2, over the pairs i < j, for x
+    whose coordinates share a parity p: x_i = 2 h_i + p, so the halves are
+    h_i - h_j and h_i + h_j + p."""
+    h, p = [v >> 1 for v in x], x[0] & 1
+    return _differences(h) + [a + b + p for a, b in itertools.combinations(h, 2)]
+
+
 # Family letter -> (ranks, bonds, positive-root count, center order, center generators,
-# fundamental dimensions).  The ranks are the least one for A-D and all of them for E-G;
-# a bond (i, j, a, b) sets the Cartan entries [i][j] = -a and [j][i] = -b; the center
-# order is the Cartan determinant d, and each generator of the center is a class over
-# the simple coroots, an integer vector x mod d standing for x/d; dim V(omega_k) in node
-# order is an exterior power of the defining representation for A-D (its primitive part
-# for C) or a spin one.  Bourbaki, Lie Groups and Lie Algebras, Ch. 4-6, Plates I-IX.
+# fundamental dimensions, fundamental cap, epsilon form).  The ranks are the least one for
+# A-D and all of them for E-G; a bond (i, j, a, b) sets the Cartan entries [i][j] = -a and
+# [j][i] = -b; the center order is the Cartan determinant d, and each generator of the
+# center is a class over the simple coroots, an integer vector x mod d standing for x/d;
+# dim V(omega_k) in node order is an exterior power of the defining representation for
+# A-D (its primitive part for C) or a spin one.  The cap is the least total dimension of
+# a faithful set of fundamental weights: the defining representation for A and C, the
+# spin one for B and odd D, the vector and one half-spin representation for even D, and
+# the least fundamental representation, which is faithful, for E-G.  The epsilon form of
+# A-D is (increments, factors).  Written in the orthonormal basis e_i, doubled for B and
+# D, lambda + rho is the sum over the nodes k of (lambda_k + 1) times increment k, the
+# vector of omega_k; factors maps it to the Weyl factors <lambda + rho, a^vee>, one per
+# positive root a: x_i - x_j for A, (x_i -+ x_j) / 2 and x_i for B, x_i -+ x_j and x_i
+# for C, (x_i -+ x_j) / 2 for D.  E-G have none: their coroots come from the reflection
+# closure.  Bourbaki, Lie Groups and Lie Algebras, Ch. 4-6, Plates I-IX.
 _FAMILIES = {
     "A": (1, _chain, lambda l: l * (l + 1) // 2, lambda l: l + 1,
           lambda l: [tuple(range(1, l + 1))],
-          lambda l: [math.comb(l + 1, k) for k in range(1, l + 1)]),
+          lambda l: [math.comb(l + 1, k) for k in range(1, l + 1)], lambda l: l + 1,
+          (lambda l: _prefixes(l + 1, 1, l), _differences)),
     "B": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 2, 1)], lambda l: l * l,
           lambda l: 2, lambda l: [(0,) * (l - 1) + (1,)],
-          lambda l: [math.comb(2 * l + 1, k) for k in range(1, l)] + [2 ** l]),
+          lambda l: [math.comb(2 * l + 1, k) for k in range(1, l)] + [2 ** l],
+          lambda l: 2 ** l,
+          (lambda l: _prefixes(l, 2, l - 1) + [(1,) * l], lambda x: _halves(x) + x)),
     "C": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 1, 2)], lambda l: l * l,
           lambda l: 2, lambda l: [(1, 0) * (l // 2) + (1,) * (l % 2)],
           lambda l: [2 * l] + [math.comb(2 * l, k) - math.comb(2 * l, k - 2)
-                               for k in range(2, l + 1)]),
+                               for k in range(2, l + 1)], lambda l: 2 * l,
+          (lambda l: _prefixes(l, 1, l), lambda x: _pairs(x) + x)),
     "D": (3, lambda l: _chain(l - 1) + [(l - 3, l - 1, 1, 1)], lambda l: l * (l - 1),
           lambda l: 4, lambda l: [(0,) * (l - 2) + (2, 2),
                                   (2, 0) * (l // 2 - 1) + ((2, 1, 3) if l % 2 else (0, 2))],
-          lambda l: [math.comb(2 * l, k) for k in range(1, l - 1)] + [2 ** (l - 1)] * 2),
+          lambda l: [math.comb(2 * l, k) for k in range(1, l - 1)] + [2 ** (l - 1)] * 2,
+          lambda l: 2 ** (l - 1) + (0 if l % 2 else 2 * l),
+          (lambda l: _prefixes(l, 2, l - 2) + [(1,) * (l - 1) + (-1,), (1,) * l], _halves)),
     "E": ((6, 7, 8), lambda l: _chain(l - 1) + [(l - 4, l - 1, 1, 1)],
           {6: 36, 7: 63, 8: 120}.get, {6: 3, 7: 2, 8: 1}.get,
           {6: [(1, 2, 0, 1, 2, 0)], 7: [(1, 0, 1, 0, 0, 0, 1)], 8: []}.get,
           {6: [27, 351, 2925, 351, 27, 78], 7: [56, 1539, 27664, 365750, 8645, 133, 912],
-           8: [248, 30380, 2450240, 146325270, 6899079264, 6696000, 3875, 147250]}.get),
+           8: [248, 30380, 2450240, 146325270, 6899079264, 6696000, 3875, 147250]}.get,
+          {6: 27, 7: 56, 8: 248}.get, None),
     "F": ((4,), lambda l: [(0, 1, 1, 1), (1, 2, 1, 2), (2, 3, 1, 1)], lambda l: 24,
-          lambda l: 1, lambda l: [], lambda l: [26, 273, 1274, 52]),
+          lambda l: 1, lambda l: [], lambda l: [26, 273, 1274, 52], lambda l: 26, None),
     "G": ((2,), lambda l: [(0, 1, 1, 3)], lambda l: 6, lambda l: 1, lambda l: [],
-          lambda l: [7, 14]),
+          lambda l: [7, 14], lambda l: 7, None),
 }
 
 
@@ -85,7 +137,7 @@ def _center(stype: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, classes): the center order and the nonidentity central classes
     as sorted integer vectors x mod d, x standing for x/d mod 1, closed
     coset by coset from the family table's generators; the count is checked against d."""
-    _, _, _, order, generators, _ = _FAMILIES[stype.family]
+    _, _, _, order, generators, *_ = _FAMILIES[stype.family]
     d, zero = order(stype.rank), (0,) * stype.rank
     group, classes = [zero], {zero}
     for x in generators(stype.rank):
@@ -269,52 +321,101 @@ def _product(values) -> int:
     return values[0]
 
 
-class RootDatum(FrozenValue, shown=("type",), compared=("type", "cartan", "positive_coroots")):
-    """A simple type together with its Cartan matrix and positive coroots.
+class RootDatum(FrozenValue, shown=("type",), compared=("type",)):
+    """A simple type with what the Weyl dimension formula and the center
+    need of it, every field derived from the type.
 
-    Coroot vectors are coordinates in the simple-coroot basis, so the
-    pairing of a weight lambda with a coroot c is sum(lambda_i * c_i).
-    rho pairs to the coordinate sum of c; those pairings and their product,
-    the denominator of the Weyl dimension formula, are derived on
-    construction, and so is the center (d, classes) of _center.
+    A weight lambda + rho is carried in the datum's own coordinates: the
+    orthonormal ones of the epsilon form for A-D, its pairings with the
+    positive coroots for E-G.  Raising lambda_k by one adds increment k
+    (for E-G, column k of the coroots), and the family's factors map the
+    coordinates to the Weyl factors <lambda + rho, c>.  rho is the sum of
+    the increments; its pairings, in ascending order, and their product,
+    the denominator of the Weyl formula, are derived on construction, and
+    so is the center (d, classes) of _center.  The positive coroots are a
+    view, formed on each access.
     """
 
-    __slots__ = ("type", "cartan", "positive_coroots", "rho_pairings", "rho_product", "center")
+    __slots__ = ("type", "cartan", "rho_pairings", "rho_product", "center",
+                 "_rho", "_increments", "_factors")
 
-    def __init__(self, type: SimpleType, cartan: tuple[tuple[int, ...], ...],
-                 positive_coroots: tuple[tuple[int, ...], ...]):
-        pairings = tuple(map(sum, positive_coroots))
+    def __init__(self, type: SimpleType):
+        cartan = cartan_matrix(type)
+        form = _FAMILIES[type.family][7]
+        if form:
+            increments, factors = form[0](type.rank), form[1]
+        else:
+            increments, factors = list(zip(*_positive_roots(tuple(zip(*cartan))))), list
+        rho = [sum(column) for column in zip(*increments)]
+        pairings = sorted(factors(rho))
+        expected = positive_root_count(type)
+        if len(pairings) != expected:
+            raise AssertionError(f"{type}: {len(pairings)} positive coroots, expected {expected}")
         object.__setattr__(self, "type", type)
         object.__setattr__(self, "cartan", cartan)
-        object.__setattr__(self, "positive_coroots", positive_coroots)
-        object.__setattr__(self, "rho_pairings", pairings)
+        object.__setattr__(self, "rho_pairings", tuple(pairings))
         object.__setattr__(self, "rho_product", _product(pairings))
         object.__setattr__(self, "center", _center(type))
+        object.__setattr__(self, "_rho", tuple(rho))
+        object.__setattr__(self, "_increments", tuple(increments))
+        object.__setattr__(self, "_factors", factors)
+
+    def __reduce__(self):
+        return RootDatum, (self.type,)
 
     @property
     def rank(self) -> int:
         return self.type.rank
 
+    @property
+    def positive_coroots(self) -> _CorootView:
+        return _CorootView(self)
+
+
+class _CorootView:
+    """The positive coroots of a root datum over the simple coroots, by
+    height and then lexicographically, as a read-only sequence equal to
+    the tuple of them.  Its length is the closed-form root count; the
+    coroots are formed on each read, by their closed form for A-D and from
+    the closure's columns, which the datum keeps, for E-G."""
+
+    __slots__ = ("_datum",)
+
+    def __init__(self, datum: RootDatum):
+        self._datum = datum
+
+    def _formed(self) -> tuple[tuple[int, ...], ...]:
+        datum = self._datum
+        if datum.type.family in "EFG":
+            return tuple(zip(*datum._increments))
+        return tuple(_classical_coroots(datum.type))
+
+    def __len__(self) -> int:
+        return positive_root_count(self._datum.type)
+
+    def __iter__(self):
+        return iter(self._formed())
+
+    def __getitem__(self, index):
+        return self._formed()[index]
+
+    def __eq__(self, other):
+        return self._formed() == (other._formed() if isinstance(other, _CorootView) else other)
+
+    def __hash__(self):
+        return hash(self._formed())
+
+    def __repr__(self) -> str:
+        return repr(self._formed())
+
 
 def build_root_datum(stype: SimpleType) -> RootDatum:
-    """Construct the root datum for a simple type, refused past the cell
-    budget (by cartan_matrix) before anything is built.
-
-    The positive coroots are the positive roots of the dual system, whose
-    Cartan matrix is the transpose of this one: written out by their closed
-    form for A-D, and by the reflection closure over that matrix for E-G.
-    The count is checked against the classical closed form, so a wrong
-    matrix cannot slip through quietly.
-    """
-    cartan = cartan_matrix(stype)
-    if stype.family in "ABCD":
-        coroots = _classical_coroots(stype)
-    else:
-        coroots = _positive_roots(tuple(zip(*cartan)))
-    expected = positive_root_count(stype)
-    if len(coroots) != expected:
-        raise AssertionError(f"{stype}: {len(coroots)} positive coroots, expected {expected}")
-    return RootDatum(stype, cartan, tuple(coroots))
+    """The root datum of a simple type, refused past the cell budget (by
+    cartan_matrix) before anything is built: O(rank**2) numbers for A-D,
+    and at most 120 coroots for E-G.  Its count of Weyl factors is checked
+    against the closed-form root count, so a wrong table entry or matrix
+    cannot slip through quietly."""
+    return RootDatum(stype)
 
 
 def _weyl_dim(datum: RootDatum, coords, factors) -> int:
@@ -324,9 +425,11 @@ def _weyl_dim(datum: RootDatum, coords, factors) -> int:
 
     A quotient with more digits than exact integers are kept with is
     refused, before the product is formed when the factors show it (a
-    factor f is at least 2**(f.bit_length() - 1)).  A factor is at most
-    (max coordinate + 1) times the highest coroot height, the last
-    coroot's: short answers clear at once, longer ones multiply in pairs.
+    factor f is at least 2**(f.bit_length() - 1)).  A factor is
+    sum((coords_i + 1) * c_i), at most (max coordinate + 1) times <rho, c>,
+    and so at most that times the largest rho-pairing, the last of the
+    ascending rho_pairings: short answers clear at once, longer ones
+    multiply in pairs.
     """
     rho = datum.rho_pairings
 
@@ -353,8 +456,11 @@ def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
     if len(coords) != datum.rank:
         raise ValueError(
             f"weight has {len(coords)} coordinates, type {datum.type} has rank {datum.rank}")
-    shifted = [x + 1 for x in coords]
-    return _weyl_dim(datum, coords, [sum(map(mul, shifted, c)) for c in datum.positive_coroots])
+    x = list(datum._rho)
+    for c, increment in zip(coords, datum._increments):
+        if c:
+            x = [a + c * b for a, b in zip(x, increment)]
+    return _weyl_dim(datum, coords, datum._factors(x))
 
 
 def enumerate_dominant_weights(
@@ -368,8 +474,10 @@ def enumerate_dominant_weights(
     that already exceeds the cap cannot be completed, and the zero tail
     of a partial vector is a valid lower bound for any completion.  Each
     vector is evaluated once: appending a zero keeps its dimension.  The
-    Weyl factors <coords + rho, c> travel down the search, and raising
-    coordinate pos by one adds column pos of the coroots to them.
+    coordinates of coords + rho in the datum's own basis travel down the
+    search, and raising coordinate pos by one adds increment pos to them:
+    an epsilon vector for A-D, a coroot column for E-G.  The family's
+    factors map them to the Weyl factors of each probe.
 
     The search also stops before raising coordinate pos when
     dim + dim(omega_pos) - 1 > cap, since for dominant lambda, mu
@@ -385,8 +493,7 @@ def enumerate_dominant_weights(
 
     Caps above 2**max_rank() + 10 are refused unless allow_large_cap is
     set, to keep accidental huge searches from running away.  rdim
-    searches under the total of the cheapest faithful set of fundamental
-    weights, which never passes 2**rank + 10.
+    searches under the family table's cap, which never passes 2**rank + 10.
     """
     if type(cap) is not int or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {_echo(cap)}")
@@ -396,33 +503,34 @@ def enumerate_dominant_weights(
         raise RankBudgetError(f"cap {_echo(cap)} exceeds budget {_echo(2 ** budget + 10)}; "
                               "pass allow_large_cap=True to override")
     rank = datum.rank
-    steps = list(zip(zip(*datum.positive_coroots), _FAMILIES[datum.type.family][5](rank)))
+    steps = list(zip(datum._increments, _FAMILIES[datum.type.family][5](rank)))
+    factors = datum._factors
     coords = [0] * rank
     out: list[tuple[DominantWeight, int]] = []
 
-    def extend(pos: int, factors: list[int], dim: int):
-        # coords[pos:] are zero; factors are the Weyl factors of coords, and
+    def extend(pos: int, x: list[int], dim: int):
+        # coords[pos:] are zero; x is coords + rho in the datum's basis, and
         # dim (at most cap) is its dimension.
         if pos == rank:
             if dim > 1:  # only the zero weight has dimension 1
                 out.append((DominantWeight(tuple(coords)), dim))
             return
-        extend(pos + 1, factors, dim)
-        column, fundamental = steps[pos]  # column pos of the coroots, dim(omega_pos)
+        extend(pos + 1, x, dim)
+        increment, fundamental = steps[pos]  # omega_pos in the datum's basis, dim(omega_pos)
         grown = dim
         for value in itertools.count(1):
             if grown + fundamental - 1 > cap:  # no completion of coords + omega_pos fits
                 break
             coords[pos] = value
-            factors = list(map(add, factors, column))
+            x = list(map(add, x, increment))
             # Only the zero weight has dimension 1, so then coords is omega_pos.
-            grown = fundamental if grown == 1 else _weyl_dim(datum, coords, factors)
+            grown = fundamental if grown == 1 else _weyl_dim(datum, coords, factors(x))
             if grown > cap:
                 break
-            extend(pos + 1, factors, grown)
+            extend(pos + 1, x, grown)
         coords[pos] = 0
 
-    extend(0, list(datum.rho_pairings), 1)
+    extend(0, list(datum._rho), 1)
     out.sort(key=lambda pair: (pair[1], pair[0].coords))
     return out
 
@@ -431,7 +539,7 @@ def check_cell_budget(stype: SimpleType):
     """Refuse a type whose data would pass the cell budget, from the family
     table before any of it is built: rank**2 Cartan cells, d * rank cells
     for the d center classes and |positive roots| * rank coroot cells."""
-    _, _, roots, order, _, _ = _FAMILIES[stype.family]
+    _, _, roots, order, *_ = _FAMILIES[stype.family]
     l = stype.rank
     cells, budget = l * (l + order(l) + roots(l)), _budget(CELLS_ENV_VAR, DEFAULT_MAX_CELLS)
     if cells > budget:

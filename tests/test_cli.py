@@ -692,9 +692,11 @@ def test_huge_rank_is_refused_before_anything_is_built(capsys, monkeypatch, comm
 
     monkeypatch.delenv("LIEJORDAN_MAX_CELLS", raising=False)
     # cartan_matrix, where every type's data starts, reads the bonds, the
-    # center reads the generators, and rdim's cap the fundamental dimensions.
-    ranks, _, roots, order, _, _ = rootdata._FAMILIES["A"]
-    monkeypatch.setitem(rootdata._FAMILIES, "A", (ranks, refuse, roots, order, refuse, refuse))
+    # center reads the generators, the enumeration the fundamental
+    # dimensions, rdim the cap, and a datum the epsilon form.
+    ranks, _, roots, order, *_ = rootdata._FAMILIES["A"]
+    monkeypatch.setitem(rootdata._FAMILIES, "A",
+                        (ranks, refuse, roots, order, refuse, refuse, refuse, (refuse, refuse)))
     argv = [command, "--family", "A", "--rank", "100000", *SIZED_COMMANDS[command]]
     tracemalloc.start()
     try:

@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 from liejordan.center import WeightSet, is_faithful
 from liejordan.errors import RankBudgetError
 from liejordan import rootdata
-from liejordan.minfaithful import _fundamental_cap, rdim, rdim_table
+from liejordan.minfaithful import rdim, rdim_table
 from liejordan.rootdata import (DominantWeight, SimpleType, build_root_datum,
                                 enumerate_dominant_weights, weyl_dim)
 
+import old_minfaithful as old
 from test_rootdata import BUDGET_TYPES, _datum, _fund
+
+
+def _cap(fam, rank):
+    """The family table's fundamental cap, the bound rdim searches under."""
+    return rootdata._FAMILIES[fam][6](rank)
 
 
 def closed_form(fam, rank):
@@ -130,15 +136,25 @@ RANK_16_TYPES = (
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_fundamental_cap_lies_between_rdim_and_the_budget(fam, rank, data):
-    # The cap is the cheapest faithful set of fundamental weights: no
-    # faithful set of them totals less, and the optimum is no more.
+    # The table's cap is the cheapest faithful set of fundamental weights:
+    # no faithful set of them totals less, and the optimum is no more.
     d = _datum(fam, rank)
-    cap = _fundamental_cap(d)
+    cap = _cap(fam, rank)
     assert rdim(d, override=True).total_dim <= cap <= 2 ** rank + 10
     nodes = data.draw(st.sets(st.integers(0, rank - 1), min_size=1))
     fundamentals = WeightSet(tuple(_fund(rank, i) for i in nodes))
     if is_faithful(d, fundamentals):
         assert sum(weyl_dim(d, w) for w in fundamentals) >= cap
+
+
+@pytest.mark.parametrize("fam", "ABCDEFG")
+def test_table_cap_matches_the_unit_weight_dp(fam):
+    # The cap column against the set-cover DP over the unit weights that
+    # computed it before, at every type of rank <= 40 and at A-D of rank 60
+    # and 100.
+    ranks = rootdata._FAMILIES[fam][0]
+    for rank in [*range(ranks, 41), 60, 100] if isinstance(ranks, int) else ranks:
+        assert _cap(fam, rank) == old.fundamental_cap(_datum(fam, rank)), (fam, rank)
 
 
 def test_dimension_cap_tight_only_for_f4():
@@ -186,9 +202,9 @@ def test_table_quotes_a_long_rank_short():
 
 
 def test_rdim_probes_each_fundamental_weight_once(monkeypatch):
-    # The cap and the enumeration read the fundamental dimensions off the
-    # family table, so no fundamental weight is probed (the cap probed all
-    # 566 of them over these 65 types, 760 probes in all when it did), and
+    # The cap and the fundamental dimensions are read off the family table,
+    # so no fundamental weight is probed (the cap probed all 566 of them
+    # over these 65 types, 760 probes in all when it did), and
     # by the superadditivity prune the enumeration probes no weight
     # lambda + omega_i with dim(lambda) + dim(omega_i) - 1 over the cap (194
     # probes left of its 1456 without the prune).
@@ -209,10 +225,11 @@ def test_handed_fundamental_dimensions_change_no_candidate(fam, rank, monkeypatc
     # hands it; with dimensions probed by weyl_dim instead, it keeps the
     # same candidates.
     d = _datum(fam, rank)
-    cap = _fundamental_cap(d)
+    cap = _cap(fam, rank)
     declared = enumerate_dominant_weights(d, cap, True)
     probed = [weyl_dim(d, _fund(rank, i)) for i in range(rank)]
-    monkeypatch.setitem(rootdata._FAMILIES, fam, rootdata._FAMILIES[fam][:5] + (lambda l: probed,))
+    columns = rootdata._FAMILIES[fam]
+    monkeypatch.setitem(rootdata._FAMILIES, fam, columns[:5] + (lambda l: probed,) + columns[6:])
     assert enumerate_dominant_weights(d, cap, True) == declared
 
 

@@ -17,9 +17,11 @@ import random
 import sys
 import time
 from itertools import combinations
-from operator import add
+from operator import add, mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import old_rootdata as old
 from liejordan import rootdata
@@ -129,6 +131,36 @@ def test_weyl_dim_matches_oracle(fam, rank):
         for _ in range(4):
             w = DominantWeight(tuple(rng.randint(0, top) for _ in range(rank)))
             assert weyl_dim(d, w) == old.weyl_dim(d, w), w
+
+
+def _coroot_weyl_dim(d, coords):
+    """weyl_dim with each factor formed as the oracle forms it, the dot
+    product of coords + 1 with a positive coroot, through the same guard."""
+    shifted = [x + 1 for x in coords]
+    return rootdata._weyl_dim(d, coords, [sum(map(mul, shifted, c)) for c in d.positive_coroots])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_epsilon_factors_match_the_coroot_formula(data):
+    # The epsilon form of A-D against the coroot dot products of the oracle,
+    # at every type of rank <= 12.  Near the guard, where coordinates of about
+    # M give about N * log10(M) digits over N positive coroots, both sides
+    # answer alike or refuse with the same message.
+    fam, rank = data.draw(st.sampled_from(_types(12)[:-5]))
+    d = _datum(fam, rank)
+    k = (_kept_digits() - 1) // len(d.positive_coroots)
+    coordinate = data.draw(st.sampled_from([st.integers(0, 3), st.integers(0, 10 ** 6),
+                                            st.integers(10 ** (k - 1), 10 ** (k + 1))]))
+    w = DominantWeight(tuple(data.draw(st.lists(coordinate, min_size=rank, max_size=rank))))
+    try:
+        want = _coroot_weyl_dim(d, w.coords)
+    except ResourceGuardError as refused:
+        with pytest.raises(ResourceGuardError) as got:
+            weyl_dim(d, w)
+        assert str(got.value) == str(refused)
+    else:
+        assert weyl_dim(d, w) == want == old.weyl_dim(d, w)
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5),

@@ -42,13 +42,10 @@ SPECS = {
                    [("A", 1), ("A", 1), ("E", 7), ("G", 2), ("B", 12)]),
     "DominantWeight": (DominantWeight, [("coords", True, True)],
                        [((1, 0),), ([1, 0],), ((0, 2, 1),), ((),)]),
-    "RootDatum": (RootDatum, [("type", True, True), ("cartan", True, False, True),
-                              ("positive_coroots", True, False, True),
+    "RootDatum": (RootDatum, [("type", True, True), ("cartan", False, False),
                               ("rho_pairings", False, False), ("rho_product", False, False),
                               ("center", False, False)],
-                  [tuple(getattr(build_root_datum(SimpleType(f, r)), name)
-                         for name in ("type", "cartan", "positive_coroots"))
-                   for f, r in (("A", 2), ("A", 2), ("G", 2), ("B", 3))]),
+                  [(SimpleType(f, r),) for f, r in (("A", 2), ("A", 2), ("G", 2), ("B", 3))]),
     "CenterClass": (CenterClass, [("coords", True, True)],
                     [((Fraction(1, 2), 0),), ((Fraction(1, 2), Fraction(0)),), (("1/3", "1/2"),),
                      ((Fraction(1, 4), Fraction(3, 4)),)]),
@@ -106,6 +103,18 @@ REFUSALS = [
     (rdim_table, ("3",), "max rank must be an integer, got '3'"),
     (rdim_table, (True,), "max rank must be an integer, got True"),
     (rdim_table, (2.5,), "max rank must be an integer, got 2.5"),
+    (Bound, (None, -5, -1), "J's argument k must be a non-negative integer, got -5"),
+    (Bound, (None, 54, -1), "exponent b must be a positive integer, got -1"),
+    (Bound, (None, 54, 0), "exponent b must be a positive integer, got 0"),
+    (Bound, (None, 54, 2.0), "exponent b must be a positive integer, got 2.0"),
+    (Bound, (None, 54, True), "exponent b must be a positive integer, got True"),
+    (Bound, (None, 1.5, 1), "J's argument k must be a non-negative integer, got 1.5"),
+    (Bound, (None, False, 1), "J's argument k must be a non-negative integer, got False"),
+    (Bound, (0, 0, 1), "bound value must be None or a positive integer, got 0"),
+    (Bound, (-720, 5, 1), "bound value must be None or a positive integer, got -720"),
+    (Bound, (720.0, 5, 1), "bound value must be None or a positive integer, got 720.0"),
+    (Bound, ("720", 5, 1), "bound value must be None or a positive integer, got '720'"),
+    (Bound, (True, 0, 1), "bound value must be None or a positive integer, got True"),
 ]
 
 
@@ -219,8 +228,19 @@ def test_root_datum_repr_shows_the_type_only():
 
 
 def test_root_datum_equality_still_reads_the_coroots():
+    # Every field, the coroots included, is derived from the type, so two
+    # datums of one type are equal and of two types are not.
     datum = build_root_datum(SimpleType("A", 2))
-    other = RootDatum(datum.type, datum.cartan, datum.positive_coroots[::-1])
-    assert repr(other) == repr(datum)
+    twin = RootDatum(SimpleType("A", 2))
+    assert twin == datum and hash(twin) == hash(datum)
+    assert twin.positive_coroots == datum.positive_coroots == ((0, 1), (1, 0), (1, 1))
+    other = RootDatum(SimpleType("A", 3))
     assert other != datum and hash(other) != hash(datum)
-    assert RootDatum(datum.type, datum.cartan, datum.positive_coroots) == datum
+
+
+def test_root_datum_is_built_from_its_type_alone():
+    # Handed fields could disagree with the type, as one of A2's three
+    # coroots does here, and weyl_dim would answer from them.
+    cartan = build_root_datum(SimpleType("A", 2)).cartan
+    with pytest.raises(TypeError):
+        RootDatum(SimpleType("A", 2), cartan, ((1, 0),))
