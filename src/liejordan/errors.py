@@ -131,8 +131,9 @@ def _refusal(digits: str, limit: int) -> ResourceGuardError:
 
 def _within(value: int, limit: int) -> int:
     """value, refused when it has more than limit decimal digits."""
-    if value.bit_length() > 3 * limit and value >= 10 ** limit:  # 8**limit < 10**limit
-        raise _refusal(_echo(max(limit + 1, _digits_from_bits(value.bit_length() - 1))), limit)
+    bits = value.bit_length() - 1  # value >= 2**bits; 8**limit < 10**limit < 2**(3.322 * limit)
+    if bits >= 3 * limit and (1000 * bits >= 3322 * limit or value >= 10 ** limit):
+        raise _refusal(_echo(max(limit + 1, _digits_from_bits(bits))), limit)
     return value
 
 

@@ -31,8 +31,6 @@ never what refuses an rdim within the rank budget.
 """
 from __future__ import annotations
 
-import heapq
-
 from .center import WeightSet
 from .errors import FrozenValue, _echo
 from .rootdata import (_FAMILIES, RootDatum, SimpleType, build_root_datum, check_rank_budget,
@@ -77,14 +75,14 @@ def _cheapest_cover(weighted, d: int, classes):
             seen_masks.add(mask)
             items.append((mask, dim, w))
 
-    # best[state] is such a tuple for the classes in state.  Every move sets
-    # a new bit, so a state is popped from the heap only after every smaller
-    # reachable state: the relaxation order, and with it every tie-break, is
-    # that of a scan over all states in ascending order.
+    # best[state] is such a tuple for the classes in state.  Every move sets a new bit, so
+    # the least of the (at most 7) pending states is taken only after every smaller reachable
+    # state: the relaxation order, and every tie-break, is that of an ascending scan of states.
     best = {0: (0, 0, (), ())}
     pending = [0]
     while pending:
-        state = heapq.heappop(pending)
+        state = min(pending)
+        pending.remove(state)
         total, count, key, weights = best[state]
         for mask, dim, w in items:
             nxt = state | mask
@@ -93,7 +91,7 @@ def _cheapest_cover(weighted, d: int, classes):
             cand = (total + dim, count + 1,
                     tuple(sorted(key + (w.coords,))), weights + (w,))
             if nxt not in best:
-                heapq.heappush(pending, nxt)
+                pending.append(nxt)
             elif cand[:3] >= best[nxt][:3]:
                 continue
             best[nxt] = cand

@@ -2,8 +2,8 @@
 
 Everything is integer arithmetic.  Weights are written in the
 fundamental-weight basis and coroots in the simple-coroot basis; the
-Cartan matrix is stored with entry [i][j] equal to the pairing of simple
-root i against simple coroot j.  The Weyl dimension formula needs the
+Cartan matrix has entry [i][j] equal to the pairing of simple root i
+against simple coroot j.  The Weyl dimension formula needs the
 pairings <lambda + rho, c> with the positive coroots c, and a root datum
 reads them off lambda + rho in its own coordinates:
 
@@ -15,9 +15,9 @@ reads them off lambda + rho in its own coordinates:
   closure finds from the transposed Cartan matrix, at most 120.
 
 Raising lambda_k adds one increment vector per node in either basis: the
-epsilon vector of omega_k, or column k of the coroots.  The coroots of a
-datum are a view, formed when read: by their closed form for A-D, and from
-the closure's columns for E-G.
+epsilon vector of omega_k, or column k of the coroots.  The Cartan matrix
+and the coroots of a datum are views, formed when read: the coroots by
+their closed form for A-D, and from the closure's columns for E-G.
 
 Each family is declared once, in _FAMILIES: ranks, Dynkin bonds, number
 of positive roots, center order and generators, which _center closes
@@ -134,20 +134,19 @@ _FAMILIES = {
 
 
 def _center(stype: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(d, classes): the center order and the nonidentity central classes
-    as sorted integer vectors x mod d, x standing for x/d mod 1, closed
-    coset by coset from the family table's generators; the count is checked against d."""
+    """(d, classes): the center order and the nonidentity central classes as sorted integer
+    vectors x mod d, x standing for x/d mod 1, their count checked against d.  Each generator x
+    adds its multiples k * x mod d until one is a class, and their sums with the earlier classes."""
     _, _, _, order, generators, *_ = _FAMILIES[stype.family]
     d, zero = order(stype.rank), (0,) * stype.rank
-    group, classes = [zero], {zero}
+    classes = {zero}
     for x in generators(stype.rank):
-        shift, added = x, []
-        while shift not in classes:
-            coset = [tuple([(a + b) % d for a, b in zip(h, shift)]) for h in group]
-            classes.update(coset)
-            added += coset
-            shift = tuple([(a + b) % d for a, b in zip(shift, x)])
-        group += added
+        multiples, k = [], 1
+        while (shift := tuple([k * a % d for a in x])) not in classes:
+            multiples.append(shift)
+            k += 1
+        classes.update(multiples, [tuple([(a + b) % d for a, b in zip(h, m)])
+                                   for h in classes if any(h) for m in multiples])
     if len(classes) != d:
         raise AssertionError(f"{stype}: found {len(classes)} central classes, order is {d}")
     classes.discard(zero)
@@ -219,13 +218,17 @@ class DominantWeight(FrozenValue):
 
 
 def cartan_matrix(stype: SimpleType) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of the given type; entry [i][j] = <alpha_i, alpha_j^vee>.
-    Every type's data starts here, so the cell budget is checked here first."""
+    """Cartan matrix of the given type; entry [i][j] = <alpha_i, alpha_j^vee>,
+    refused past the cell budget before it is built."""
     check_cell_budget(stype)
+    return _cartan(stype)
+
+
+def _cartan(stype: SimpleType) -> tuple[tuple[int, ...], ...]:
+    """cartan_matrix without the cell budget, which a RootDatum checks first."""
     l = stype.rank
-    bonds = _FAMILIES[stype.family][1](l)
     m = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
-    for i, j, a, b in bonds:
+    for i, j, a, b in _FAMILIES[stype.family][1](l):
         m[i][j], m[j][i] = -a, -b
     return tuple(map(tuple, m))
 
@@ -332,29 +335,29 @@ class RootDatum(FrozenValue, shown=("type",), compared=("type",)):
     coordinates to the Weyl factors <lambda + rho, c>.  rho is the sum of
     the increments; its pairings, in ascending order, and their product,
     the denominator of the Weyl formula, are derived on construction, and
-    so is the center (d, classes) of _center.  The positive coroots are a
-    view, formed on each access.
+    so is the center (d, classes) of _center.  The Cartan matrix and the
+    positive coroots are views, formed on each access.
     """
 
-    __slots__ = ("type", "cartan", "rho_pairings", "rho_product", "center",
-                 "_rho", "_increments", "_factors")
+    __slots__ = ("type", "rho_pairings", "rho_product", "center", "_rho", "_increments", "_factors")
 
     def __init__(self, type: SimpleType):
-        cartan = cartan_matrix(type)
+        check_cell_budget(type)
         form = _FAMILIES[type.family][7]
         if form:
             increments, factors = form[0](type.rank), form[1]
         else:
-            increments, factors = list(zip(*_positive_roots(tuple(zip(*cartan))))), list
+            increments, factors = list(zip(*_positive_roots(tuple(zip(*_cartan(type)))))), list
         rho = [sum(column) for column in zip(*increments)]
         pairings = sorted(factors(rho))
         expected = positive_root_count(type)
         if len(pairings) != expected:
             raise AssertionError(f"{type}: {len(pairings)} positive coroots, expected {expected}")
         object.__setattr__(self, "type", type)
-        object.__setattr__(self, "cartan", cartan)
         object.__setattr__(self, "rho_pairings", tuple(pairings))
-        object.__setattr__(self, "rho_product", _product(pairings))
+        bits = len(pairings) * pairings[-1].bit_length()  # bounds the product, as in _weyl_dim
+        product = math.prod if bits <= 3 * _FORMED_PER_PRINTED * _digit_budget() else _product
+        object.__setattr__(self, "rho_product", product(pairings))
         object.__setattr__(self, "center", _center(type))
         object.__setattr__(self, "_rho", tuple(rho))
         object.__setattr__(self, "_increments", tuple(increments))
@@ -366,6 +369,10 @@ class RootDatum(FrozenValue, shown=("type",), compared=("type",)):
     @property
     def rank(self) -> int:
         return self.type.rank
+
+    @property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        return _cartan(self.type)
 
     @property
     def positive_coroots(self) -> _CorootView:
@@ -410,11 +417,10 @@ class _CorootView:
 
 
 def build_root_datum(stype: SimpleType) -> RootDatum:
-    """The root datum of a simple type, refused past the cell budget (by
-    cartan_matrix) before anything is built: O(rank**2) numbers for A-D,
-    and at most 120 coroots for E-G.  Its count of Weyl factors is checked
-    against the closed-form root count, so a wrong table entry or matrix
-    cannot slip through quietly."""
+    """The root datum of a simple type, refused past the cell budget before
+    anything is built: O(rank**2) numbers for A-D, and at most 120 coroots
+    for E-G.  Its count of Weyl factors is checked against the closed-form
+    root count, so a wrong table entry or matrix cannot slip through quietly."""
     return RootDatum(stype)
 
 
@@ -469,15 +475,13 @@ def enumerate_dominant_weights(
     """All nonzero dominant weights with dimension <= cap, with dimensions.
 
     Sorted by dimension, then lexicographically by coordinates.  The
-    search extends coordinates one position at a time; since the
-    dimension is strictly monotone in each coordinate, a partial vector
-    that already exceeds the cap cannot be completed, and the zero tail
-    of a partial vector is a valid lower bound for any completion.  Each
-    vector is evaluated once: appending a zero keeps its dimension.  The
-    coordinates of coords + rho in the datum's own basis travel down the
-    search, and raising coordinate pos by one adds increment pos to them:
-    an epsilon vector for A-D, a coroot column for E-G.  The family's
-    factors map them to the Weyl factors of each probe.
+    search raises one coordinate pos at a time, then only those past it,
+    and keeps each vector once, as it reaches it; the dimension is strictly
+    monotone in each coordinate, so raising pos stops at the first vector
+    over the cap.  coords + rho travels down the search in the datum's own
+    basis, where raising coordinate pos by one adds increment pos: an
+    epsilon vector for A-D, a coroot column for E-G, which the family's
+    factors map to the Weyl factors of each probe.
 
     The search also stops before raising coordinate pos when
     dim + dim(omega_pos) - 1 > cap, since for dominant lambda, mu
@@ -508,27 +512,24 @@ def enumerate_dominant_weights(
     coords = [0] * rank
     out: list[tuple[DominantWeight, int]] = []
 
-    def extend(pos: int, x: list[int], dim: int):
-        # coords[pos:] are zero; x is coords + rho in the datum's basis, and
+    def extend(start: int, x: list[int], dim: int):
+        # coords[start:] are zero; x is coords + rho in the datum's basis, and
         # dim (at most cap) is its dimension.
-        if pos == rank:
-            if dim > 1:  # only the zero weight has dimension 1
-                out.append((DominantWeight(tuple(coords)), dim))
-            return
-        extend(pos + 1, x, dim)
-        increment, fundamental = steps[pos]  # omega_pos in the datum's basis, dim(omega_pos)
-        grown = dim
-        for value in itertools.count(1):
-            if grown + fundamental - 1 > cap:  # no completion of coords + omega_pos fits
-                break
-            coords[pos] = value
-            x = list(map(add, x, increment))
-            # Only the zero weight has dimension 1, so then coords is omega_pos.
-            grown = fundamental if grown == 1 else _weyl_dim(datum, coords, factors(x))
-            if grown > cap:
-                break
-            extend(pos + 1, x, grown)
-        coords[pos] = 0
+        for pos in range(start, rank):
+            increment, fundamental = steps[pos]  # omega_pos in the datum's basis, dim(omega_pos)
+            raised, grown = x, dim
+            for value in itertools.count(1):
+                if grown + fundamental - 1 > cap:  # no completion of coords + omega_pos fits
+                    break
+                coords[pos] = value
+                raised = list(map(add, raised, increment))
+                # Only the zero weight has dimension 1, so then coords is omega_pos.
+                grown = fundamental if grown == 1 else _weyl_dim(datum, coords, factors(raised))
+                if grown > cap:
+                    break
+                out.append((DominantWeight(tuple(coords)), grown))
+                extend(pos + 1, raised, grown)
+            coords[pos] = 0
 
     extend(0, list(datum._rho), 1)
     out.sort(key=lambda pair: (pair[1], pair[0].coords))

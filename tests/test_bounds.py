@@ -9,6 +9,7 @@ from liejordan.bounds import (FAMILIES, WITH_COMPONENTS, Bound, GroupDims, _fact
                               bound_algebraic, bound_compact_complex, bound_hyperbolic,
                               bound_lie, bound_lie_connected, bound_riemannian,
                               expr_to_json, stabilizer_bound_hyperbolic)
+from liejordan.errors import _digits_from_bits, _within
 from paper_literals import consistency_check_bounds
 
 
@@ -318,6 +319,23 @@ def test_digit_limit_is_exact_and_follows_the_int_str_limit():
     finally:
         sys.set_int_max_str_digits(budget)
 
+
+@pytest.mark.parametrize("limit", [*range(1, 61), 4300])
+def test_digit_check_matches_the_power_of_ten(limit):
+    # The check forms 10**limit only for a value of 3 * limit to 3.322 * limit
+    # bits.  Around 10**limit and at both edges of that band it refuses
+    # exactly the values of at least 10**limit, and names their digit count.
+    edges = (3 * limit, -(-3322 * limit // 1000))
+    values = [10 ** limit + e for e in (-1, 0, 1)]
+    values += [2 ** (bits + s) + e for bits in edges for s in (-1, 0, 1) for e in (-1, 0, 1)]
+    for value in values:
+        if value >= 10 ** limit:
+            with pytest.raises(ResourceGuardError) as refused:
+                _within(value, limit)
+            digits = max(limit + 1, _digits_from_bits(value.bit_length() - 1))
+            assert f"has at least {digits} decimal digits" in str(refused.value)
+        else:
+            assert _within(value, limit) == value
 
 @pytest.mark.parametrize("n", [71, 2128, 10340])
 def test_jordan_gl_forms_each_factorial_once(n):

@@ -691,9 +691,9 @@ def test_huge_rank_is_refused_before_anything_is_built(capsys, monkeypatch, comm
         raise AssertionError(f"built data for A{rank}")
 
     monkeypatch.delenv("LIEJORDAN_MAX_CELLS", raising=False)
-    # cartan_matrix, where every type's data starts, reads the bonds, the
-    # center reads the generators, the enumeration the fundamental
-    # dimensions, rdim the cap, and a datum the epsilon form.
+    # The Cartan matrix reads the bonds, the center the generators, the
+    # enumeration the fundamental dimensions, rdim the cap, and a datum the
+    # epsilon form; a datum checks the cell budget before any of them.
     ranks, _, roots, order, *_ = rootdata._FAMILIES["A"]
     monkeypatch.setitem(rootdata._FAMILIES, "A",
                         (ranks, refuse, roots, order, refuse, refuse, refuse, (refuse, refuse)))

@@ -74,3 +74,9 @@ def test_public_names_resolve_and_are_listed():
         assert name in listed
     with pytest.raises(AttributeError):
         liejordan.no_such_name
+
+
+def test_only_jordan_finite_loads_heapq(modules):
+    # rdim's set-cover DP takes the least of its at most 7 pending states
+    # from a plain list; finitegroup._class_unions still uses heapq.
+    assert [name for name, loaded in modules.items() if "heapq" in loaded] == ["jordan-finite"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from liejordan.center import WeightSet, is_faithful
 from liejordan.errors import RankBudgetError
 from liejordan import rootdata
-from liejordan.minfaithful import rdim, rdim_table
+from liejordan.minfaithful import _cheapest_cover, rdim, rdim_table
 from liejordan.rootdata import (DominantWeight, SimpleType, build_root_datum,
                                 enumerate_dominant_weights, weyl_dim)
 
@@ -155,6 +155,16 @@ def test_table_cap_matches_the_unit_weight_dp(fam):
     ranks = rootdata._FAMILIES[fam][0]
     for rank in [*range(ranks, 41), 60, 100] if isinstance(ranks, int) else ranks:
         assert _cap(fam, rank) == old.fundamental_cap(_datum(fam, rank)), (fam, rank)
+
+
+@pytest.mark.parametrize("fam,rank", RANK_16_TYPES)
+def test_dp_matches_the_heap_dp(fam, rank):
+    # The DP takes the least pending state from a plain list; the oracle
+    # pops it from a heap.  On the candidates under the family table's cap
+    # both give the same total, weight count and witness.
+    d = _datum(fam, rank)
+    candidates = enumerate_dominant_weights(d, _cap(fam, rank), True)
+    assert _cheapest_cover(candidates, *d.center) == old._cheapest_cover(candidates, *d.center)
 
 
 def test_dimension_cap_tight_only_for_f4():

@@ -286,7 +286,7 @@ def test_root_datum_past_the_cell_budget_is_refused_before_it_is_built(monkeypat
     def built(rank):
         raise AssertionError("built")
 
-    # cartan_matrix, where every type's data starts, reads the bonds first.
+    # A datum checks the cell budget before it reads the bonds or any other column.
     monkeypatch.setitem(rootdata._FAMILIES, "B", (2, built, *rootdata._FAMILIES["B"][2:]))
     with pytest.raises(ResourceGuardError, match=rootdata.CELLS_ENV_VAR) as refused:
         build_root_datum(SimpleType("B", 300))
