@@ -16,16 +16,18 @@ Each subcommand imports the strands it runs when it runs; the parser
 loads only bounds, for the family names it offers, and json and csv load
 only for their format.
 
-Exit codes: 0 success, 2 malformed input, 3 a resource guard refused
-the computation.  A refusal writes one error line (after argparse's
-usage block on a usage error), each echo of input in it cut to 40
-characters by _echo or, in argparse's messages, by _Parser.error.
+Exit codes: 0 success, 1 stdout closed before the answer was written,
+2 malformed input, 3 a resource guard refused the computation.  A
+refusal writes one error line (after argparse's usage block on a usage
+error), each echo of input in it cut to 40 characters by _echo or, in
+argparse's messages, by _Parser.error.
 Big integers are printed in full in json and csv; in text they carry a
 digit count and a rounded magnitude once they pass 40 digits.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 
@@ -254,12 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimal faithful representation dimensions and Jordan constant bounds")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    handlers = {}
-
     def sub(name, handler, **kwargs):
         p = subs.add_parser(name, **kwargs)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        handlers[name] = handler
+        p.set_defaults(handler=handler)
         return p
 
     p = sub("rdim", _cmd_rdim,
@@ -294,24 +294,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="group description file")
     p.add_argument("--jordan-limit", type=int, default=DEFAULT_JORDAN_LIMIT,
                    help="largest group order to accept (default %(default)s)")
-
-    parser.set_defaults(_handlers=handlers)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = args._handlers[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        output = _render(args.format, *handler(args))
+        output = _render(args.format, *args.handler(args))
     except ResourceGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone: the Python docs' note on SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)  # so the flush at exit raises nothing
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

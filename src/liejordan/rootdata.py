@@ -16,8 +16,8 @@ reads them off lambda + rho in its own coordinates:
 
 Raising lambda_k adds one increment vector per node in either basis: the
 epsilon vector of omega_k, or column k of the coroots.  The Cartan matrix
-and the coroots of a datum are views, formed when read: the coroots by
-their closed form for A-D, and from the closure's columns for E-G.
+and the coroots of a datum are views, formed when read; the coroots of
+every family come from the reflection closure.
 
 Each family is declared once, in _FAMILIES: ranks, Dynkin bonds, number
 of positive roots, center order and generators, which _center closes
@@ -217,15 +217,10 @@ class DominantWeight(FrozenValue):
         return ",".join(str(c) for c in self.coords)
 
 
-def cartan_matrix(stype: SimpleType) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix of the given type; entry [i][j] = <alpha_i, alpha_j^vee>,
-    refused past the cell budget before it is built."""
-    check_cell_budget(stype)
-    return _cartan(stype)
-
-
 def _cartan(stype: SimpleType) -> tuple[tuple[int, ...], ...]:
-    """cartan_matrix without the cell budget, which a RootDatum checks first."""
+    """Cartan matrix of the given type, entry [i][j] = <alpha_i, alpha_j^vee>,
+    built from the family's bonds with no cell budget: a RootDatum checks it
+    first, and RootDatum.cartan reads this."""
     l = stype.rank
     m = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
     for i, j, a, b in _FAMILIES[stype.family][1](l):
@@ -251,7 +246,9 @@ def _positive_roots(cartan) -> list[tuple[int, ...]]:
     with its pairings: the image v - p[j] alpha_j pairs to
     p - p[j] * (row j).  Row j is nonzero only at j and its Dynkin
     neighbours, at most 4 entries, so the image's pairings are a copy of p
-    with just those entries updated.
+    with just those entries updated.  Over the transposed Cartan matrix the
+    roots found are the positive coroots, the one way they are derived: the
+    E-G datums' increments and every datum's positive_coroots view.
     """
     rank = len(cartan)
     simple = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
@@ -277,43 +274,6 @@ def _positive_roots(cartan) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda v: (sum(v), v))
 
 
-def _classical_coroots(stype: SimpleType) -> list[tuple[int, ...]]:
-    """Positive coroots of A_l-D_l over the simple coroots, from their closed
-    form, in the order _positive_roots gives them: by height, then
-    lexicographically.
-
-    The coroots of A and D are their roots, those of B the roots of C and
-    those of C the roots of B (Bourbaki, Lie Groups and Lie Algebras,
-    Plates I-IV).  With z(n), o(n), t(n) runs of n zeros, ones and twos, the
-    coroots are, for each i < l:
-      * the runs z(i) o(a) z(l-i-a), 1 <= a < l-i, which miss the last node;
-      * z(i) o(m-i-k) t(k) s for a suffix s, m = l - len(s), and
-        k = 0 .. K twos: s = (), K = 0 for A (the runs to the last node);
-        s = (1,), K = m-i for B; s = (), K = m-i-1 for C; s = (1, 1),
-        K = m-i-1 for D;
-      * for D and i <= l-2, the fork z(i) o(l-2-i) (0, 1).
-    Their heights a, m-i+k+sum(s) and l-1-i differ at one i, save the fork
-    and the run z(i) o(l-1-i) (0,), which it precedes; each starts at node
-    i, save the fork at i = l-2, which starts at l-1 where D has no other.
-    So walking i downwards and adding each coroot to the list of its height
-    leaves every list in lexicographic order, with no sort.
-    """
-    family, l = stype.family, stype.rank
-    suffix = {"A": (), "B": (1,), "C": (), "D": (1, 1)}[family]
-    m, lift = l - len(suffix), sum(suffix)
-    by_height = [[] for _ in range(2 * l)]
-    for i in range(l - 1, -1, -1):
-        zeros = (0,) * i
-        if family == "D" and i <= l - 2:
-            by_height[l - 1 - i].append(zeros + (1,) * (l - 2 - i) + (0, 1))
-        for a in range(1, l - i):
-            by_height[a].append(zeros + (1,) * a + (0,) * (l - i - a))
-        for k in range({"A": 1, "B": m - i + 1}.get(family, m - i)):
-            by_height[m - i + k + lift].append(
-                zeros + (1,) * (m - i - k) + (2,) * k + suffix)
-    return [coroot for level in by_height for coroot in level]
-
-
 def _product(values) -> int:
     """The product of integers, multiplied in pairs round by round: a few
     multiplications of the result's size, where math.prod's left-to-right
@@ -336,7 +296,8 @@ class RootDatum(FrozenValue, shown=("type",), compared=("type",)):
     the increments; its pairings, in ascending order, and their product,
     the denominator of the Weyl formula, are derived on construction, and
     so is the center (d, classes) of _center.  The Cartan matrix and the
-    positive coroots are views, formed on each access.
+    positive coroots are views, formed on each access; cartan is the one
+    public reader of the Cartan matrix.
     """
 
     __slots__ = ("type", "rho_pairings", "rho_product", "center", "_rho", "_increments", "_factors")
@@ -382,9 +343,9 @@ class RootDatum(FrozenValue, shown=("type",), compared=("type",)):
 class _CorootView:
     """The positive coroots of a root datum over the simple coroots, by
     height and then lexicographically, as a read-only sequence equal to
-    the tuple of them.  Its length is the closed-form root count; the
-    coroots are formed on each read, by their closed form for A-D and from
-    the closure's columns, which the datum keeps, for E-G."""
+    the tuple of them.  Its length is the closed-form root count, which
+    forms nothing; the coroots are formed on each read, as the roots of the
+    transposed Cartan matrix that the reflection closure finds."""
 
     __slots__ = ("_datum",)
 
@@ -392,10 +353,7 @@ class _CorootView:
         self._datum = datum
 
     def _formed(self) -> tuple[tuple[int, ...], ...]:
-        datum = self._datum
-        if datum.type.family in "EFG":
-            return tuple(zip(*datum._increments))
-        return tuple(_classical_coroots(datum.type))
+        return tuple(_positive_roots(tuple(zip(*_cartan(self._datum.type)))))
 
     def __len__(self) -> int:
         return positive_root_count(self._datum.type)

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import old_center as old
-from liejordan.rootdata import _FAMILIES, SimpleType, _center, cartan_matrix
+from liejordan.rootdata import _FAMILIES, SimpleType, _cartan, _center
 
 EXCEPTIONAL = [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 CLASSICAL_MIN = (("A", 1), ("B", 2), ("C", 2), ("D", 3))
@@ -26,14 +26,14 @@ def _types(max_rank):
 @pytest.mark.parametrize("fam,rank", _types(40))
 def test_tree_center_matches_bareiss(fam, rank):
     stype = SimpleType(fam, rank)
-    assert _center(stype) == old.bareiss_center(cartan_matrix(stype))
+    assert _center(stype) == old.bareiss_center(_cartan(stype))
 
 
 @pytest.mark.parametrize("rank", [100, 200])
 @pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
 def test_tree_center_matches_bareiss_at_high_rank(fam, rank):
     stype = SimpleType(fam, rank)
-    assert _center(stype) == old.bareiss_center(cartan_matrix(stype))
+    assert _center(stype) == old.bareiss_center(_cartan(stype))
 
 
 @pytest.mark.parametrize("fam,rank", _types(40))

@@ -500,6 +500,18 @@ def test_module_entry_point_smoke():
     assert proc.stdout == "2\n"
 
 
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "liejordan", "rdim", "--family", "A", "--rank", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_rdim_a40_end_to_end_under_a_second():
     env = {**os.environ, "LIEJORDAN_MAX_RANK": "40"}
     start = time.perf_counter()

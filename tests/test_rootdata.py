@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from liejordan.errors import RankBudgetError
 from liejordan.rootdata import (DominantWeight, SimpleType, _product, build_root_datum,
-                                cartan_matrix, check_rank_budget,
-                                enumerate_dominant_weights, max_rank,
+                                check_rank_budget, enumerate_dominant_weights, max_rank,
                                 positive_root_count, weyl_dim)
 
 BUDGET_TYPES = (
@@ -48,7 +47,7 @@ def test_a1_is_the_smallest_case():
 
 @pytest.mark.parametrize("fam,rank", BUDGET_TYPES)
 def test_cartan_matrix_shape(fam, rank):
-    m = cartan_matrix(SimpleType(fam, rank))
+    m = _datum(fam, rank).cartan
     for i in range(rank):
         assert m[i][i] == 2
         for j in range(rank):
