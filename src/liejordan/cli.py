@@ -16,8 +16,8 @@ Each subcommand imports the strands it runs when it runs; the parser
 loads only bounds, for the family names it offers, and json and csv load
 only for their format.
 
-Exit codes: 0 success, 1 stdout closed before the answer was written,
-2 malformed input, 3 a resource guard refused the computation.  A
+Exit codes: 0 success, 1 stdout closed before the answer or help was
+written, 2 malformed input, 3 a resource guard refused the computation.  A
 refusal writes one error line (after argparse's usage block on a usage
 error), each echo of input in it cut to 40 characters by _echo or, in
 argparse's messages, by _Parser.error.
@@ -94,7 +94,8 @@ class _Parser(argparse.ArgumentParser):
     """argparse, with every echo of input in its messages cut to 40
     characters.  argparse echoes input raw in "unrecognized arguments: ..."
     and "ambiguous option: ... could match ...", and as a repr elsewhere;
-    every message passes through error(), the public hook overridden here."""
+    every message passes through error(), the public hook overridden here,
+    as is print_help, so that a closed stdout is not swallowed but raised."""
 
     def error(self, message):
         head, sep, rest = message.partition(": ")
@@ -106,6 +107,11 @@ class _Parser(argparse.ArgumentParser):
         else:
             message = re.sub(_LONG_REPR, r"\1\2\1...", message)
         super().error(message)
+
+    def print_help(self, file=None):
+        file = file or sys.stdout or sys.stderr  # argparse's fallback when fd 1 was closed
+        file.write(self.format_help())
+        file.flush()
 
 
 def _parse_type(args):
@@ -298,16 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        output = _render(args.format, *args.handler(args))
-    except ResourceGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        args = build_parser().parse_args(argv)
+        try:
+            output = _render(args.format, *args.handler(args))
+        except ResourceGuardError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(output)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader is gone: the Python docs' note on SIGPIPE

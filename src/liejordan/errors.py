@@ -13,10 +13,10 @@ CPython's int->str limit (or its default, when the limit is off), and
 printed with up to the limit itself; past either, ResourceGuardError.
 User input is quoted in messages cut to its first 40 characters.
 
-FrozenValue is the base of every value class (types, weights, root data,
-center classes, bounds, subgroups).  It behaves as a frozen dataclass over
-the subclass's __slots__ without importing dataclasses, which costs more to
-load than most CLI answers take to compute.
+FrozenValue, the base of every value class, acts as a frozen dataclass over
+the subclass's __slots__ without loading dataclasses, which costs more than
+most CLI answers take.  Copy and pickle call the class on its shown fields,
+its constructor's arguments, so its checks run again.
 """
 from __future__ import annotations
 
@@ -50,7 +50,8 @@ class FrozenValue:
     across classes), the hash is that of the compared fields' tuple, and
     setting or deleting an attribute raises AttributeError.  Both default
     to every slot; a subclass narrows them by class keywords, as in
-    class Subgroup(FrozenValue, compared=("elements",)).
+    class Subgroup(FrozenValue, compared=("elements",)).  Copy and pickle
+    call the class on the shown fields, which must be its arguments.
     """
 
     __slots__ = ()
@@ -83,7 +84,7 @@ class FrozenValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return _restore, (type(self), tuple([getattr(self, name) for name in self.__slots__]))
+        return type(self), tuple([getattr(self, name) for name in self._shown])
 
 
 def _field_repr(value) -> str:
@@ -99,14 +100,6 @@ def _field_echo(value) -> str:
     """_field_repr(value) cut to its first 40 characters, as _echo cuts."""
     text = _field_repr(value)
     return text[:_ECHO_CHARS] + ("..." if len(text) > _ECHO_CHARS else "")
-
-
-def _restore(cls, values):
-    """A FrozenValue with these slot values, for copy and pickle."""
-    value = object.__new__(cls)
-    for name, field in zip(cls.__slots__, values):
-        object.__setattr__(value, name, field)
-    return value
 
 
 def _digit_budget() -> int:

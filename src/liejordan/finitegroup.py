@@ -18,11 +18,11 @@ so FA = G, and B = A∩F is normalised by F and by the abelian A, hence
 normal in G, with |F| = J |B|.  For generators t1..tk of G modulo A,
 F = <B, t1 a1, ..., tk ak> for some aj in A that matter only through
 their cosets aj B.  So B runs over the G-normal subgroups of A, unions
-of classes found by the search for A, least first; each choice of
-cosets is closed up to J |B| elements, and the least nonabelian closure
-with no normal abelian subgroup larger than B, at the first order that
-has one, is the witness.  For J = |G|, A is trivial, so the witness has
-at least |G| elements and is G itself, found with no search.
+of classes found by the search for A, one order at a time from the
+least; each choice of cosets is closed up to J |B| elements, and the
+least nonabelian closure with no normal abelian subgroup larger than B,
+at the first order that has one, is the witness.  For J = |G|, A is
+trivial, so the witness has at least |G| elements and is G itself.
 
 Subgroups are int bitmasks over the element indices, so a subset test is
 a & ~b == 0, and a join is grown from a normal subgroup coset by coset.
@@ -33,8 +33,7 @@ during a permutation closure, and before any Jordan constant is computed.
 """
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from itertools import groupby, product
+from itertools import product
 from operator import itemgetter
 
 from .errors import DEFAULT_JORDAN_LIMIT, FrozenValue, OrderLimitError, _echo
@@ -321,9 +320,10 @@ def _conjugacy_classes(G: FiniteGroup, elements, gens) -> list[tuple[int, list[i
 def _class_unions(G: FiniteGroup, members, classes):
     """Each subgroup reached from the normal one with these elements by
     joining classes (mask, elements, mask of all that commute with them)
-    one at a time, each to a subgroup its commuting mask holds, as (mask,
-    elements) in increasing (order, mask) order: a join always grows the
-    subgroup, so a heap on that key releases each order complete.
+    one at a time, each to a subgroup its commuting mask holds, as levels:
+    lists of (mask, elements) of one order, sorted by mask, least order
+    first.  A join at least doubles a normal subgroup, so a level is
+    complete once every smaller one has been extended.
 
     Each subgroup H reached is normal, so its join K with a class C is
     grown as a union of right cosets Hy: such a union contains the
@@ -334,25 +334,26 @@ def _class_unions(G: FiniteGroup, members, classes):
     mult, cols = G.mult, G._cols
     bits = [1 << i for i in range(G.order)]
     start = sum(map(bits.__getitem__, members))
-    seen, heap = {start}, [(len(members), start, members)]
-    while heap:
-        _, mask, base = heappop(heap)
-        yield mask, base
-        for omask, orbit, commuting in classes:
-            if not omask & ~mask or mask & ~commuting:
-                continue
-            bigger, reps = mask, [0]
-            for x in reps:
-                row = mult[x]
-                for c in orbit:
-                    y = row[c]
-                    if not bigger >> y & 1:
-                        bigger |= sum(map(bits.__getitem__, map(cols[y].__getitem__, base)))
-                        reps.append(y)
-            if bigger not in seen:
-                seen.add(bigger)
-                grown = [z for y in reps for z in map(cols[y].__getitem__, base)]
-                heappush(heap, (len(grown), bigger, grown))
+    seen, levels = {start}, {len(members): [(start, members)]}
+    while levels:
+        level = sorted(levels.pop(min(levels)))
+        yield level
+        for mask, base in level:
+            for omask, orbit, commuting in classes:
+                if not omask & ~mask or mask & ~commuting:
+                    continue
+                bigger, reps = mask, [0]
+                for x in reps:
+                    row = mult[x]
+                    for c in orbit:
+                        y = row[c]
+                        if not bigger >> y & 1:
+                            bigger |= sum(map(bits.__getitem__, map(cols[y].__getitem__, base)))
+                            reps.append(y)
+                if bigger not in seen:
+                    seen.add(bigger)
+                    grown = [z for y in reps for z in map(cols[y].__getitem__, base)]
+                    levels.setdefault(len(grown), []).append((bigger, grown))
 
 
 def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
@@ -366,7 +367,7 @@ def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
     normal abelian again.  Every such subgroup is reached by adding its
     classes one at a time, in any order; a closure can swallow classes,
     so each subgroup found is extended by every class, not only by later
-    ones.  The last one reached is the largest.
+    ones.  The last union of the last level is the largest.
     """
     mult, cols = G.mult, G._cols
     center, classes = [], []
@@ -379,8 +380,8 @@ def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
         commuting = sum(1 << x for x in elements if row[x] == col[x])
         if not omask & ~commuting:
             classes.append((omask, orbit, commuting))
-    *_, (A, _) = _class_unions(G, center, classes)
-    return A
+    *_, level = _class_unions(G, center, classes)
+    return level[-1][0]
 
 
 def _least_supplement(G: FiniteGroup, value: int, A: int) -> Subgroup:
@@ -390,15 +391,16 @@ def _least_supplement(G: FiniteGroup, value: int, A: int) -> Subgroup:
     at value * |B| elements has that order and meets A in B.  B = A gives
     G itself, which passes unchecked, since A is a largest normal abelian
     subgroup of G.  An abelian closure has J = 1 < value and fails at once.
+    The B come one level of _class_unions at a time, and a level that holds
+    a witness is never extended.
     """
     mult, n = G.mult, G.order
     in_a = [x for x in range(n) if A >> x & 1]
     tops = _greedy_generators(mult, range(n), (A, in_a))
     classes = [(omask, orbit, A) for omask, orbit in _conjugacy_classes(G, in_a, G._generators)]
-    unions = _class_unions(G, [0], classes)
-    for size, normals in groupby(unions, key=lambda union: len(union[1])):
-        found = []
-        for _, members in normals:
+    for level in _class_unions(G, [0], classes):
+        size, found = len(level[0][1]), []
+        for _, members in level:
             cosets, covered = [], set()
             for a in in_a:  # the least element of each coset aB comes first
                 if a not in covered:

@@ -284,7 +284,7 @@ def _product(values) -> int:
     return values[0]
 
 
-class RootDatum(FrozenValue, shown=("type",), compared=("type",)):
+class RootDatum(FrozenValue, shown=("type",)):
     """A simple type with what the Weyl dimension formula and the center
     need of it, every field derived from the type.
 
@@ -323,9 +323,6 @@ class RootDatum(FrozenValue, shown=("type",), compared=("type",)):
         object.__setattr__(self, "_rho", tuple(rho))
         object.__setattr__(self, "_increments", tuple(increments))
         object.__setattr__(self, "_factors", factors)
-
-    def __reduce__(self):
-        return RootDatum, (self.type,)
 
     @property
     def rank(self) -> int:

@@ -500,16 +500,26 @@ def test_module_entry_point_smoke():
     assert proc.stdout == "2\n"
 
 
-def test_a_closed_stdout_exits_1_without_a_traceback():
+def _into_closed_stdout(*argv):
+    """Exit code and stderr of one CLI run whose stdout reader has gone."""
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before anything is written
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "liejordan", "rdim", "--family", "A", "--rank", "3"],
-            stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        proc = subprocess.run([sys.executable, "-m", "liejordan", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    return proc.returncode, proc.stderr
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    assert _into_closed_stdout("rdim", "--family", "A", "--rank", "3") == (1, b"")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["dim", "--help"]])
+def test_help_into_a_closed_stdout_exits_1(argv):
+    # argparse's own writer swallows the BrokenPipeError and exits 0.
+    assert _into_closed_stdout(*argv) == (1, b"")
 
 
 def test_rdim_a40_end_to_end_under_a_second():

@@ -268,7 +268,9 @@ def test_every_command_line_ends_in_an_answer_or_a_bounded_refusal(group_file, c
     assert peak < PEAK_BYTES
 
 
-def test_the_parser_overrides_only_the_public_error_hook():
+def test_the_parser_overrides_only_public_hooks():
     # Private argparse methods such as _check_value change between Python
-    # versions; error() is the one place the CLI changes argparse's behaviour.
-    assert [name for name in vars(cli._Parser) if not name.startswith("__")] == ["error"]
+    # versions; error() and print_help() are the only places the CLI changes
+    # argparse's behaviour.
+    assert [name for name in vars(cli._Parser) if not name.startswith("__")] == [
+        "error", "print_help"]

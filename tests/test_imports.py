@@ -76,7 +76,7 @@ def test_public_names_resolve_and_are_listed():
         liejordan.no_such_name
 
 
-def test_only_jordan_finite_loads_heapq(modules):
+def test_no_command_loads_heapq(modules):
     # rdim's set-cover DP takes the least of its at most 7 pending states
-    # from a plain list; finitegroup._class_unions still uses heapq.
-    assert [name for name, loaded in modules.items() if "heapq" in loaded] == ["jordan-finite"]
+    # from a plain list, and finitegroup._class_unions keeps one list per order.
+    assert [name for name, loaded in modules.items() if "heapq" in loaded] == []

@@ -192,6 +192,16 @@ def test_copy_and_pickle_keep_the_value(case):
             assert all(getattr(twin, name) == getattr(value, name) for name, *_ in fields)
 
 
+@pytest.mark.parametrize("case", list(SPECS))
+def test_copy_and_pickle_call_the_constructor_on_the_shown_fields(case):
+    cls, fields, _ = SPECS[case]
+    for value, _ in pairs(case):
+        shown = tuple(getattr(value, name) for name, _, is_shown, *_ in fields if is_shown)
+        assert value.__reduce__() == (cls, shown)
+    if cls is RootDatum:  # the one class whose constructor takes less than its slots
+        assert value.__reduce__() == (RootDatum, (value.type,))
+
+
 @pytest.mark.parametrize("cls,args,message", REFUSALS,
                          ids=[f"{c.__name__}{a!r}" for c, a, _ in REFUSALS])
 def test_refusals_unchanged(cls, args, message):
