@@ -314,8 +314,9 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print(output)
-        sys.stdout.flush()
+        if sys.stdout is None:  # fd 1 was closed at start: the answer has nowhere to go
+            return 1
+        print(output, flush=True)
     except BrokenPipeError:  # the reader is gone: the Python docs' note on SIGPIPE
         devnull = os.open(os.devnull, os.O_WRONLY)  # so the flush at exit raises nothing
         os.dup2(devnull, sys.stdout.fileno())

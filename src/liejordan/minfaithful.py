@@ -17,17 +17,17 @@ The search for candidate weights is capped by the total dimension of the
 cheapest faithful set of fundamental weights, a column of the family
 table: l + 1 for A_l, 2**l for B_l, 2l for C_l, 2**(l-1) for D_l of odd l
 and 2l + 2**(l-1) of even l, and 27, 56, 248, 26, 7 for E6, E7, E8, F4,
-G2.  The enumeration reads the fundamental dimensions for its prune: no
-weight lambda + omega_i with dim(lambda) + dim(omega_i) - 1 over the cap
-is probed, since dim(lambda + mu) >= dim(lambda) + dim(mu) - 1 for
-dominant lambda, mu (see enumerate_dominant_weights).  The fundamental
-weights together are faithful, so that total is at least the optimum,
-and every weight of an optimal or tied set has dimension at most the
-optimum: neither the cap nor the prune changes the answer or its
-witness.  The column never passes 2**rank + 10: B's is 2**l, the others
-of A-D are at most that, E's are far below it, and only F4's 26 reaches
-it.  So the enumeration's budget check on caps over 2**max_rank() + 10 is
-never what refuses an rdim within the rank budget.
+G2.  The enumeration reads the fundamental dimensions for two lower
+bounds on dim(lambda + omega_i) (see enumerate_dominant_weights): no such
+weight is probed with dim(lambda) + dim(omega_i) - 1 over the cap, nor,
+for A-D, with dim(lambda) * dim_L(omega_i) over it, L the Levi subsystem
+past lambda's support.  The fundamental weights together are faithful,
+so that total is at least the optimum, and every weight of an optimal or
+tied set has dimension at most the optimum: neither the cap nor the
+prunes change the answer or its witness.  The column never passes
+2**rank + 10: B's is 2**l, the others of A-D are at most that, E's are
+far below it, and only F4's 26 reaches it.  So the enumeration's check
+on caps over 2**max_rank() + 10 never refuses an rdim within the budget.
 """
 from __future__ import annotations
 

@@ -22,11 +22,11 @@ every family come from the reflection closure.
 Each family is declared once, in _FAMILIES: ranks, Dynkin bonds, number
 of positive roots, center order and generators, which _center closes
 into the classes each RootDatum carries, the fundamental dimensions,
-which the dominant-weight enumeration prunes by, the fundamental cap,
-which rdim searches under, and the epsilon form of A-D.  Nothing is
-cached: a datum goes with its last reference.  The bonds fix the node
-numbering, 0-based in the table and 1-based in the notes below, which is
-Bourbaki's for A-D:
+which bound the enumeration's probes by superadditivity and, for A-D, by
+a Levi product, the fundamental cap, which rdim searches under, and the
+epsilon form of A-D.  Nothing is cached: a datum goes with its last
+reference.  The bonds fix the node numbering, 0-based in the table and
+1-based in the notes below, which is Bourbaki's for A-D:
 
 * A, B, C: a chain 1..l; for B the short simple root is node l, for C
   the long one is node l.
@@ -438,17 +438,21 @@ def enumerate_dominant_weights(
     epsilon vector for A-D, a coroot column for E-G, which the family's
     factors map to the Weyl factors of each probe.
 
-    The search also stops before raising coordinate pos when
-    dim + dim(omega_pos) - 1 > cap, since for dominant lambda, mu
-    dim(lambda + mu) >= dim(lambda) + dim(mu) - 1, and every completion
-    is at least lambda + omega_pos.  Proof: each Weyl ratio
-    <lambda + mu + rho, c> / <rho, c> is 1 + x_c + y_c, with
-    x_c = <lambda, c> / <rho, c> >= 0 and y_c likewise for mu; expanding
-    the product gives every monomial of prod(1 + x_c) and of
-    prod(1 + y_c), and the constant 1 only once.  The fundamental
-    dimensions are read off the family table; they also stand for the
-    first probe at each position after an all-zero prefix, which is that
-    fundamental weight, so no fundamental weight is ever probed.
+    Two lower bounds on lambda + omega_pos, lambda = coords, which every
+    completion raising pos is at least, stop the search before a probe.
+    Each Weyl ratio <lambda + mu + rho, c> / <rho, c> of dominant lambda, mu
+    is 1 + x_c + y_c, with x_c = <lambda, c> / <rho, c> >= 0, y_c likewise.
+    (1) The product holds every monomial of prod(1 + x_c) and prod(1 + y_c),
+    the constant 1 once, so dim(lambda + mu) >= dim(lambda) + dim(mu) - 1:
+    pos is raised no further once dim + dim(omega_pos) - 1 > cap.  (2) For
+    A-D, lambda lives below start, and nodes start..rank-1 span a Levi L of
+    the family at rank rank - start (B1 and C1 are A1, D2 is A1 x A1, D1's
+    entry 1 never prunes).  On L's coroots x_c = 0 and <rho, c> = <rho_L, c>,
+    so those ratios multiply to dim_L(omega_pos); the rest, each at least
+    1 + x_c, multiply to at least dim(lambda).  So pos is skipped when
+    dim * dim_L(omega_pos) > cap; E-G keep (1) alone.  The family table's
+    column gives both (at rank - start for L) and each fundamental weight's
+    dimension, so no fundamental weight is ever probed.
 
     Caps above 2**max_rank() + 10 are refused unless allow_large_cap is
     set, to keep accidental huge searches from running away.  rdim
@@ -462,15 +466,19 @@ def enumerate_dominant_weights(
         raise RankBudgetError(f"cap {_echo(cap)} exceeds budget {_echo(2 ** budget + 10)}; "
                               "pass allow_large_cap=True to override")
     rank = datum.rank
-    steps = list(zip(datum._increments, _FAMILIES[datum.type.family][5](rank)))
+    fundamentals, _, form = _FAMILIES[datum.type.family][5:]
+    steps = list(zip(datum._increments, fundamentals(rank)))
     factors = datum._factors
     coords = [0] * rank
     out: list[tuple[DominantWeight, int]] = []
 
     def extend(start: int, x: list[int], dim: int):
         # coords[start:] are zero; x is coords + rho in the datum's basis, and
-        # dim (at most cap) is its dimension.
+        # dim (at most cap) is its dimension; at start 0, bound (2) is (1).
+        levi = fundamentals(rank - start) if form and 0 < start < rank else None
         for pos in range(start, rank):
+            if levi and dim * levi[pos - start] > cap:  # bound (2): no completion fits
+                continue
             increment, fundamental = steps[pos]  # omega_pos in the datum's basis, dim(omega_pos)
             raised, grown = x, dim
             for value in itertools.count(1):

@@ -522,6 +522,21 @@ def test_help_into_a_closed_stdout_exits_1(argv):
     assert _into_closed_stdout(*argv) == (1, b"")
 
 
+@pytest.mark.parametrize("rank,expected", [
+    ("3", (1, b"")),
+    ("30", (3, b"error: rank 30 exceeds budget 9; set LIEJORDAN_MAX_RANK or pass "
+               b"override=True\n")),
+])
+def test_an_answer_with_fd_1_closed_at_start_exits_1(rank, expected):
+    # With fd 1 closed before the interpreter starts, sys.stdout is None:
+    # an answer has nowhere to go, while a refusal still reaches stderr.
+    env = {k: v for k, v in os.environ.items() if k != "LIEJORDAN_MAX_RANK"}
+    proc = subprocess.run(["sh", "-c", '"$0" -m liejordan rdim --family A --rank "$1" >&-',
+                           sys.executable, rank],
+                          stderr=subprocess.PIPE, timeout=60, env=env)
+    assert (proc.returncode, proc.stderr) == expected
+
+
 def test_rdim_a40_end_to_end_under_a_second():
     env = {**os.environ, "LIEJORDAN_MAX_RANK": "40"}
     start = time.perf_counter()

@@ -217,7 +217,8 @@ def test_rdim_probes_each_fundamental_weight_once(monkeypatch):
     # over these 65 types, 760 probes in all when it did), and
     # by the superadditivity prune the enumeration probes no weight
     # lambda + omega_i with dim(lambda) + dim(omega_i) - 1 over the cap (194
-    # probes left of its 1456 without the prune).
+    # probes left of its 1456 without the prune), nor, for A-D, one with
+    # dim(lambda) times the Levi subsystem's dim(omega_i) over it (116 left).
     calls = []
     probe = rootdata._weyl_dim
     monkeypatch.setattr(rootdata, "_weyl_dim",
@@ -225,7 +226,7 @@ def test_rdim_probes_each_fundamental_weight_once(monkeypatch):
                         or probe(datum, coords, factors))
     for fam, rank in RANK_16_TYPES:
         rdim(_datum(fam, rank), override=True)
-    assert len(calls) == 194
+    assert len(calls) == 116
     assert not [coords for coords in calls if sum(coords) == 1]
 
 
@@ -233,13 +234,15 @@ def test_rdim_probes_each_fundamental_weight_once(monkeypatch):
 def test_handed_fundamental_dimensions_change_no_candidate(fam, rank, monkeypatch):
     # The enumeration takes the fundamental dimensions the family table
     # hands it; with dimensions probed by weyl_dim instead, it keeps the
-    # same candidates.
+    # same candidates.  The Levi bound's columns, at lower ranks, stay the
+    # table's.
     d = _datum(fam, rank)
     cap = _cap(fam, rank)
     declared = enumerate_dominant_weights(d, cap, True)
     probed = [weyl_dim(d, _fund(rank, i)) for i in range(rank)]
     columns = rootdata._FAMILIES[fam]
-    monkeypatch.setitem(rootdata._FAMILIES, fam, columns[:5] + (lambda l: probed,) + columns[6:])
+    monkeypatch.setitem(rootdata._FAMILIES, fam, columns[:5] + (
+        lambda l: probed if l == rank else columns[5](l),) + columns[6:])
     assert enumerate_dominant_weights(d, cap, True) == declared
 
 
@@ -258,3 +261,30 @@ def test_weyl_dimension_is_superadditive_up_to_one(fam, rank, data):
     assert excess >= 0
     if (fam, rank) == ("A", 1):
         assert excess == 0
+
+
+@pytest.mark.parametrize("fam,rank", RANK_16_TYPES[:-5])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_weyl_dimension_is_at_least_the_levi_product(fam, rank, data):
+    # The lemma of the enumeration's second prune, at every start: for lambda
+    # supported below start, dim(lambda + omega_pos) >= dim(lambda) times
+    # entry pos - start of the family's fundamental dimensions at rank
+    # rank - start, those of the Levi subsystem on nodes start..rank-1 (for
+    # D, sub-ranks 3, 2 and 1 are A3, A1 x A1 and A1).  At start 0 it is the
+    # table's own column, exactly.
+    d = _datum(fam, rank)
+    coords = data.draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank))
+    column = rootdata._FAMILIES[fam][5]
+    for start in range(rank):
+        lam = coords[:start] + [0] * (rank - start)
+        dim = weyl_dim(d, DominantWeight(tuple(lam)))
+        levi = column(rank - start)
+        for pos in range(start, rank):
+            raised = lam.copy()
+            raised[pos] += 1
+            bound = dim * levi[pos - start]
+            got = weyl_dim(d, DominantWeight(tuple(raised)))
+            assert got >= bound, (start, pos)
+            if start == 0:
+                assert got == bound

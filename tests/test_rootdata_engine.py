@@ -122,6 +122,39 @@ def test_enumeration_matches_oracle(fam, rank):
     assert [(w.coords, dim) for w, dim in got] == [(w.coords, dim) for w, dim in want]
 
 
+@pytest.mark.parametrize("fam,rank", _types(10)[:-5])
+def test_enumeration_matches_oracle_where_the_levi_bound_binds(fam, rank):
+    # A-D skip a position when dim(lambda) times the Levi subsystem's
+    # fundamental dimension passes the cap.  At each candidate's dimension
+    # under 2**rank + 10, and one below it, the search keeps the oracle's
+    # list: its weights of dimension at most that cap.
+    d = _datum(fam, rank)
+    want = [(w.coords, dim) for w, dim in old.enumerate_dominant_weights(d, 2 ** rank + 10, True)]
+    for cap in sorted({dim - k for _, dim in want for k in (0, 1)}):
+        got = enumerate_dominant_weights(d, cap, True)
+        assert [(w.coords, dim) for w, dim in got] == [p for p in want if p[1] <= cap], cap
+
+
+@pytest.mark.parametrize("fam,rank,cap,probes", [("E", 6, 3000, 29), ("E", 7, 4000, 14),
+                                                 ("E", 8, 30000, 4), ("F", 4, 2000, 15),
+                                                 ("G", 2, 500, 17)])
+def test_exceptional_searches_keep_the_first_prune_alone(monkeypatch, fam, rank, cap, probes):
+    # E-G have no Levi bound: their column does not give the Levi subsystem's
+    # dimensions at a lower rank (E6 past node 1 is D5; F4's and G2's ignore
+    # the rank).  At caps where a product bound would bind, the search keeps
+    # the oracle's list and makes the probes of the first prune alone.
+    calls = []
+    evaluate = rootdata._weyl_dim
+    monkeypatch.setattr(rootdata, "_weyl_dim",
+                        lambda datum, coords, factors: calls.append(tuple(coords))
+                        or evaluate(datum, coords, factors))
+    d = _datum(fam, rank)
+    got = enumerate_dominant_weights(d, cap, True)
+    assert len(calls) == probes
+    want = old.enumerate_dominant_weights(d, cap, True)
+    assert [(w.coords, dim) for w, dim in got] == [(w.coords, dim) for w, dim in want]
+
+
 @pytest.mark.parametrize("fam,rank", _types(9))
 def test_weyl_dim_matches_oracle(fam, rank):
     d = _datum(fam, rank)
