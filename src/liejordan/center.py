@@ -11,9 +11,6 @@ rootdata._center closes the center generators the family table declares
 carries that pair as its center.  CenterClass shows a class by its
 unique representative with all coordinates in [0, 1).
 
-The public functions read a root datum's center; the CLI's center and
-faithful commands call the forms underneath them on rootdata._center of
-the type, so they never build the Cartan matrix or the coroots.
 Only CenterClass, center_classes and pair build fractions, and only they
 import the fractions module, so rdim and faithful never load it.  pair
 sums in integers over the common denominator and builds one Fraction.
@@ -114,13 +111,8 @@ def _fractions(coords) -> tuple[Fraction, ...]:
 
 def center_classes(datum: RootDatum) -> list[CenterClass]:
     """All nonidentity central classes, sorted lexicographically."""
-    return _center_classes(datum.center)
-
-
-def _center_classes(center) -> list[CenterClass]:
-    """center_classes from the (d, classes) pair of rootdata._center."""
     import fractions
-    d, classes = center
+    d, classes = _center_of(datum)
     shares = [fractions.Fraction(c, d) for c in range(d)]  # each coordinate is some c/d, built once
     return [CenterClass(tuple([shares[c] for c in x])) for x in classes]
 
@@ -145,16 +137,18 @@ def pair(weight: DominantWeight, element) -> Fraction:
 def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:
     """Whether the direct sum over the weight set has trivial kernel: whether
     every nonidentity central class is detected by some weight in the set."""
+    d, classes = _center_of(datum)
     for w in weight_set:
         if len(w.coords) != datum.rank:
             raise ValueError(
                 f"weight {_echo(w.coords)} does not match rank {datum.rank} of {datum.type}")
-    return _is_faithful(datum.center, weight_set)
-
-
-def _is_faithful(center, weight_set: WeightSet) -> bool:
-    """is_faithful from rootdata._center's (d, classes), for weights of its rank."""
-    d, classes = center
     return all(
         any(sum(l * c for l, c in zip(w.coords, x)) % d for w in weight_set)
         for x in classes)
+
+
+def _center_of(datum) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The center (d, classes) of a root datum; anything else is refused."""
+    if not isinstance(datum, RootDatum):
+        raise ValueError(f"expected a RootDatum, got {_echo(datum)}")
+    return datum.center

@@ -182,9 +182,8 @@ def _cmd_table(args):
 def _cmd_dim(args):
     from . import rootdata
     stype = _parse_type(args)
-    rootdata.check_cell_budget(stype)  # before the weight is parsed
+    datum = rootdata.build_root_datum(stype)  # the cell budget, before the weight is parsed
     weight = _parse_weight(args.weight, stype.rank)
-    datum = rootdata.build_root_datum(stype)
     value = _within(rootdata.weyl_dim(datum, weight), _digit_budget())
     doc = {"family": stype.family, "rank": stype.rank, "weight": weight, "dim": value}
     return str(value), doc, ("family", "rank", "weight", "dim")
@@ -193,9 +192,8 @@ def _cmd_dim(args):
 def _cmd_center(args):
     from . import center, rootdata
     stype = _parse_type(args)
-    rootdata.check_cell_budget(stype)
-    d_classes = rootdata._center(stype)
-    order, classes = d_classes[0], center._center_classes(d_classes)
+    datum = rootdata.build_root_datum(stype)
+    order, classes = datum.center[0], center.center_classes(datum)
     doc = {"family": stype.family, "rank": stype.rank, "order": order,
            "classes": [[str(c) for c in cls.coords] for cls in classes]}
     rows = [[stype.family, stype.rank, order, cls] for cls in classes]
@@ -207,9 +205,9 @@ def _cmd_center(args):
 def _cmd_faithful(args):
     from . import center, rootdata
     stype = _parse_type(args)
-    rootdata.check_cell_budget(stype)
+    datum = rootdata.build_root_datum(stype)
     weights = _parse_weights(args.weights, stype.rank)
-    verdict = center._is_faithful(rootdata._center(stype), weights)
+    verdict = center.is_faithful(datum, weights)
     doc = {"family": stype.family, "rank": stype.rank,
            "weights": weights, "faithful": verdict}
     return _cell(verdict), doc, ("family", "rank", "weights", "faithful")

@@ -34,81 +34,97 @@ during a permutation closure, and before any Jordan constant is computed.
 from __future__ import annotations
 
 from itertools import product
-from operator import itemgetter
+from operator import ge, itemgetter
 
-from .errors import DEFAULT_JORDAN_LIMIT, FrozenValue, OrderLimitError, _echo
+from .errors import DEFAULT_JORDAN_LIMIT, FrozenValue, OrderLimitError, _echo, _field_echo
 
 _KNOB = "; raise it with --jordan-limit (max_order in the library)"
 
 
-class FiniteGroup:
-    """A finite group as a Cayley table over indices 0..order-1.
+class FiniteGroup(FrozenValue, shown=("mult",)):
+    """A finite group as a Cayley table over indices 0..order-1, compared
+    by its table.  Index 0 is the identity.  The table is fully validated:
+    every row and column must be a permutation, row and column 0 the
+    identity, and associativity is checked by Light's test on a greedy
+    generating set."""
 
-    Index 0 is the identity.  Table input is fully validated: every row
-    and column must be a permutation, row and column 0 the identity,
-    and associativity is checked by Light's test on a greedy generating
-    set.  Groups built from permutation generators skip the associativity
-    check, which holds by construction.
-    """
+    __slots__ = ("mult", "order", "inverses", "_cols", "_generators")
 
-    def __init__(self, mult, check_associativity: bool = True):
-        self.mult = tuple(map(tuple, mult))
-        self.order = len(self.mult)
-        self._cols = tuple(zip(*self.mult))
-        self._validate()
-        self._generators = _greedy_generators(self.mult, range(self.order))
-        if check_associativity:
-            self._check_associativity()
-        self.inverses = tuple(row.index(0) for row in self.mult)
+    def __init__(self, mult):
+        mult = tuple(map(tuple, mult))
+        _validate(mult)
+        _light_test(_closed_group(mult, self))
 
-    def _validate(self):
-        n = self.order
-        if n < 1:
-            raise ValueError("a group table needs at least the identity")
-        everything = frozenset(range(n))
-        for i, row in enumerate(self.mult):
-            if len(row) != n:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
-            if frozenset(row) != everything:
-                raise ValueError(f"row {i} is not a permutation of 0..{n - 1}")
-        for j, column in enumerate(self._cols):
-            if frozenset(column) != everything:
-                raise ValueError(f"column {j} is not a permutation of 0..{n - 1}")
-        if any(self.mult[0][j] != j for j in range(n)):
-            raise ValueError("row 0 is not the identity")
-        if any(self.mult[i][0] != i for i in range(n)):
-            raise ValueError("column 0 is not the identity")
 
-    def _check_associativity(self):
-        """Light's test: the elements g with (x*g)*y = x*(g*y) for all x, y
-        are closed under products, so checking a generating set suffices,
-        one row comparison per x and generator.  On failure the full scan
-        names the first failing triple."""
-        mult = self.mult
-        for g in self._generators:
-            times_g = _times(mult[g])
-            if any(mult[row[g]] != times_g(row) for row in mult):
-                break
-        else:
-            return
-        n = self.order
-        for a in range(n):
-            row_a = mult[a]
-            for b in range(n):
-                row_ab = mult[row_a[b]]
-                row_b = mult[b]
-                for c in range(n):
-                    if row_ab[c] != row_a[row_b[c]]:
-                        raise ValueError(f"associativity fails at ({a}, {b}, {c})")
+def _closed_group(mult, G=None) -> FiniteGroup:
+    """G, or a new FiniteGroup, with its fields set from mult, a tuple of table
+    rows that form a group, which is not checked here: FiniteGroup checks its
+    table around this call, and a permutation closure's is one by construction."""
+    G = object.__new__(FiniteGroup) if G is None else G
+    fields = (mult, len(mult), tuple(row.index(0) for row in mult), tuple(zip(*mult)),  # slot order
+              _greedy_generators(mult, range(len(mult))))
+    for name, value in zip(FiniteGroup.__slots__, fields):
+        object.__setattr__(G, name, value)
+    return G
+
+
+def _validate(mult) -> None:
+    n = len(mult)
+    if n < 1:
+        raise ValueError("a group table needs at least the identity")
+    everything = frozenset(range(n))
+    for i, row in enumerate(mult):
+        if len(row) != n:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
+        if frozenset(row) != everything:
+            raise ValueError(f"row {i} is not a permutation of 0..{n - 1}")
+    for j, column in enumerate(zip(*mult)):
+        if frozenset(column) != everything:
+            raise ValueError(f"column {j} is not a permutation of 0..{n - 1}")
+    if any(mult[0][j] != j for j in range(n)):
+        raise ValueError("row 0 is not the identity")
+    if any(mult[i][0] != i for i in range(n)):
+        raise ValueError("column 0 is not the identity")
+
+
+def _light_test(G: FiniteGroup) -> None:
+    """Light's test: the elements g with (x*g)*y = x*(g*y) for all x, y
+    are closed under products, so checking a generating set suffices,
+    one row comparison per x and generator.  On failure the full scan
+    names the first failing triple."""
+    mult = G.mult
+    for g in G._generators:
+        times_g = _times(mult[g])
+        if any(mult[row[g]] != times_g(row) for row in mult):
+            break
+    else:
+        return
+    n = G.order
+    for a in range(n):
+        row_a = mult[a]
+        for b in range(n):
+            row_ab = mult[row_a[b]]
+            row_b = mult[b]
+            for c in range(n):
+                if row_ab[c] != row_a[row_b[c]]:
+                    raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
 
 class Subgroup(FrozenValue, compared=("elements",)):
     """A subgroup by sorted element indices plus a generating set, which
-    == and the hash ignore."""
+    == and the hash ignore.  The elements are a tuple of distinct ints in
+    ascending order from 0, the generators a tuple of ints."""
 
     __slots__ = ("elements", "generators")
 
     def __init__(self, elements: tuple[int, ...], generators: tuple[int, ...] = ()):
+        ints = type(elements) is tuple and all(type(x) is int for x in elements)
+        if not ints or elements[:1] != (0,) or any(map(ge, elements, elements[1:])):
+            raise ValueError("subgroup elements must be a tuple of distinct ints in ascending "
+                             f"order from 0, got {_field_echo(elements)}")
+        if type(generators) is not tuple or not all(type(g) is int for g in generators):
+            raise ValueError(f"subgroup generators must be a tuple of ints, got "
+                             f"{_field_echo(generators)}")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "generators", generators)
 
@@ -173,7 +189,7 @@ def _perm_closure(generators, degree: int, limit: int) -> dict:
     return reached
 
 
-def _perm_table(reached, generators) -> list:
+def _perm_table(reached, generators) -> tuple:
     """Cayley table of a permutation closure, identity first, the rest sorted.
 
     Since (p*g)*q = p*(g*q), the row of p*g is the row of p read through
@@ -189,7 +205,7 @@ def _perm_table(reached, generators) -> list:
         if step is not None:
             p, k = step
             rows[index[q]] = through[k](rows[index[p]])
-    return rows
+    return tuple(rows)
 
 
 def _check_limit(max_order: int) -> None:
@@ -239,9 +255,9 @@ def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup
         generators = [
             _parse_perm_line(ln, size, i + 2) for i, ln in enumerate(lines[1:])]
         if not generators:  # the trivial group, without a degree-long identity
-            return FiniteGroup([[0]], check_associativity=False)
+            return _closed_group(((0,),))
         reached = _perm_closure(generators, size, max_order)
-        return FiniteGroup(_perm_table(reached, generators), check_associativity=False)
+        return _closed_group(_perm_table(reached, generators))
 
     if kind == "table":
         if size > max_order:

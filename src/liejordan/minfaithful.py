@@ -32,20 +32,28 @@ on caps over 2**max_rank() + 10 never refuses an rdim within the budget.
 from __future__ import annotations
 
 from .center import WeightSet
-from .errors import FrozenValue, _echo
-from .rootdata import (_FAMILIES, RootDatum, SimpleType, build_root_datum, check_rank_budget,
-                       enumerate_dominant_weights)
+from .errors import FrozenValue, _echo, _field_echo
+from .rootdata import (_FAMILIES, RootDatum, SimpleType, _check_flag, build_root_datum,
+                       check_rank_budget, enumerate_dominant_weights)
 
 
 class RdimResult(FrozenValue):
     """An optimal faithful weight set with its dimension bookkeeping.
 
-    per_weight_dims is aligned with the (sorted) witness weights.
+    per_weight_dims is a tuple of positive ints aligned with the (sorted)
+    witness weights, and total_dim is its sum.
     """
 
     __slots__ = ("total_dim", "witness", "per_weight_dims")
 
     def __init__(self, total_dim: int, witness: WeightSet, per_weight_dims: tuple[int, ...]):
+        if not isinstance(witness, WeightSet):
+            raise ValueError(f"an rdim witness must be a WeightSet, got {_field_echo(witness)}")
+        dims = per_weight_dims
+        if (type(dims) is not tuple or len(dims) != len(witness) or type(total_dim) is not int
+                or any(type(x) is not int or x < 1 for x in dims) or sum(dims) != total_dim):
+            raise ValueError(f"per_weight_dims must be positive ints, one per witness weight, "
+                             f"that sum to total_dim {_echo(total_dim)}, got {_field_echo(dims)}")
         object.__setattr__(self, "total_dim", total_dim)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "per_weight_dims", per_weight_dims)
@@ -103,8 +111,9 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
 
     Ties are broken by fewest weights, then by the lexicographically
     smallest sorted list of weight coordinates.  Ranks over the budget
-    are refused unless override is set.
+    are refused unless override is True.
     """
+    _check_flag("override", override)
     check_rank_budget(datum.type, override)
     cap = _FAMILIES[datum.type.family][6](datum.rank)
     candidates = enumerate_dominant_weights(datum, cap, override)

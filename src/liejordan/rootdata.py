@@ -455,11 +455,12 @@ def enumerate_dominant_weights(
     dimension, so no fundamental weight is ever probed.
 
     Caps above 2**max_rank() + 10 are refused unless allow_large_cap is
-    set, to keep accidental huge searches from running away.  rdim
+    True, to keep accidental huge searches from running away.  rdim
     searches under the family table's cap, which never passes 2**rank + 10.
     """
     if type(cap) is not int or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {_echo(cap)}")
+    _check_flag("allow_large_cap", allow_large_cap)
     budget = max_rank()
     # A cap of at most budget bits is below 2**budget: no need to form it.
     if not allow_large_cap and cap.bit_length() > budget and cap > 2 ** budget + 10:
@@ -511,6 +512,12 @@ def check_cell_budget(stype: SimpleType):
             f"type {stype.family}{_echo(l)} takes {_echo(cells)} cells (Cartan matrix, center "
             f"classes and coroots), more than the budget of {_echo(budget)}; "
             f"set {CELLS_ENV_VAR} to raise it")
+
+
+def _check_flag(name: str, value) -> None:
+    """Refuse a flag that is not a bool, since any object has a truth value."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be True or False, got {_echo(value)}")
 
 
 def check_rank_budget(stype: SimpleType, override: bool = False):

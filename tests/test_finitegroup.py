@@ -1,4 +1,6 @@
 """Finite-group parsing and exact Jordan constants."""
+import copy
+import pickle
 import random
 import time
 import tracemalloc
@@ -58,7 +60,7 @@ def subgroup_group(G, sub):
     """A subgroup re-indexed as a standalone group; element 0 stays at 0."""
     index = {g: i for i, g in enumerate(sub.elements)}
     mult = [[index[G.mult[a][b]] for b in sub.elements] for a in sub.elements]
-    return FiniteGroup(mult, check_associativity=False)
+    return FiniteGroup(mult)
 
 
 def min_normal_abelian_index(F, G):
@@ -477,6 +479,39 @@ def test_subgroup_counts():
 
 def test_subgroup_equality_ignores_generators():
     assert Subgroup((0, 1), (1,)) == Subgroup((0, 1))
+
+
+def test_a_parsed_group_is_a_frozen_value_of_its_table():
+    # Reassigning order once made J(S4) come out as 5, and reassigning
+    # inverses made the witness search run past 60 s and 1 GB.
+    G, twin = load("s4.grp"), load("s4.grp")
+    for name, value in (("order", 5), ("mult", ((0,),)), ("inverses", (0,) * 24),
+                        ("_cols", ()), ("_generators", ())):
+        with pytest.raises(AttributeError):
+            setattr(G, name, value)
+        with pytest.raises(AttributeError):
+            delattr(G, name)
+    assert G == twin and hash(G) == hash(twin) and G is not twin
+    assert G != parse_group(cyclic_table(24))
+    assert copy.copy(G) == G and pickle.loads(pickle.dumps(G)) == G
+    assert jordan_constant(G) == 6
+
+
+def test_copies_validate_the_table_and_permutation_closures_skip_it(monkeypatch):
+    validate, seen = finitegroup._validate, []
+
+    def recorded(mult):
+        seen.append(mult)
+        validate(mult)
+
+    monkeypatch.setattr(finitegroup, "_validate", recorded)
+    G = load("s4.grp")  # written as permutations: a group by construction
+    assert seen == []
+    for twin in (copy.copy(G), copy.deepcopy(G), pickle.loads(pickle.dumps(G))):
+        assert twin == G
+    assert seen == [G.mult] * 3
+    parse_group(cyclic_table(3))
+    assert len(seen) == 4
 
 
 # -- Jordan constants ----------------------------------------------------

@@ -210,14 +210,14 @@ def direct_product(names):
     pairs = list(itertools.product(*(range(len(mult)) for mult in mults)))
     index = {pair: i for i, pair in enumerate(pairs)}
     return FiniteGroup([[index[tuple(mult[x][y] for mult, x, y in zip(mults, a, b))]
-                         for b in pairs] for a in pairs], check_associativity=False)
+                         for b in pairs] for a in pairs])
 
 
 def relabelled(G, labels):
     """G with each index i renamed labels[i], where labels[0] = 0."""
     back = {label: i for i, label in enumerate(labels)}
     return FiniteGroup([[labels[G.mult[back[x]][back[y]]] for y in range(G.order)]
-                        for x in range(G.order)], check_associativity=False)
+                        for x in range(G.order)])
 
 
 def check_against_the_lattice_scan(G):

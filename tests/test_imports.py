@@ -1,6 +1,8 @@
 """Each CLI subcommand loads only the strands it runs, and no command loads
-dataclasses; the package's public names resolve on first use."""
+dataclasses; the package's public names resolve on first use, and the CLI
+reaches the strands through their public names only."""
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -80,3 +82,26 @@ def test_no_command_loads_heapq(modules):
     # rdim's set-cover DP takes the least of its at most 7 pending states
     # from a plain list, and finitegroup._class_unions keeps one list per order.
     assert [name for name, loaded in modules.items() if "heapq" in loaded] == []
+
+
+def test_cli_reads_only_public_names_of_the_strands():
+    # errors' shared helpers (_echo, _within, ...) are the one private import.
+    strands = {"rootdata", "center", "minfaithful", "bounds", "finitegroup"}
+    tree = ast.parse((ROOT / "src" / "liejordan" / "cli.py").read_text())
+    private = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in strands and node.attr.startswith("_")]
+    private += [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module in strands
+                for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def test_every_public_value_is_frozen_and_groups_take_one_table():
+    from liejordan.errors import FrozenValue
+    from liejordan.finitegroup import FiniteGroup
+    public = [getattr(liejordan, name) for name in liejordan.__all__]
+    classes = [cls for cls in public if isinstance(cls, type) and not issubclass(cls, Exception)]
+    assert FiniteGroup in classes
+    assert [cls.__name__ for cls in classes if not issubclass(cls, FrozenValue)] == []
+    assert list(inspect.signature(FiniteGroup).parameters) == ["mult"]

@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 from liejordan.bounds import Bound, GroupDims, bound
-from liejordan.center import CenterClass, WeightSet, pair
-from liejordan.finitegroup import Subgroup
-from liejordan.minfaithful import RdimResult, rdim_table
+from liejordan.center import CenterClass, WeightSet, center_classes, is_faithful, pair
+from liejordan.finitegroup import FiniteGroup, Subgroup
+from liejordan.minfaithful import RdimResult, rdim, rdim_table
 from liejordan.rootdata import (DominantWeight, RootDatum, SimpleType, build_root_datum,
                                 enumerate_dominant_weights)
 
@@ -57,13 +57,50 @@ SPECS = {
                     (3, WeightSet((W((0, 1)),)), (3,))]),
     "Subgroup": (Subgroup, [("elements", True, True), ("generators", False, True)],
                  [((0,),), ((0, 1), (1,)), ((0, 1),), ((0, 1, 2), (1, 2))]),
+    "FiniteGroup": (FiniteGroup, [("mult", True, True), ("order", False, False),
+                                  ("inverses", False, False)],
+                    [([[0]],), (((0, 1), (1, 0)),), ([[0, 1], [1, 0]],),
+                     (((0, 1, 2), (1, 2, 0), (2, 0, 1)),)]),
 }
 
 # Each constructor, and each function that checks the same field, refuses
 # with the same message; a bool is not an integer anywhere, and a center
 # coordinate is an int, a Fraction or a str, never a float, bool or Decimal.
+# A flag is a bool, and center_classes and is_faithful take a RootDatum only.
 INEXACT = "coordinates must be integers, Fractions or strings, got"
+A1 = build_root_datum(SimpleType("A", 1))
+ELEMENTS = "subgroup elements must be a tuple of distinct ints in ascending order from 0, got"
+GENERATORS = "subgroup generators must be a tuple of ints, got"
+DIMS = "per_weight_dims must be positive ints, one per witness weight, that sum to total_dim"
 REFUSALS = [
+    (Subgroup, ((5, 3), "x"), f"{ELEMENTS} (5, 3)"),
+    (Subgroup, ((0, 3, 3),), f"{ELEMENTS} (0, 3, 3)"),
+    (Subgroup, ((1, 2),), f"{ELEMENTS} (1, 2)"),
+    (Subgroup, ((),), f"{ELEMENTS} ()"),
+    (Subgroup, ([0, 1],), f"{ELEMENTS} [0, 1]"),
+    (Subgroup, ((0, True),), f"{ELEMENTS} (0, True)"),
+    (Subgroup, ((0, 1.0),), f"{ELEMENTS} (0, 1.0)"),
+    (Subgroup, ((0, 1), "x"), f"{GENERATORS} 'x'"),
+    (Subgroup, ((0, 1), [1]), f"{GENERATORS} [1]"),
+    (Subgroup, ((0, 1), (True,)), f"{GENERATORS} (True,)"),
+    (RdimResult, (-1, None, "x"), "an rdim witness must be a WeightSet, got None"),
+    (RdimResult, (3, (W((1,)),), (3,)),
+     "an rdim witness must be a WeightSet, got (DominantWeight(coords=(1,)),)"),
+    (RdimResult, (-1, WeightSet((W((1,)),)), "x"), f"{DIMS} -1, got 'x'"),
+    (RdimResult, (3, WeightSet((W((1,)),)), [3]), f"{DIMS} 3, got [3]"),
+    (RdimResult, (5, WeightSet((W((1,)),)), (3,)), f"{DIMS} 5, got (3,)"),
+    (RdimResult, (6, WeightSet((W((1,)),)), (3, 3)), f"{DIMS} 6, got (3, 3)"),
+    (RdimResult, (0, WeightSet((W((1,)),)), (0,)), f"{DIMS} 0, got (0,)"),
+    (RdimResult, (1, WeightSet((W((1,)),)), (True,)), f"{DIMS} 1, got (True,)"),
+    (RdimResult, (3.0, WeightSet((W((1,)),)), (3,)), f"{DIMS} 3.0, got (3,)"),
+    (rdim, (A1, "yes"), "override must be True or False, got 'yes'"),
+    (rdim, (A1, 1), "override must be True or False, got 1"),
+    (enumerate_dominant_weights, (A1, 3, None), "allow_large_cap must be True or False, got None"),
+    (enumerate_dominant_weights, (A1, 3, 0), "allow_large_cap must be True or False, got 0"),
+    (center_classes, ("A3",), "expected a RootDatum, got 'A3'"),
+    (center_classes, (SimpleType("A", 3),), "expected a RootDatum, got A3"),
+    (is_faithful, ("A1", WeightSet((W((1,)),))), "expected a RootDatum, got 'A1'"),
+    (is_faithful, (None, WeightSet((W((1,)),))), "expected a RootDatum, got None"),
     (GroupDims, (-1,), "dimension must be a non-negative integer, got -1"),
     (GroupDims, (1.5,), "dimension must be a non-negative integer, got 1.5"),
     (GroupDims, (1, 0), "component count must be a positive integer, got 0"),
@@ -71,8 +108,7 @@ REFUSALS = [
     (GroupDims, (1, True), "component count must be a positive integer, got True"),
     (bound, ("lie", True), "dimension must be a non-negative integer, got True"),
     (bound, ("lie", 3, True), "component count must be a positive integer, got True"),
-    (enumerate_dominant_weights, (build_root_datum(SimpleType("A", 1)), True),
-     "cap must be a positive integer, got True"),
+    (enumerate_dominant_weights, (A1, True), "cap must be a positive integer, got True"),
     (SimpleType, ("H", 2), "unknown family 'H', expected one of A..G"),
     (SimpleType, ("A", 0), "family A requires rank >= 1, got 0"),
     (SimpleType, ("E", 5), "family E exists only in rank 6, 7, 8, got 5"),
