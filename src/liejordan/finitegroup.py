@@ -44,9 +44,9 @@ _KNOB = "; raise it with --jordan-limit (max_order in the library)"
 class FiniteGroup(FrozenValue, shown=("mult",)):
     """A finite group as a Cayley table over indices 0..order-1, compared
     by its table.  Index 0 is the identity.  The table is fully validated:
-    every row and column must be a permutation, row and column 0 the
-    identity, and associativity is checked by Light's test on a greedy
-    generating set."""
+    every row and column must be a permutation of the indices, as ints,
+    row and column 0 the identity, and associativity is checked by
+    Light's test on a greedy generating set."""
 
     __slots__ = ("mult", "order", "inverses", "_cols", "_generators")
 
@@ -85,6 +85,9 @@ def _validate(mult) -> None:
         raise ValueError("row 0 is not the identity")
     if any(mult[i][0] != i for i in range(n)):
         raise ValueError("column 0 is not the identity")
+    for i, row in enumerate(mult):
+        if type(sum(row)) is not int:  # some entry is a float, Fraction or Decimal
+            raise ValueError(f"row {i} has non-integer entries")
 
 
 def _light_test(G: FiniteGroup) -> None:

@@ -14,8 +14,8 @@ cyclic or Z2 x Z2, so there are at most 1 + (divisors of its order)
 states, or 6.
 
 The search for candidate weights is capped by the total dimension of the
-cheapest faithful set of fundamental weights, a column of the family
-table: l + 1 for A_l, 2**l for B_l, 2l for C_l, 2**(l-1) for D_l of odd l
+cheapest faithful set of fundamental weights, the family table's
+cap: l + 1 for A_l, 2**l for B_l, 2l for C_l, 2**(l-1) for D_l of odd l
 and 2l + 2**(l-1) of even l, and 27, 56, 248, 26, 7 for E6, E7, E8, F4,
 G2.  The enumeration reads the fundamental dimensions for two lower
 bounds on dim(lambda + omega_i) (see enumerate_dominant_weights): no such
@@ -24,7 +24,7 @@ for A-D, with dim(lambda) * dim_L(omega_i) over it, L the Levi subsystem
 past lambda's support.  The fundamental weights together are faithful,
 so that total is at least the optimum, and every weight of an optimal or
 tied set has dimension at most the optimum: neither the cap nor the
-prunes change the answer or its witness.  The column never passes
+prunes change the answer or its witness.  The cap never passes
 2**rank + 10: B's is 2**l, the others of A-D are at most that, E's are
 far below it, and only F4's 26 reaches it.  So the enumeration's check
 on caps over 2**max_rank() + 10 never refuses an rdim within the budget.
@@ -115,7 +115,7 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     """
     _check_flag("override", override)
     check_rank_budget(datum.type, override)
-    cap = _FAMILIES[datum.type.family][6](datum.rank)
+    cap = _FAMILIES[datum.type.family].cap(datum.rank)
     candidates = enumerate_dominant_weights(datum, cap, override)
     best = _cheapest_cover(candidates, *datum.center)
     if best is None:
@@ -137,7 +137,7 @@ def rdim_table(table_max_rank: int):
     if table_max_rank < 1:
         raise ValueError(f"max rank must be positive, got {_echo(table_max_rank)}")
     check_rank_budget(SimpleType("A", table_max_rank))
-    types = [SimpleType(fam, rank) for fam, (ranks, *_) in _FAMILIES.items()
-             for rank in (range(ranks, table_max_rank + 1) if isinstance(ranks, int) else ranks)
-             if rank <= table_max_rank]
+    types = [SimpleType(fam, rank) for fam, row in _FAMILIES.items()
+             for rank in (range(row.ranks, table_max_rank + 1) if isinstance(row.ranks, int)
+                          else row.ranks) if rank <= table_max_rank]
     return [(t, rdim(build_root_datum(t))) for t in types]

@@ -19,12 +19,9 @@ epsilon vector of omega_k, or column k of the coroots.  The Cartan matrix
 and the coroots of a datum are views, formed when read; the coroots of
 every family come from the reflection closure.
 
-Each family is declared once, in _FAMILIES: ranks, Dynkin bonds, number
-of positive roots, center order and generators, which _center closes
-into the classes each RootDatum carries, the fundamental dimensions,
-which bound the enumeration's probes by superadditivity and, for A-D, by
-a Levi product, the fundamental cap, which rdim searches under, and the
-epsilon form of A-D.  Nothing is cached: a datum goes with its last
+Each family is declared once, as a _Family row of _FAMILIES whose fields,
+ranks, bonds, roots, order, generators, fundamentals, cap and form, every
+reader takes by name.  Nothing is cached: a datum goes with its last
 reference.  The bonds fix the node numbering, 0-based in the table and
 1-based in the notes below, which is Bourbaki's for A-D:
 
@@ -44,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import namedtuple
 from operator import add, sub
 
 from .errors import (_FORMED_PER_PRINTED, FrozenValue, RankBudgetError, ResourceGuardError,
@@ -83,53 +81,52 @@ def _halves(x: list[int]) -> list[int]:
     return _differences(h) + [a + b + p for a, b in itertools.combinations(h, 2)]
 
 
-# Family letter -> (ranks, bonds, positive-root count, center order, center generators,
-# fundamental dimensions, fundamental cap, epsilon form).  The ranks are the least one for
-# A-D and all of them for E-G; a bond (i, j, a, b) sets the Cartan entries [i][j] = -a and
-# [j][i] = -b; the center order is the Cartan determinant d, and each generator of the
-# center is a class over the simple coroots, an integer vector x mod d standing for x/d;
-# dim V(omega_k) in node order is an exterior power of the defining representation for
-# A-D (its primitive part for C) or a spin one.  The cap is the least total dimension of
-# a faithful set of fundamental weights: the defining representation for A and C, the
-# spin one for B and odd D, the vector and one half-spin representation for even D, and
-# the least fundamental representation, which is faithful, for E-G.  The epsilon form of
-# A-D is (increments, factors).  Written in the orthonormal basis e_i, doubled for B and
-# D, lambda + rho is the sum over the nodes k of (lambda_k + 1) times increment k, the
-# vector of omega_k; factors maps it to the Weyl factors <lambda + rho, a^vee>, one per
-# positive root a: x_i - x_j for A, (x_i -+ x_j) / 2 and x_i for B, x_i -+ x_j and x_i
-# for C, (x_i -+ x_j) / 2 for D.  E-G have none: their coroots come from the reflection
-# closure.  Bourbaki, Lie Groups and Lie Algebras, Ch. 4-6, Plates I-IX.
+# One row per family (Bourbaki, Lie Groups and Lie Algebras, Ch. 4-6, Plates I-IX).  Past the
+# rows below, field order matters only to the tests' frozen oracle, which reads row[5].
+# ranks: the least rank for A-D, every rank for E-G.  Every other field is a function of l.
+# bonds: Dynkin bonds (i, j, a, b), each setting the Cartan entries [i][j] = -a, [j][i] = -b.
+# roots: the number of positive roots.  order: the center order d, the Cartan determinant.
+# generators: of the center, integer vectors x mod d over the simple coroots, for classes x/d.
+# fundamentals: dim V(omega_k) in node order, an exterior power of the defining
+#   representation for A-D (its primitive part for C) or a spin one.
+# cap: the least total dimension of a faithful set of fundamental weights: the defining
+#   representation for A and C, the spin one for B and odd D, the vector and a half-spin one
+#   for even D, and the least fundamental one, which is faithful, for E-G.
+# form: for A-D (increments, factors), the vectors of omega_k in the orthonormal basis e_i,
+#   doubled for B and D, and the map from lambda + rho there to its Weyl factors; None for
+#   E-G, whose coroots come from the reflection closure.
+_Family = namedtuple("_Family", "ranks bonds roots order generators fundamentals cap form")
 _FAMILIES = {
-    "A": (1, _chain, lambda l: l * (l + 1) // 2, lambda l: l + 1,
-          lambda l: [tuple(range(1, l + 1))],
-          lambda l: [math.comb(l + 1, k) for k in range(1, l + 1)], lambda l: l + 1,
-          (lambda l: _prefixes(l + 1, 1, l), _differences)),
-    "B": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 2, 1)], lambda l: l * l,
-          lambda l: 2, lambda l: [(0,) * (l - 1) + (1,)],
-          lambda l: [math.comb(2 * l + 1, k) for k in range(1, l)] + [2 ** l],
-          lambda l: 2 ** l,
-          (lambda l: _prefixes(l, 2, l - 1) + [(1,) * l], lambda x: _halves(x) + x)),
-    "C": (2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 1, 2)], lambda l: l * l,
-          lambda l: 2, lambda l: [(1, 0) * (l // 2) + (1,) * (l % 2)],
-          lambda l: [2 * l] + [math.comb(2 * l, k) - math.comb(2 * l, k - 2)
-                               for k in range(2, l + 1)], lambda l: 2 * l,
-          (lambda l: _prefixes(l, 1, l), lambda x: _pairs(x) + x)),
-    "D": (3, lambda l: _chain(l - 1) + [(l - 3, l - 1, 1, 1)], lambda l: l * (l - 1),
-          lambda l: 4, lambda l: [(0,) * (l - 2) + (2, 2),
-                                  (2, 0) * (l // 2 - 1) + ((2, 1, 3) if l % 2 else (0, 2))],
-          lambda l: [math.comb(2 * l, k) for k in range(1, l - 1)] + [2 ** (l - 1)] * 2,
-          lambda l: 2 ** (l - 1) + (0 if l % 2 else 2 * l),
-          (lambda l: _prefixes(l, 2, l - 2) + [(1,) * (l - 1) + (-1,), (1,) * l], _halves)),
-    "E": ((6, 7, 8), lambda l: _chain(l - 1) + [(l - 4, l - 1, 1, 1)],
-          {6: 36, 7: 63, 8: 120}.get, {6: 3, 7: 2, 8: 1}.get,
-          {6: [(1, 2, 0, 1, 2, 0)], 7: [(1, 0, 1, 0, 0, 0, 1)], 8: []}.get,
-          {6: [27, 351, 2925, 351, 27, 78], 7: [56, 1539, 27664, 365750, 8645, 133, 912],
-           8: [248, 30380, 2450240, 146325270, 6899079264, 6696000, 3875, 147250]}.get,
-          {6: 27, 7: 56, 8: 248}.get, None),
-    "F": ((4,), lambda l: [(0, 1, 1, 1), (1, 2, 1, 2), (2, 3, 1, 1)], lambda l: 24,
-          lambda l: 1, lambda l: [], lambda l: [26, 273, 1274, 52], lambda l: 26, None),
-    "G": ((2,), lambda l: [(0, 1, 1, 3)], lambda l: 6, lambda l: 1, lambda l: [],
-          lambda l: [7, 14], lambda l: 7, None),
+    "A": _Family(1, _chain, lambda l: l * (l + 1) // 2, lambda l: l + 1,
+                 lambda l: [tuple(range(1, l + 1))],
+                 lambda l: [math.comb(l + 1, k) for k in range(1, l + 1)], lambda l: l + 1,
+                 (lambda l: _prefixes(l + 1, 1, l), _differences)),
+    "B": _Family(2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 2, 1)], lambda l: l * l,
+                 lambda l: 2, lambda l: [(0,) * (l - 1) + (1,)],
+                 lambda l: [math.comb(2 * l + 1, k) for k in range(1, l)] + [2 ** l],
+                 lambda l: 2 ** l,
+                 (lambda l: _prefixes(l, 2, l - 1) + [(1,) * l], lambda x: _halves(x) + x)),
+    "C": _Family(2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 1, 2)], lambda l: l * l,
+                 lambda l: 2, lambda l: [(1, 0) * (l // 2) + (1,) * (l % 2)],
+                 lambda l: [2 * l] + [math.comb(2 * l, k) - math.comb(2 * l, k - 2)
+                                      for k in range(2, l + 1)], lambda l: 2 * l,
+                 (lambda l: _prefixes(l, 1, l), lambda x: _pairs(x) + x)),
+    "D": _Family(3, lambda l: _chain(l - 1) + [(l - 3, l - 1, 1, 1)], lambda l: l * (l - 1),
+                 lambda l: 4, lambda l: [(0,) * (l - 2) + (2, 2),
+                                         (2, 0) * (l // 2 - 1) + ((2, 1, 3) if l % 2 else (0, 2))],
+                 lambda l: [math.comb(2 * l, k) for k in range(1, l - 1)] + [2 ** (l - 1)] * 2,
+                 lambda l: 2 ** (l - 1) + (0 if l % 2 else 2 * l),
+                 (lambda l: _prefixes(l, 2, l - 2) + [(1,) * (l - 1) + (-1,), (1,) * l], _halves)),
+    "E": _Family((6, 7, 8), lambda l: _chain(l - 1) + [(l - 4, l - 1, 1, 1)],
+                 {6: 36, 7: 63, 8: 120}.get, {6: 3, 7: 2, 8: 1}.get,
+                 {6: [(1, 2, 0, 1, 2, 0)], 7: [(1, 0, 1, 0, 0, 0, 1)], 8: []}.get,
+                 {6: [27, 351, 2925, 351, 27, 78], 7: [56, 1539, 27664, 365750, 8645, 133, 912],
+                  8: [248, 30380, 2450240, 146325270, 6899079264, 6696000, 3875, 147250]}.get,
+                 {6: 27, 7: 56, 8: 248}.get, None),
+    "F": _Family((4,), lambda l: [(0, 1, 1, 1), (1, 2, 1, 2), (2, 3, 1, 1)], lambda l: 24,
+                 lambda l: 1, lambda l: [], lambda l: [26, 273, 1274, 52], lambda l: 26, None),
+    "G": _Family((2,), lambda l: [(0, 1, 1, 3)], lambda l: 6, lambda l: 1, lambda l: [],
+                 lambda l: [7, 14], lambda l: 7, None),
 }
 
 
@@ -137,10 +134,10 @@ def _center(stype: SimpleType) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """(d, classes): the center order and the nonidentity central classes as sorted integer
     vectors x mod d, x standing for x/d mod 1, their count checked against d.  Each generator x
     adds its multiples k * x mod d until one is a class, and their sums with the earlier classes."""
-    _, _, _, order, generators, *_ = _FAMILIES[stype.family]
-    d, zero = order(stype.rank), (0,) * stype.rank
+    family = _FAMILIES[stype.family]
+    d, zero = family.order(stype.rank), (0,) * stype.rank
     classes = {zero}
-    for x in generators(stype.rank):
+    for x in family.generators(stype.rank):
         multiples, k = [], 1
         while (shift := tuple([k * a % d for a in x])) not in classes:
             multiples.append(shift)
@@ -182,7 +179,7 @@ class SimpleType(FrozenValue):
             raise ValueError(f"unknown family {_echo(family)}, expected one of A..G")
         if type(rank) is not int:
             raise ValueError(f"rank must be an integer, got {_echo(rank)}")
-        ranks = _FAMILIES[family][0]
+        ranks = _FAMILIES[family].ranks
         if isinstance(ranks, int):
             if rank < ranks:
                 raise ValueError(f"family {family} requires rank >= {ranks}, got {_echo(rank)}")
@@ -223,14 +220,14 @@ def _cartan(stype: SimpleType) -> tuple[tuple[int, ...], ...]:
     first, and RootDatum.cartan reads this."""
     l = stype.rank
     m = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
-    for i, j, a, b in _FAMILIES[stype.family][1](l):
+    for i, j, a, b in _FAMILIES[stype.family].bonds(l):
         m[i][j], m[j][i] = -a, -b
     return tuple(map(tuple, m))
 
 
 def positive_root_count(stype: SimpleType) -> int:
     """Number of positive roots, by the classical closed forms."""
-    return _FAMILIES[stype.family][2](stype.rank)
+    return _FAMILIES[stype.family].roots(stype.rank)
 
 
 def _positive_roots(cartan) -> list[tuple[int, ...]]:
@@ -304,7 +301,7 @@ class RootDatum(FrozenValue, shown=("type",)):
 
     def __init__(self, type: SimpleType):
         check_cell_budget(type)
-        form = _FAMILIES[type.family][7]
+        form = _FAMILIES[type.family].form
         if form:
             increments, factors = form[0](type.rank), form[1]
         else:
@@ -450,13 +447,13 @@ def enumerate_dominant_weights(
     entry 1 never prunes).  On L's coroots x_c = 0 and <rho, c> = <rho_L, c>,
     so those ratios multiply to dim_L(omega_pos); the rest, each at least
     1 + x_c, multiply to at least dim(lambda).  So pos is skipped when
-    dim * dim_L(omega_pos) > cap; E-G keep (1) alone.  The family table's
-    column gives both (at rank - start for L) and each fundamental weight's
-    dimension, so no fundamental weight is ever probed.
+    dim * dim_L(omega_pos) > cap; E-G keep (1) alone.  The family's
+    fundamentals give both (at rank - start for L) and each fundamental
+    weight's dimension, so no fundamental weight is ever probed.
 
     Caps above 2**max_rank() + 10 are refused unless allow_large_cap is
     True, to keep accidental huge searches from running away.  rdim
-    searches under the family table's cap, which never passes 2**rank + 10.
+    searches under the family's cap, which never passes 2**rank + 10.
     """
     if type(cap) is not int or cap < 1:
         raise ValueError(f"cap must be a positive integer, got {_echo(cap)}")
@@ -467,8 +464,8 @@ def enumerate_dominant_weights(
         raise RankBudgetError(f"cap {_echo(cap)} exceeds budget {_echo(2 ** budget + 10)}; "
                               "pass allow_large_cap=True to override")
     rank = datum.rank
-    fundamentals, _, form = _FAMILIES[datum.type.family][5:]
-    steps = list(zip(datum._increments, fundamentals(rank)))
+    family = _FAMILIES[datum.type.family]
+    steps = list(zip(datum._increments, family.fundamentals(rank)))
     factors = datum._factors
     coords = [0] * rank
     out: list[tuple[DominantWeight, int]] = []
@@ -476,7 +473,7 @@ def enumerate_dominant_weights(
     def extend(start: int, x: list[int], dim: int):
         # coords[start:] are zero; x is coords + rho in the datum's basis, and
         # dim (at most cap) is its dimension; at start 0, bound (2) is (1).
-        levi = fundamentals(rank - start) if form and 0 < start < rank else None
+        levi = family.fundamentals(rank - start) if family.form and 0 < start < rank else None
         for pos in range(start, rank):
             if levi and dim * levi[pos - start] > cap:  # bound (2): no completion fits
                 continue
@@ -504,9 +501,9 @@ def check_cell_budget(stype: SimpleType):
     """Refuse a type whose data would pass the cell budget, from the family
     table before any of it is built: rank**2 Cartan cells, d * rank cells
     for the d center classes and |positive roots| * rank coroot cells."""
-    _, _, roots, order, *_ = _FAMILIES[stype.family]
-    l = stype.rank
-    cells, budget = l * (l + order(l) + roots(l)), _budget(CELLS_ENV_VAR, DEFAULT_MAX_CELLS)
+    family, l = _FAMILIES[stype.family], stype.rank
+    cells = l * (l + family.order(l) + family.roots(l))
+    budget = _budget(CELLS_ENV_VAR, DEFAULT_MAX_CELLS)
     if cells > budget:
         raise ResourceGuardError(
             f"type {stype.family}{_echo(l)} takes {_echo(cells)} cells (Cartan matrix, center "

@@ -39,7 +39,7 @@ def test_tree_center_matches_bareiss_at_high_rank(fam, rank):
 @pytest.mark.parametrize("fam,rank", _types(40))
 def test_family_table_holds_the_center_order(fam, rank):
     d, classes = _center(SimpleType(fam, rank))
-    assert _FAMILIES[fam][3](rank) == d == len(classes) + 1
+    assert _FAMILIES[fam].order(rank) == d == len(classes) + 1
 
 
 def test_a200_center_is_linear_work():

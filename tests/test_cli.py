@@ -731,9 +731,8 @@ def test_huge_rank_is_refused_before_anything_is_built(capsys, monkeypatch, comm
     # The Cartan matrix reads the bonds, the center the generators, the
     # enumeration the fundamental dimensions, rdim the cap, and a datum the
     # epsilon form; a datum checks the cell budget before any of them.
-    ranks, _, roots, order, *_ = rootdata._FAMILIES["A"]
-    monkeypatch.setitem(rootdata._FAMILIES, "A",
-                        (ranks, refuse, roots, order, refuse, refuse, refuse, (refuse, refuse)))
+    monkeypatch.setitem(rootdata._FAMILIES, "A", rootdata._FAMILIES["A"]._replace(
+        bonds=refuse, generators=refuse, fundamentals=refuse, cap=refuse, form=(refuse, refuse)))
     argv = [command, "--family", "A", "--rank", "100000", *SIZED_COMMANDS[command]]
     tracemalloc.start()
     try:

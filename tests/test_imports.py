@@ -1,6 +1,7 @@
 """Each CLI subcommand loads only the strands it runs, and no command loads
-dataclasses; the package's public names resolve on first use, and the CLI
-reaches the strands through their public names only."""
+dataclasses; the package's public names resolve on first use, the CLI
+reaches the strands through their public names only, and the package reads
+the family table's rows by field name only."""
 import ast
 import inspect
 import os
@@ -105,3 +106,46 @@ def test_every_public_value_is_frozen_and_groups_take_one_table():
     assert FiniteGroup in classes
     assert [cls.__name__ for cls in classes if not issubclass(cls, FrozenValue)] == []
     assert list(inspect.signature(FiniteGroup).parameters) == ["mult"]
+
+
+def _is_family_table(node) -> bool:
+    return getattr(node, "id", getattr(node, "attr", None)) == "_FAMILIES"
+
+
+def _family_row_targets(node):
+    """The targets an assignment or loop binds a _FAMILIES row to."""
+    if isinstance(node, ast.Assign):
+        for target in node.targets:
+            pairs = (zip(target.elts, node.value.elts) if isinstance(target, ast.Tuple)
+                     and isinstance(node.value, ast.Tuple) else [(target, node.value)])
+            yield from (t for t, v in pairs
+                        if isinstance(v, ast.Subscript) and _is_family_table(v.value))
+    elif isinstance(node, (ast.For, ast.comprehension)) and isinstance(node.iter, ast.Call):
+        func = node.iter.func
+        if isinstance(func, ast.Attribute) and _is_family_table(func.value):
+            if func.attr == "values":
+                yield node.target
+            elif func.attr == "items" and isinstance(node.target, ast.Tuple):
+                yield node.target.elts[1]
+
+
+def test_family_rows_are_read_by_field_name_only():
+    # A subscript, slice or unpack of a _FAMILIES row, or of a name bound to
+    # one, would tie its reader to the field order.  The rows bound to names
+    # are counted, so that the walk cannot pass by finding none.
+    found, named = [], 0
+    for path in sorted((ROOT / "src" / "liejordan").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        targets = [t for node in ast.walk(tree) for t in _family_row_targets(node)]
+        names = {t.id for t in targets if isinstance(t, ast.Name)}
+        named += len(names)
+
+        def is_row(node):
+            return (isinstance(node, ast.Subscript) and _is_family_table(node.value)
+                    or isinstance(node, ast.Name) and node.id in names)
+
+        found += [f"{path.name}:{t.lineno}" for t in targets if not isinstance(t, ast.Name)]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Subscript, ast.Starred)) and is_row(node.value)]
+    assert found == []
+    assert named

@@ -19,7 +19,7 @@ from test_rootdata import BUDGET_TYPES, _datum, _fund
 
 def _cap(fam, rank):
     """The family table's fundamental cap, the bound rdim searches under."""
-    return rootdata._FAMILIES[fam][6](rank)
+    return rootdata._FAMILIES[fam].cap(rank)
 
 
 def closed_form(fam, rank):
@@ -152,7 +152,7 @@ def test_table_cap_matches_the_unit_weight_dp(fam):
     # The cap column against the set-cover DP over the unit weights that
     # computed it before, at every type of rank <= 40 and at A-D of rank 60
     # and 100.
-    ranks = rootdata._FAMILIES[fam][0]
+    ranks = rootdata._FAMILIES[fam].ranks
     for rank in [*range(ranks, 41), 60, 100] if isinstance(ranks, int) else ranks:
         assert _cap(fam, rank) == old.fundamental_cap(_datum(fam, rank)), (fam, rank)
 
@@ -240,9 +240,9 @@ def test_handed_fundamental_dimensions_change_no_candidate(fam, rank, monkeypatc
     cap = _cap(fam, rank)
     declared = enumerate_dominant_weights(d, cap, True)
     probed = [weyl_dim(d, _fund(rank, i)) for i in range(rank)]
-    columns = rootdata._FAMILIES[fam]
-    monkeypatch.setitem(rootdata._FAMILIES, fam, columns[:5] + (
-        lambda l: probed if l == rank else columns[5](l),) + columns[6:])
+    row = rootdata._FAMILIES[fam]
+    monkeypatch.setitem(rootdata._FAMILIES, fam, row._replace(
+        fundamentals=lambda l: probed if l == rank else row.fundamentals(l)))
     assert enumerate_dominant_weights(d, cap, True) == declared
 
 
@@ -275,7 +275,7 @@ def test_weyl_dimension_is_at_least_the_levi_product(fam, rank, data):
     # table's own column, exactly.
     d = _datum(fam, rank)
     coords = data.draw(st.lists(st.integers(0, 3), min_size=rank, max_size=rank))
-    column = rootdata._FAMILIES[fam][5]
+    column = rootdata._FAMILIES[fam].fundamentals
     for start in range(rank):
         lam = coords[:start] + [0] * (rank - start)
         dim = weyl_dim(d, DominantWeight(tuple(lam)))

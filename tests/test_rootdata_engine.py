@@ -101,13 +101,13 @@ def test_fundamental_dimensions_match_the_weyl_formula():
     # against the formula in the orthonormal basis instead.
     for fam, rank in _types(24):
         d = _datum(fam, rank)
-        assert rootdata._FAMILIES[fam][5](rank) == [
+        assert rootdata._FAMILIES[fam].fundamentals(rank) == [
             rootdata._weyl_dim(d, (0,) * i + (1,) + (0,) * (rank - i - 1),
                                list(map(add, d.rho_pairings, column)))
             for i, column in enumerate(zip(*d.positive_coroots))]
     for fam in "ABCD":
         for rank in (60, 100):
-            table = rootdata._FAMILIES[fam][5](rank)
+            table = rootdata._FAMILIES[fam].fundamentals(rank)
             assert len(table) == rank
             for k in (0, rank // 2, rank - 2, rank - 1):
                 assert table[k] == _orthonormal_fundamental_dim(fam, rank, k), (fam, rank, k)
@@ -315,7 +315,7 @@ def test_root_datum_past_the_cell_budget_is_refused_before_it_is_built(monkeypat
         raise AssertionError("built")
 
     # A datum checks the cell budget before it reads the bonds or any other column.
-    monkeypatch.setitem(rootdata._FAMILIES, "B", (2, built, *rootdata._FAMILIES["B"][2:]))
+    monkeypatch.setitem(rootdata._FAMILIES, "B", rootdata._FAMILIES["B"]._replace(bonds=built))
     with pytest.raises(ResourceGuardError, match=rootdata.CELLS_ENV_VAR) as refused:
         build_root_datum(SimpleType("B", 300))
     assert "type B300 takes" in str(refused.value)

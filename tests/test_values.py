@@ -83,6 +83,8 @@ REFUSALS = [
     (Subgroup, ((0, 1), "x"), f"{GENERATORS} 'x'"),
     (Subgroup, ((0, 1), [1]), f"{GENERATORS} [1]"),
     (Subgroup, ((0, 1), (True,)), f"{GENERATORS} (True,)"),
+    (FiniteGroup, ([[0.0, 1.0], [1.0, 0.0]],), "row 0 has non-integer entries"),
+    (FiniteGroup, ([[0, 1, 2], [1, 2, 0], [2, 0, 1.0]],), "row 2 has non-integer entries"),
     (RdimResult, (-1, None, "x"), "an rdim witness must be a WeightSet, got None"),
     (RdimResult, (3, (W((1,)),), (3,)),
      "an rdim witness must be a WeightSet, got (DominantWeight(coords=(1,)),)"),
