@@ -21,8 +21,8 @@ written, 2 malformed input, 3 a resource guard refused the computation.  A
 refusal writes one error line (after argparse's usage block on a usage
 error), each echo of input in it cut to 40 characters by _echo or, in
 argparse's messages, by _Parser.error.
-Big integers are printed in full in json and csv; in text they carry a
-digit count and a rounded magnitude once they pass 40 digits.
+Integers are printed in full, except in bound's text output, where a
+value past 40 digits carries a digit count and a rounded magnitude.
 """
 from __future__ import annotations
 

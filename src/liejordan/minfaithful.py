@@ -3,15 +3,14 @@
 For a simply connected simple group, a direct sum of irreducibles is
 faithful exactly when the highest weights jointly detect every
 nonidentity central class.  Minimising the total dimension is therefore
-a weighted set-cover problem over the nonidentity classes, solved
-exactly by dynamic programming over coverage bitmasks.  A weight covers
-the classes outside the kernel of its central character, a subgroup of
-the center, and every weight sets one more bit, "the set is nonempty",
-which is all a trivial center asks for.  Every state the DP reaches is
-the empty set, or the nonempty bit with the complement of a subgroup (an
-intersection of kernels); only those states are stored.  The center is
-cyclic or Z2 x Z2, so there are at most 1 + (divisors of its order)
-states, or 6.
+a weighted set-cover problem over the nonidentity classes.  A weight
+covers the classes outside the kernel of its central character, and only
+the cheapest weight of each coverage matters, so every set of distinct
+coverages is tried.  That is few: even D's center is Z2 x Z2, whose
+characters have kernels of index 1 or 2, so four coverages at most; the
+other centers but A's are cyclic of order at most 4, so at most three;
+and under A_l's cap below only omega_1 and omega_l, both faithful, are
+candidates.  So at most 15 sets are tried.
 
 The search for candidate weights is capped by the total dimension of the
 cheapest faithful set of fundamental weights, the family table's
@@ -30,6 +29,10 @@ far below it, and only F4's 26 reaches it.  So the enumeration's check
 on caps over 2**max_rank() + 10 never refuses an rdim within the budget.
 """
 from __future__ import annotations
+
+import functools
+import itertools
+import operator
 
 from .center import WeightSet
 from .errors import FrozenValue, _echo, _field_echo
@@ -61,49 +64,37 @@ class RdimResult(FrozenValue):
 
 def _cheapest_cover(weighted, d: int, classes):
     """The cheapest nonempty set of the given weights that detects every
-    class, as (total dim, weight count, sorted coords tuple, weights), or
-    None.  The (weight, dim) pairs come ordered by (dim, coords).
+    class, as (total dim, weight count, sorted coords tuple, weights, dims),
+    the last two in coords order, or None.  The (weight, dim) pairs come
+    ordered by (dim, coords).
 
-    Each weight covers the classes its central character does not kill,
-    and the top bit, which stands for the set being nonempty; equal
-    coverage masks keep only the first, cheapest weight.  A character is
-    a dot product over the weight's nonzero coordinates only, one for a
-    fundamental weight.
+    Each weight covers the classes its central character does not kill;
+    equal coverage masks keep only the first, cheapest weight.  A character
+    is a dot product over the weight's nonzero coordinates only, one for a
+    fundamental weight.  A trivial center's full mask is 0, which any one
+    weight covers.
     """
-    nonempty = 1 << len(classes)
-    items = []
-    seen_masks = set()
+    items = {}
     for w, dim in weighted:
-        mask = nonempty
+        mask = 0
         support = [(i, l) for i, l in enumerate(w.coords) if l]
         for bit, x in enumerate(classes):
             if sum(l * x[i] for i, l in support) % d:
                 mask |= 1 << bit
-        if mask not in seen_masks:
-            seen_masks.add(mask)
-            items.append((mask, dim, w))
+        if mask not in items:
+            items[mask] = (w.coords, dim, w)
 
-    # best[state] is such a tuple for the classes in state.  Every move sets a new bit, so
-    # the least of the (at most 7) pending states is taken only after every smaller reachable
-    # state: the relaxation order, and every tie-break, is that of an ascending scan of states.
-    best = {0: (0, 0, (), ())}
-    pending = [0]
-    while pending:
-        state = min(pending)
-        pending.remove(state)
-        total, count, key, weights = best[state]
-        for mask, dim, w in items:
-            nxt = state | mask
-            if nxt == state:
-                continue
-            cand = (total + dim, count + 1,
-                    tuple(sorted(key + (w.coords,))), weights + (w,))
-            if nxt not in best:
-                pending.append(nxt)
-            elif cand[:3] >= best[nxt][:3]:
-                continue
-            best[nxt] = cand
-    return best.get(2 * nonempty - 1)
+    # Two sets never tie on (total, count, coords), so no comparison reaches the weights.
+    full = (1 << len(classes)) - 1
+    best = None
+    for size in range(1, len(items) + 1):
+        for masks in itertools.combinations(items, size):
+            if functools.reduce(operator.or_, masks) == full:
+                coords, dims, weights = zip(*sorted(map(items.get, masks)))
+                cand = (sum(dims), size, coords, weights, dims)
+                if best is None or cand < best:
+                    best = cand
+    return best
 
 
 def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
@@ -116,14 +107,11 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     _check_flag("override", override)
     check_rank_budget(datum.type, override)
     cap = _FAMILIES[datum.type.family].cap(datum.rank)
-    candidates = enumerate_dominant_weights(datum, cap, override)
-    best = _cheapest_cover(candidates, *datum.center)
+    best = _cheapest_cover(enumerate_dominant_weights(datum, cap, override), *datum.center)
     if best is None:
         raise AssertionError(f"no faithful weight set under cap for {datum.type}")
-    total, _, _, weights = best
-    witness = WeightSet(weights)
-    dims = dict(candidates)
-    return RdimResult(total, witness, tuple(dims[w] for w in witness))
+    total, _, _, weights, dims = best
+    return RdimResult(total, WeightSet(weights), dims)
 
 
 def rdim_table(table_max_rank: int):

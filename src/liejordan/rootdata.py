@@ -523,4 +523,4 @@ def check_rank_budget(stype: SimpleType, override: bool = False):
     if stype.rank > budget and not override:
         raise RankBudgetError(
             f"rank {_echo(stype.rank)} exceeds budget {budget}; "
-            f"set {RANK_ENV_VAR} or pass override=True")
+            f"set {RANK_ENV_VAR} to raise it (override=True in the library)")

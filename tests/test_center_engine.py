@@ -1,10 +1,10 @@
-"""The integer center and the reachable-state rdim DP against the first code.
+"""The integer center and the rdim cover against the first code.
 
 The oracle (old_center.py) computes the center with a Bareiss determinant
 and a Fraction inverse on every call, and runs the rdim DP over all
 2**|classes| coverage states.  The code under test keeps the classes as
 integer vectors mod the Cartan determinant, computed once per datum, and
-stores only the reachable DP states.  Their center orders, class lists,
+tries every set of distinct coverages.  Their center orders, class lists,
 faithfulness verdicts and rdim results, witnesses included, must agree.
 pair, which now sums in integers over a common denominator, must give the
 first pairing's value or raise its exception type on any element, except

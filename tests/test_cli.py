@@ -380,7 +380,7 @@ def test_rdim_checks_the_rank_budget_before_building(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "rdim", "--family", "A", "--rank", "10")
     assert (code, out) == (3, "")
     assert err == ("error: rank 10 exceeds budget 9; "
-                   "set LIEJORDAN_MAX_RANK or pass override=True\n")
+                   "set LIEJORDAN_MAX_RANK to raise it (override=True in the library)\n")
 
 
 def test_a_long_rank_is_quoted_short(capsys):
@@ -524,8 +524,8 @@ def test_help_into_a_closed_stdout_exits_1(argv):
 
 @pytest.mark.parametrize("rank,expected", [
     ("3", (1, b"")),
-    ("30", (3, b"error: rank 30 exceeds budget 9; set LIEJORDAN_MAX_RANK or pass "
-               b"override=True\n")),
+    ("30", (3, b"error: rank 30 exceeds budget 9; set LIEJORDAN_MAX_RANK to raise it "
+               b"(override=True in the library)\n")),
 ])
 def test_an_answer_with_fd_1_closed_at_start_exits_1(rank, expected):
     # With fd 1 closed before the interpreter starts, sys.stdout is None:

@@ -80,8 +80,8 @@ def test_public_names_resolve_and_are_listed():
 
 
 def test_no_command_loads_heapq(modules):
-    # rdim's set-cover DP takes the least of its at most 7 pending states
-    # from a plain list, and finitegroup._class_unions keeps one list per order.
+    # rdim's cover scans the sets of its coverages, and
+    # finitegroup._class_unions keeps one list per order.
     assert [name for name, loaded in modules.items() if "heapq" in loaded] == []
 
 

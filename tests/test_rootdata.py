@@ -196,7 +196,7 @@ def test_ranks_past_the_int_str_limit_are_quoted_short(monkeypatch):
     with pytest.raises(RankBudgetError) as err:
         check_rank_budget(SimpleType("A", huge))
     assert str(err.value) == (f"rank {'1' + '0' * 39}... exceeds budget 9; "
-                              "set LIEJORDAN_MAX_RANK or pass override=True")
+                              "set LIEJORDAN_MAX_RANK to raise it (override=True in the library)")
 
 
 def test_rank_budget_env(monkeypatch):
