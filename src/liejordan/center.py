@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 
 from .errors import FrozenValue, ResourceGuardError, _digit_budget, _echo, _field_echo
-from .rootdata import DominantWeight, RootDatum
+from .rootdata import DominantWeight, RootDatum, _instance
 
 
 class CenterClass(FrozenValue):
@@ -112,7 +112,7 @@ def _fractions(coords) -> tuple[Fraction, ...]:
 def center_classes(datum: RootDatum) -> list[CenterClass]:
     """All nonidentity central classes, sorted lexicographically."""
     import fractions
-    d, classes = _center_of(datum)
+    d, classes = _instance(datum, RootDatum).center
     shares = [fractions.Fraction(c, d) for c in range(d)]  # each coordinate is some c/d, built once
     return [CenterClass(tuple([shares[c] for c in x])) for x in classes]
 
@@ -137,7 +137,7 @@ def pair(weight: DominantWeight, element) -> Fraction:
 def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:
     """Whether the direct sum over the weight set has trivial kernel: whether
     every nonidentity central class is detected by some weight in the set."""
-    d, classes = _center_of(datum)
+    d, classes = _instance(datum, RootDatum).center
     for w in weight_set:
         if len(w.coords) != datum.rank:
             raise ValueError(
@@ -146,9 +146,3 @@ def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:
         any(sum(l * c for l, c in zip(w.coords, x)) % d for w in weight_set)
         for x in classes)
 
-
-def _center_of(datum) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The center (d, classes) of a root datum; anything else is refused."""
-    if not isinstance(datum, RootDatum):
-        raise ValueError(f"expected a RootDatum, got {_echo(datum)}")
-    return datum.center

@@ -36,8 +36,8 @@ import operator
 
 from .center import WeightSet
 from .errors import FrozenValue, _echo, _field_echo
-from .rootdata import (_FAMILIES, RootDatum, SimpleType, _check_flag, build_root_datum,
-                       check_rank_budget, enumerate_dominant_weights)
+from .rootdata import (_FAMILIES, RootDatum, SimpleType, _check_flag, _instance,
+                       build_root_datum, check_rank_budget, enumerate_dominant_weights)
 
 
 class RdimResult(FrozenValue):
@@ -104,6 +104,7 @@ def rdim(datum: RootDatum, override: bool = False) -> RdimResult:
     smallest sorted list of weight coordinates.  Ranks over the budget
     are refused unless override is True.
     """
+    _instance(datum, RootDatum)
     _check_flag("override", override)
     check_rank_budget(datum.type, override)
     cap = _FAMILIES[datum.type.family].cap(datum.rank)

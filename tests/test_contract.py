@@ -39,9 +39,9 @@ GROUPS = CORPUS + [(FIXTURES / name).read_text() for name in ("s3.grp", "s4.grp"
 # written in at most 10 bytes (a \U escape in a repr): 869 bytes of stderr
 # for the two echoes of an unreadable --input, 839 for an invalid
 # --family-of-groups below bound's usage block.  dim at B215 with weight
-# 1,0,...,0, the largest classical dim the cell budget admits, took 2.3 s
-# and a traced peak of 80 MiB; center at A268 1.0 s.  Drawn examples take
-# under 0.1 s.
+# 1,0,...,0, the largest classical dim the cell budget admits, took
+# 0.13-0.26 s and a traced peak of 3.3 MiB; center at A268 0.5-0.9 s
+# (Python 3.11, shared host).  Drawn examples take under 0.1 s.
 STDERR_BYTES = 1024
 SECONDS = 10.0
 PEAK_BYTES = 192 * 2 ** 20

@@ -280,6 +280,11 @@ def test_table_validation():
         FiniteGroup([[0, 1], [0, 1]])
     with pytest.raises(ValueError, match="row 0 is not the identity"):
         FiniteGroup([[1, 0], [0, 1]])
+    # Row 0 is the identity and every row and column a permutation, but column 0 is not.
+    with pytest.raises(ValueError, match="column 0 is not the identity"):
+        FiniteGroup([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    with pytest.raises(ValueError, match="column 0 is not the identity"):
+        parse_group("table 3\n0 1 2\n2 0 1\n1 2 0\n")
     with pytest.raises(ValueError, match="at least the identity"):
         FiniteGroup([])
 

@@ -16,7 +16,7 @@ from liejordan.center import CenterClass, WeightSet, center_classes, is_faithful
 from liejordan.finitegroup import FiniteGroup, Subgroup
 from liejordan.minfaithful import RdimResult, rdim, rdim_table
 from liejordan.rootdata import (DominantWeight, RootDatum, SimpleType, build_root_datum,
-                                enumerate_dominant_weights)
+                                enumerate_dominant_weights, weyl_dim)
 
 W = DominantWeight
 
@@ -103,6 +103,14 @@ REFUSALS = [
     (center_classes, (SimpleType("A", 3),), "expected a RootDatum, got A3"),
     (is_faithful, ("A1", WeightSet((W((1,)),))), "expected a RootDatum, got 'A1'"),
     (is_faithful, (None, WeightSet((W((1,)),))), "expected a RootDatum, got None"),
+    (rdim, ("A3",), "expected a RootDatum, got 'A3'"),
+    (rdim, (SimpleType("A", 3), True), "expected a RootDatum, got A3"),
+    (weyl_dim, ("A3", W((1, 0, 0))), "expected a RootDatum, got 'A3'"),
+    (enumerate_dominant_weights, ("A3", 5), "expected a RootDatum, got 'A3'"),
+    (enumerate_dominant_weights, (None, 5, True), "expected a RootDatum, got None"),
+    (build_root_datum, ("A3",), "expected a SimpleType, got 'A3'"),
+    (RootDatum, ("A3",), "expected a SimpleType, got 'A3'"),
+    (RootDatum, (("A", 3),), "expected a SimpleType, got (A, 3)"),
     (GroupDims, (-1,), "dimension must be a non-negative integer, got -1"),
     (GroupDims, (1.5,), "dimension must be a non-negative integer, got 1.5"),
     (GroupDims, (1, 0), "component count must be a positive integer, got 0"),
