@@ -126,7 +126,7 @@ def pair(weight: DominantWeight, element) -> Fraction:
     """
     import fractions
     coords = element.coords if isinstance(element, CenterClass) else _fractions(element)
-    if len(coords) != len(weight.coords):
+    if len(coords) != len(_instance(weight, DominantWeight).coords):
         raise ValueError(
             f"element has {len(coords)} coordinates, weight has {len(weight.coords)}")
     den = math.lcm(*[c.denominator for c in coords])

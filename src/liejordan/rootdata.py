@@ -10,7 +10,8 @@ reads them off lambda + rho in its own coordinates:
 * A-D: the orthonormal basis e_i of Bourbaki's Plates I-IV, doubled for
   B and D so the coordinates stay integers, where each pairing is
   x_i -+ x_j, a half of it, or x_i: O(rank) numbers in place of the
-  rank * |positive roots| cells of the coroots;
+  rank * |positive roots| cells of the coroots.  B-D multiply x_i**2 - x_j**2
+  for each pair x_i -+ x_j, and form per-coroot factors only for the digit guard;
 * E-G: the pairings themselves, over the coroots that the reflection
   closure finds from the transposed Cartan matrix, at most 120.
 
@@ -92,31 +93,37 @@ def _halves(x: list[int]) -> list[int]:
 # cap: the least total dimension of a faithful set of fundamental weights: the defining
 #   representation for A and C, the spin one for B and odd D, the vector and a half-spin one
 #   for even D, and the least fundamental one, which is faithful, for E-G.
-# form: for A-D (increments, factors), the vectors of omega_k in the orthonormal basis e_i,
-#   doubled for B and D, and the map from lambda + rho there to its Weyl factors; None for
-#   E-G, whose coroots come from the reflection closure.
+# form: for A-D (increments, factors, numerator), the vectors of omega_k in the orthonormal
+#   basis e_i, doubled for B and D, and the maps from lambda + rho there to its Weyl factors
+#   and to their product, which B-D form from x_i**2 - x_j**2 (over 4 for B and D, whose
+#   coordinates share a parity, so a square is 0 or 1 mod 4: x_i**2 >> 2 - x_j**2 >> 2); None
+#   for E-G, whose coroots come from the reflection closure.
 _Family = namedtuple("_Family", "ranks bonds roots order generators fundamentals cap form")
 _FAMILIES = {
     "A": _Family(1, _chain, lambda l: l * (l + 1) // 2, lambda l: l + 1,
                  lambda l: [tuple(range(1, l + 1))],
                  lambda l: [math.comb(l + 1, k) for k in range(1, l + 1)], lambda l: l + 1,
-                 (lambda l: _prefixes(l + 1, 1, l), _differences)),
+                 (lambda l: _prefixes(l + 1, 1, l), _differences,
+                  lambda x: _product(_differences(x)))),
     "B": _Family(2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 2, 1)], lambda l: l * l,
                  lambda l: 2, lambda l: [(0,) * (l - 1) + (1,)],
                  lambda l: [math.comb(2 * l + 1, k) for k in range(1, l)] + [2 ** l],
                  lambda l: 2 ** l,
-                 (lambda l: _prefixes(l, 2, l - 1) + [(1,) * l], lambda x: _halves(x) + x)),
+                 (lambda l: _prefixes(l, 2, l - 1) + [(1,) * l], lambda x: _halves(x) + x,
+                  lambda x: _product(_differences([a * a >> 2 for a in x]) + x))),
     "C": _Family(2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 1, 2)], lambda l: l * l,
                  lambda l: 2, lambda l: [(1, 0) * (l // 2) + (1,) * (l % 2)],
                  lambda l: [2 * l] + [math.comb(2 * l, k) - math.comb(2 * l, k - 2)
                                       for k in range(2, l + 1)], lambda l: 2 * l,
-                 (lambda l: _prefixes(l, 1, l), lambda x: _pairs(x) + x)),
+                 (lambda l: _prefixes(l, 1, l), lambda x: _pairs(x) + x,
+                  lambda x: _product(_differences([a * a for a in x]) + x))),
     "D": _Family(3, lambda l: _chain(l - 1) + [(l - 3, l - 1, 1, 1)], lambda l: l * (l - 1),
                  lambda l: 4, lambda l: [(0,) * (l - 2) + (2, 2),
                                          (2, 0) * (l // 2 - 1) + ((2, 1, 3) if l % 2 else (0, 2))],
                  lambda l: [math.comb(2 * l, k) for k in range(1, l - 1)] + [2 ** (l - 1)] * 2,
                  lambda l: 2 ** (l - 1) + (0 if l % 2 else 2 * l),
-                 (lambda l: _prefixes(l, 2, l - 2) + [(1,) * (l - 1) + (-1,), (1,) * l], _halves)),
+                 (lambda l: _prefixes(l, 2, l - 2) + [(1,) * (l - 1) + (-1,), (1,) * l], _halves,
+                  lambda x: _product(_differences([a * a >> 2 for a in x])))),
     "E": _Family((6, 7, 8), lambda l: _chain(l - 1) + [(l - 4, l - 1, 1, 1)],
                  {6: 36, 7: 63, 8: 120}.get, {6: 3, 7: 2, 8: 1}.get,
                  {6: [(1, 2, 0, 1, 2, 0)], 7: [(1, 0, 1, 0, 0, 0, 1)], 8: []}.get,
@@ -275,7 +282,8 @@ def _product(values: list[int]) -> int:
     """The product of a list of integers.  Below 512 factors math.prod is faster; from there,
     multiplying in pairs round by round costs a few multiplications of the result's size where
     math.prod's steps cost its square.  512 is the crossover measured on Python 3.11 for factors
-    of 6 to 24 bits: math.prod is level at 384, 1.2x slower at 512 and 2x at 1024."""
+    of 5 to 48 bits: math.prod is 1.0-1.3x slower at 512 and 1.6-2.1x at 1024.  At 378-496, it
+    is 1.1-1.35x faster on A's 5-bit factors and 1.0-1.3x slower on B-D's 10-13-bit ones."""
     if len(values) < 512:
         return math.prod(values)
     while len(values) > 1:
@@ -290,24 +298,26 @@ class RootDatum(FrozenValue, shown=("type",)):
     A weight lambda + rho is carried in the datum's own coordinates: the
     orthonormal ones of the epsilon form for A-D, its pairings with the
     positive coroots for E-G.  Raising lambda_k by one adds increment k
-    (for E-G, column k of the coroots), and the family's factors map the
-    coordinates to the Weyl factors <lambda + rho, c>.  rho is the sum of
-    the increments; its pairings, in ascending order, and their product,
-    the denominator of the Weyl formula, are derived on construction, and
-    so is the center (d, classes) of _center.  The Cartan matrix and the
-    positive coroots are views, formed on each access; cartan is the one
-    public reader of the Cartan matrix.
+    (for E-G, column k of the coroots), the family's factors map the
+    coordinates to the Weyl factors <lambda + rho, c> and its numerator to
+    their product.  rho is the sum of the increments; its pairings, in
+    ascending order, and their product, the Weyl formula's denominator, are
+    derived on construction, and so is the center (d, classes) of _center.
+    The Cartan matrix and the positive coroots are views, formed on each
+    access; cartan is the one public reader of the Cartan matrix.
     """
 
-    __slots__ = ("type", "rho_pairings", "rho_product", "center", "_rho", "_increments", "_factors")
+    __slots__ = ("type", "rho_pairings", "rho_product", "center", "_rho", "_increments", "_factors",
+                 "_numerator")
 
     def __init__(self, type: SimpleType):
         check_cell_budget(_instance(type, SimpleType))
         form = _FAMILIES[type.family].form
         if form:
-            increments, factors = form[0](type.rank), form[1]
+            increments, factors, numerator = form[0](type.rank), form[1], form[2]
         else:
-            increments, factors = list(zip(*_positive_roots(tuple(zip(*_cartan(type)))))), list
+            increments = list(zip(*_positive_roots(tuple(zip(*_cartan(type))))))
+            factors, numerator = list, _product
         rho = [sum(column) for column in zip(*increments)]
         pairings = sorted(factors(rho))
         expected = positive_root_count(type)
@@ -320,6 +330,7 @@ class RootDatum(FrozenValue, shown=("type",)):
         object.__setattr__(self, "_rho", tuple(rho))
         object.__setattr__(self, "_increments", tuple(increments))
         object.__setattr__(self, "_factors", factors)
+        object.__setattr__(self, "_numerator", numerator)
 
     @property
     def rank(self) -> int:
@@ -376,32 +387,36 @@ def build_root_datum(stype: SimpleType) -> RootDatum:
     return RootDatum(stype)
 
 
-def _weyl_dim(datum: RootDatum, coords, factors) -> int:
-    """Weyl dimension of coords (any rank integers) from its factors
-    <coords + rho, c> over the positive coroots c: their product over that
-    of the <rho, c>.
-
-    A quotient with more digits than exact integers are kept with is
-    refused, before the product is formed when the factors show it (a
-    factor f is at least 2**(f.bit_length() - 1)).  A factor is
-    sum((coords_i + 1) * c_i), at most (max coordinate + 1) times <rho, c>,
-    and so at most that times the largest rho-pairing, the last of the
-    ascending rho_pairings: short answers clear at once, longer ones after
-    the lower bound.  _product multiplies either, choosing by factor count.
+def _weyl_dim(datum: RootDatum, coords, x) -> int:
+    """Weyl dimension of coords (any rank integers) from x = coords + rho in
+    the datum's basis: the product of the factors <coords + rho, c> over the
+    positive coroots c, over that of the <rho, c>.  A factor is at most (max
+    coordinate + 1) times <rho, c>, so at most that times the last of the
+    ascending rho_pairings.  Short answers clear the digit guard at once, and
+    the family's numerator multiplies their factors, for B-D as
+    x_i**2 - x_j**2; longer ones go to _guarded_weyl_dim as per-coroot factors.
     """
     rho = datum.rho_pairings
-
-    def quotient() -> int:
-        dim, rem = divmod(_product(factors), datum.rho_product)
-        if rem:
-            raise AssertionError(f"non-integral dimension for {datum.type} at {_echo(coords)}")
-        return dim
-
     top = (max(coords) + 1).bit_length() + rho[-1].bit_length()
     if len(rho) * top <= 3 * _FORMED_PER_PRINTED * _digit_budget():  # 8**k < 10**k
-        return quotient()
-    return _formed(sum(f.bit_length() - 1 - r.bit_length()
-                       for f, r in zip(factors, rho)), quotient)
+        return _quotient(datum, coords, datum._numerator(x))
+    return _guarded_weyl_dim(datum, coords, datum._factors(x))
+
+
+def _guarded_weyl_dim(datum: RootDatum, coords, factors) -> int:
+    """Weyl dimension of coords from its factors <coords + rho, c>, refused when it has more
+    digits than exact integers are kept with: before their product is formed when the factors
+    show it (a factor f is at least 2**(f.bit_length() - 1)), else after."""
+    bits = sum(f.bit_length() - 1 - r.bit_length() for f, r in zip(factors, datum.rho_pairings))
+    return _formed(bits, lambda: _quotient(datum, coords, _product(factors)))
+
+
+def _quotient(datum: RootDatum, coords, numerator: int) -> int:
+    """The Weyl numerator of coords over rho_product, which divides it."""
+    dim, rem = divmod(numerator, datum.rho_product)
+    if rem:
+        raise AssertionError(f"non-integral dimension for {datum.type} at {_echo(coords)}")
+    return dim
 
 
 def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
@@ -411,7 +426,7 @@ def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
     off) raises ResourceGuardError, before the product is formed when its
     factors already show the size."""
     _instance(datum, RootDatum)
-    coords = weight.coords
+    coords = _instance(weight, DominantWeight).coords
     if len(coords) != datum.rank:
         raise ValueError(
             f"weight has {len(coords)} coordinates, type {datum.type} has rank {datum.rank}")
@@ -419,7 +434,7 @@ def weyl_dim(datum: RootDatum, weight: DominantWeight) -> int:
     for c, increment in zip(coords, datum._increments):
         if c:
             x = [a + c * b for a, b in zip(x, increment)]
-    return _weyl_dim(datum, coords, datum._factors(x))
+    return _weyl_dim(datum, coords, x)
 
 
 def enumerate_dominant_weights(
@@ -468,7 +483,6 @@ def enumerate_dominant_weights(
     rank = datum.rank
     family = _FAMILIES[datum.type.family]
     steps = list(zip(datum._increments, family.fundamentals(rank)))
-    factors = datum._factors
     coords = [0] * rank
     out: list[tuple[DominantWeight, int]] = []
 
@@ -487,7 +501,7 @@ def enumerate_dominant_weights(
                 coords[pos] = value
                 raised = list(map(add, raised, increment))
                 # Only the zero weight has dimension 1, so then coords is omega_pos.
-                grown = fundamental if grown == 1 else _weyl_dim(datum, coords, factors(raised))
+                grown = fundamental if grown == 1 else _weyl_dim(datum, coords, raised)
                 if grown > cap:
                     break
                 out.append((DominantWeight(tuple(coords)), grown))

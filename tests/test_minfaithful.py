@@ -271,6 +271,22 @@ def test_rdim_probes_each_fundamental_weight_once(monkeypatch):
     assert not [coords for coords in calls if sum(coords) == 1]
 
 
+def test_rdim_probes_multiply_one_factor_per_pair_of_coroots(monkeypatch):
+    # A work pin beside the probe count: the B-D numerators multiply
+    # x_i**2 - x_j**2 once for the coroot pair x_i -+ x_j, so the 116 probes
+    # over these 65 types multiply 9892 factors, where the per-coroot factors
+    # of each probe were 18979.  The datums are built first, so only the
+    # probes' products are counted.
+    data = [_datum(fam, rank) for fam, rank in RANK_16_TYPES]
+    sizes = []
+    multiply = rootdata._product
+    monkeypatch.setattr(rootdata, "_product",
+                        lambda values: sizes.append(len(values)) or multiply(values))
+    for d in data:
+        rdim(d, override=True)
+    assert (len(sizes), sum(sizes)) == (116, 9892)
+
+
 @pytest.mark.parametrize("fam,rank", RANK_16_TYPES)
 def test_handed_fundamental_dimensions_change_no_candidate(fam, rank, monkeypatch):
     # The enumeration takes the fundamental dimensions the family table

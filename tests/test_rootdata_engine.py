@@ -6,8 +6,10 @@ values as the oracle's if/elif chains, which the family table replaced.
 The oracle (old_rootdata.py) also recomputes each pairing in the coroot closure,
 multiplies the Weyl factors with no digit guard and evaluates every weight
 it keeps twice.  The code under test carries the pairings through the
-closure, forms the product in one guarded routine, and carries the factors
-down the enumeration so that each vector is evaluated once.  Their coroot
+closure, forms the product from the family's numerator (B-D multiply
+x_i**2 - x_j**2) or, past the guard's short path, from the per-coroot
+factors in one guarded routine, and carries lambda + rho down the
+enumeration so that each vector is evaluated once.  Their coroot
 lists, values and ordered (weight, dim) lists must agree; past the
 kept-digit limit the code under test refuses instead, before the product
 is formed.
@@ -94,16 +96,16 @@ def _orthonormal_fundamental_dim(fam, l, k):
 
 
 def test_fundamental_dimensions_match_the_weyl_formula():
-    # The family table's column against weyl_dim at each unit weight, whose
-    # Weyl factors <omega_i + rho, c> are <rho, c> + c_i, at every node of
+    # The family table's column against the guarded Weyl routine at each unit
+    # weight, whose Weyl factors <omega_i + rho, c> are <rho, c> + c_i, at every node of
     # every type of rank <= 24.  At ranks 60 and 100, where a datum has up to
     # 10**4 coroots, the first, middle and last two nodes of A-D are checked
     # against the formula in the orthonormal basis instead.
     for fam, rank in _types(24):
         d = _datum(fam, rank)
         assert rootdata._FAMILIES[fam].fundamentals(rank) == [
-            rootdata._weyl_dim(d, (0,) * i + (1,) + (0,) * (rank - i - 1),
-                               list(map(add, d.rho_pairings, column)))
+            rootdata._guarded_weyl_dim(d, (0,) * i + (1,) + (0,) * (rank - i - 1),
+                                       list(map(add, d.rho_pairings, column)))
             for i, column in enumerate(zip(*d.positive_coroots))]
     for fam in "ABCD":
         for rank in (60, 100):
@@ -111,6 +113,27 @@ def test_fundamental_dimensions_match_the_weyl_formula():
             assert len(table) == rank
             for k in (0, rank // 2, rank - 2, rank - 1):
                 assert table[k] == _orthonormal_fundamental_dim(fam, rank, k), (fam, rank, k)
+
+
+NUMERATOR_TYPES = _types(24)[:-5] + [(fam, rank) for fam in "ABCD" for rank in (33, 60, 100)]
+
+
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_numerators_are_the_products_of_the_factors(data):
+    # Each A-D numerator, which multiplies x_i**2 - x_j**2 for B-D, against the
+    # product of the per-coroot factors at a random dominant lambda + rho, at
+    # every rank <= 24 and at ranks 33, 60 and 100: numerators and factor
+    # lists reach both sides of _product's switch at 512 factors.
+    for fam, rank in NUMERATOR_TYPES:
+        d = _datum(fam, rank)
+        top = data.draw(st.sampled_from([0, 1, 3, 100, 10 ** 6]))
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        x = list(d._rho)
+        for increment in d._increments:
+            c = rng.randint(0, top)
+            x = [a + c * b for a, b in zip(x, increment)]
+        assert d._numerator(x) == rootdata._product(d._factors(x)), (fam, rank, x)
 
 
 @pytest.mark.parametrize("fam,rank", _types(12))
@@ -169,7 +192,8 @@ def _coroot_weyl_dim(d, coords):
     """weyl_dim with each factor formed as the oracle forms it, the dot
     product of coords + 1 with a positive coroot, through the same guard."""
     shifted = [x + 1 for x in coords]
-    return rootdata._weyl_dim(d, coords, [sum(map(mul, shifted, c)) for c in d.positive_coroots])
+    factors = [sum(map(mul, shifted, c)) for c in d.positive_coroots]
+    return rootdata._guarded_weyl_dim(d, coords, factors)
 
 
 @settings(max_examples=100, deadline=None)

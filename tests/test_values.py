@@ -106,6 +106,10 @@ REFUSALS = [
     (rdim, ("A3",), "expected a RootDatum, got 'A3'"),
     (rdim, (SimpleType("A", 3), True), "expected a RootDatum, got A3"),
     (weyl_dim, ("A3", W((1, 0, 0))), "expected a RootDatum, got 'A3'"),
+    (weyl_dim, (A1, (1,)), "expected a DominantWeight, got (1,)"),
+    (weyl_dim, (A1, None), "expected a DominantWeight, got None"),
+    (pair, ((1, 0, 0), ["1/2", 0, 0]), "expected a DominantWeight, got (1, 0, 0)"),
+    (pair, (None, ("1/2",)), "expected a DominantWeight, got None"),
     (enumerate_dominant_weights, ("A3", 5), "expected a RootDatum, got 'A3'"),
     (enumerate_dominant_weights, (None, 5, True), "expected a RootDatum, got None"),
     (build_root_datum, ("A3",), "expected a SimpleType, got 'A3'"),
