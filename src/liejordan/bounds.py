@@ -26,7 +26,7 @@ import math
 from functools import lru_cache
 
 from .errors import (_FORMED_PER_PRINTED, FrozenValue, _digit_budget, _echo, _formed,
-                     _refusal, _within)
+                     _instance, _refusal, _within)
 
 _EXACT_SPORADIC = frozenset({63, 65, 67, 69})
 _EXACT_FROM = 71
@@ -164,7 +164,7 @@ def expr_to_json(expr: Bound) -> dict:
     Integers travel as decimal strings so arbitrary-precision values
     survive any JSON reader.
     """
-    if expr.value is not None:
+    if _instance(expr, Bound).value is not None:
         return {"kind": "exact", "value": expr.render()}
     j = {"kind": "symbolic_j", "arg": expr.k}
     if expr.b == 1:

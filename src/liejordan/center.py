@@ -31,8 +31,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import FrozenValue, ResourceGuardError, _digit_budget, _echo, _field_echo
-from .rootdata import DominantWeight, RootDatum, _instance
+from .errors import (FrozenValue, ResourceGuardError, _digit_budget, _echo, _field_echo,
+                     _instance)
+from .rootdata import DominantWeight, RootDatum
 
 
 class CenterClass(FrozenValue):
@@ -64,7 +65,7 @@ class WeightSet(FrozenValue):
             raise ValueError("a weight set must contain at least one weight")
         seen = set()
         for w in weights:
-            if w.is_zero:
+            if _instance(w, DominantWeight).is_zero:
                 raise ValueError("the zero weight detects nothing and is not allowed")
             if w.coords in seen:
                 raise ValueError(f"duplicate weight {_echo(w.coords)}")

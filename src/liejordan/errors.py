@@ -3,7 +3,9 @@
 Input problems (bad types, malformed files, invalid coordinates) raise
 plain ValueError subclasses; blown resource guards raise
 ResourceGuardError subclasses so callers can tell "you asked for
-something wrong" apart from "you asked for something too big".
+something wrong" apart from "you asked for something too big".  Every
+strand refuses an argument of the wrong class ("expected a RootDatum")
+or a flag that is not a bool through the one check here.
 DEFAULT_JORDAN_LIMIT, the largest finite-group order accepted unless the
 caller raises it, sits beside OrderLimitError, the refusal it triggers,
 so the CLI can state it without loading the finite-group strand.
@@ -137,6 +139,19 @@ def _formed(bits_at_least: int, make) -> int:
     if digits > limit:
         raise _refusal(_echo(digits), limit)
     return _within(make(), limit)
+
+
+def _instance(value, cls):
+    """value, refused unless it is an instance of cls: an argument of the wrong type."""
+    if not isinstance(value, cls):
+        raise ValueError(f"expected a {cls.__name__}, got {_echo(value)}")
+    return value
+
+
+def _check_flag(name: str, value) -> None:
+    """Refuse a flag that is not a bool, since any object has a truth value."""
+    if type(value) is not bool:
+        raise ValueError(f"{name} must be True or False, got {_echo(value)}")
 
 
 def _echo(value) -> str:

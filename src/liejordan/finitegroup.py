@@ -36,7 +36,8 @@ from __future__ import annotations
 from itertools import product
 from operator import ge, itemgetter
 
-from .errors import DEFAULT_JORDAN_LIMIT, FrozenValue, OrderLimitError, _echo, _field_echo
+from .errors import (DEFAULT_JORDAN_LIMIT, FrozenValue, OrderLimitError, _echo, _field_echo,
+                     _instance)
 
 _KNOB = "; raise it with --jordan-limit (max_order in the library)"
 
@@ -235,7 +236,7 @@ def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup
     a max_order below 1 is malformed input.
     """
     _check_limit(max_order)
-    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln.strip() for ln in _instance(text, str).splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError("empty group description")
@@ -441,6 +442,7 @@ def _least_supplement(G: FiniteGroup, value: int, A: int) -> Subgroup:
 def _jordan(G: FiniteGroup, max_order: int) -> tuple[int, int]:
     """J and the mask of a largest normal abelian subgroup A of G, from
     which J = |G| / |A|, once G passes the order limit."""
+    _instance(G, FiniteGroup)
     _check_limit(max_order)
     if G.order > max_order:
         raise OrderLimitError(f"group order {G.order} exceeds limit {max_order}{_KNOB}")

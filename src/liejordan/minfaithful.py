@@ -35,9 +35,9 @@ import itertools
 import operator
 
 from .center import WeightSet
-from .errors import FrozenValue, _echo, _field_echo
-from .rootdata import (_FAMILIES, RootDatum, SimpleType, _check_flag, _instance,
-                       build_root_datum, check_rank_budget, enumerate_dominant_weights)
+from .errors import FrozenValue, _check_flag, _echo, _field_echo, _instance
+from .rootdata import (_FAMILIES, RootDatum, SimpleType, build_root_datum, check_rank_budget,
+                       enumerate_dominant_weights)
 
 
 class RdimResult(FrozenValue):

@@ -10,8 +10,8 @@ reads them off lambda + rho in its own coordinates:
 * A-D: the orthonormal basis e_i of Bourbaki's Plates I-IV, doubled for
   B and D so the coordinates stay integers, where each pairing is
   x_i -+ x_j, a half of it, or x_i: O(rank) numbers in place of the
-  rank * |positive roots| cells of the coroots.  B-D multiply x_i**2 - x_j**2
-  for each pair x_i -+ x_j, and form per-coroot factors only for the digit guard;
+  rank * |positive roots| cells of the coroots.  B-D take the pair x_i -+ x_j
+  as one factor x_i**2 - x_j**2, so no reader forms a per-coroot factor;
 * E-G: the pairings themselves, over the coroots that the reflection
   closure finds from the transposed Cartan matrix, at most 120.
 
@@ -46,7 +46,7 @@ from collections import namedtuple
 from operator import add, sub
 
 from .errors import (_FORMED_PER_PRINTED, FrozenValue, RankBudgetError, ResourceGuardError,
-                     _digit_budget, _echo, _formed)
+                     _check_flag, _digit_budget, _echo, _formed, _instance)
 
 DEFAULT_MAX_RANK = 9
 RANK_ENV_VAR = "LIEJORDAN_MAX_RANK"
@@ -69,19 +69,6 @@ def _differences(x: list[int]) -> list[int]:
     return list(itertools.starmap(sub, itertools.combinations(x, 2)))
 
 
-def _pairs(x: list[int]) -> list[int]:
-    """x_i - x_j, then x_i + x_j, over the pairs i < j."""
-    return _differences(x) + list(itertools.starmap(add, itertools.combinations(x, 2)))
-
-
-def _halves(x: list[int]) -> list[int]:
-    """(x_i - x_j) / 2, then (x_i + x_j) / 2, over the pairs i < j, for x
-    whose coordinates share a parity p: x_i = 2 h_i + p, so the halves are
-    h_i - h_j and h_i + h_j + p."""
-    h, p = [v >> 1 for v in x], x[0] & 1
-    return _differences(h) + [a + b + p for a, b in itertools.combinations(h, 2)]
-
-
 # One row per family (Bourbaki, Lie Groups and Lie Algebras, Ch. 4-6, Plates I-IX).  Past the
 # rows below, field order matters only to the tests' frozen oracle, which reads row[5].
 # ranks: the least rank for A-D, every rank for E-G.  Every other field is a function of l.
@@ -93,37 +80,36 @@ def _halves(x: list[int]) -> list[int]:
 # cap: the least total dimension of a faithful set of fundamental weights: the defining
 #   representation for A and C, the spin one for B and odd D, the vector and a half-spin one
 #   for even D, and the least fundamental one, which is faithful, for E-G.
-# form: for A-D (increments, factors, numerator), the vectors of omega_k in the orthonormal
-#   basis e_i, doubled for B and D, and the maps from lambda + rho there to its Weyl factors
-#   and to their product, which B-D form from x_i**2 - x_j**2 (over 4 for B and D, whose
-#   coordinates share a parity, so a square is 0 or 1 mod 4: x_i**2 >> 2 - x_j**2 >> 2); None
-#   for E-G, whose coroots come from the reflection closure.
+# form: for A-D (increments, factors), the vectors of omega_k in the orthonormal basis e_i,
+#   doubled for B and D, and the map from lambda + rho there to the factors of its Weyl
+#   numerator: x_i - x_j for A; for B-D one x_i**2 - x_j**2 per pair of coroots x_i -+ x_j
+#   (over 4 for B and D, whose coordinates share a parity, so a square is 0 or 1 mod 4:
+#   x_i**2 >> 2 - x_j**2 >> 2), then x_i for B and C; None for E-G, whose factors are the
+#   pairings with the coroots of the reflection closure.
 _Family = namedtuple("_Family", "ranks bonds roots order generators fundamentals cap form")
 _FAMILIES = {
     "A": _Family(1, _chain, lambda l: l * (l + 1) // 2, lambda l: l + 1,
                  lambda l: [tuple(range(1, l + 1))],
                  lambda l: [math.comb(l + 1, k) for k in range(1, l + 1)], lambda l: l + 1,
-                 (lambda l: _prefixes(l + 1, 1, l), _differences,
-                  lambda x: _product(_differences(x)))),
+                 (lambda l: _prefixes(l + 1, 1, l), _differences)),
     "B": _Family(2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 2, 1)], lambda l: l * l,
                  lambda l: 2, lambda l: [(0,) * (l - 1) + (1,)],
                  lambda l: [math.comb(2 * l + 1, k) for k in range(1, l)] + [2 ** l],
                  lambda l: 2 ** l,
-                 (lambda l: _prefixes(l, 2, l - 1) + [(1,) * l], lambda x: _halves(x) + x,
-                  lambda x: _product(_differences([a * a >> 2 for a in x]) + x))),
+                 (lambda l: _prefixes(l, 2, l - 1) + [(1,) * l],
+                  lambda x: _differences([a * a >> 2 for a in x]) + x)),
     "C": _Family(2, lambda l: _chain(l - 1) + [(l - 2, l - 1, 1, 2)], lambda l: l * l,
                  lambda l: 2, lambda l: [(1, 0) * (l // 2) + (1,) * (l % 2)],
                  lambda l: [2 * l] + [math.comb(2 * l, k) - math.comb(2 * l, k - 2)
                                       for k in range(2, l + 1)], lambda l: 2 * l,
-                 (lambda l: _prefixes(l, 1, l), lambda x: _pairs(x) + x,
-                  lambda x: _product(_differences([a * a for a in x]) + x))),
+                 (lambda l: _prefixes(l, 1, l), lambda x: _differences([a * a for a in x]) + x)),
     "D": _Family(3, lambda l: _chain(l - 1) + [(l - 3, l - 1, 1, 1)], lambda l: l * (l - 1),
                  lambda l: 4, lambda l: [(0,) * (l - 2) + (2, 2),
                                          (2, 0) * (l // 2 - 1) + ((2, 1, 3) if l % 2 else (0, 2))],
                  lambda l: [math.comb(2 * l, k) for k in range(1, l - 1)] + [2 ** (l - 1)] * 2,
                  lambda l: 2 ** (l - 1) + (0 if l % 2 else 2 * l),
-                 (lambda l: _prefixes(l, 2, l - 2) + [(1,) * (l - 1) + (-1,), (1,) * l], _halves,
-                  lambda x: _product(_differences([a * a >> 2 for a in x])))),
+                 (lambda l: _prefixes(l, 2, l - 2) + [(1,) * (l - 1) + (-1,), (1,) * l],
+                  lambda x: _differences([a * a >> 2 for a in x]))),
     "E": _Family((6, 7, 8), lambda l: _chain(l - 1) + [(l - 4, l - 1, 1, 1)],
                  {6: 36, 7: 63, 8: 120}.get, {6: 3, 7: 2, 8: 1}.get,
                  {6: [(1, 2, 0, 1, 2, 0)], 7: [(1, 0, 1, 0, 0, 0, 1)], 8: []}.get,
@@ -298,39 +284,38 @@ class RootDatum(FrozenValue, shown=("type",)):
     A weight lambda + rho is carried in the datum's own coordinates: the
     orthonormal ones of the epsilon form for A-D, its pairings with the
     positive coroots for E-G.  Raising lambda_k by one adds increment k
-    (for E-G, column k of the coroots), the family's factors map the
-    coordinates to the Weyl factors <lambda + rho, c> and its numerator to
-    their product.  rho is the sum of the increments; its pairings, in
-    ascending order, and their product, the Weyl formula's denominator, are
-    derived on construction, and so is the center (d, classes) of _center.
-    The Cartan matrix and the positive coroots are views, formed on each
-    access; cartan is the one public reader of the Cartan matrix.
+    (for E-G, column k of the coroots), and the family's factors map the
+    coordinates to the factors of the Weyl numerator, one per coroot or,
+    for B-D, one x_i**2 - x_j**2 per pair of them.  rho is the sum of the
+    increments; rho_product, the product of its factors and the Weyl
+    formula's denominator, is derived on construction, and so is the center
+    (d, classes) of _center.  The Cartan matrix and the positive coroots
+    are views, formed on each access; cartan is the one public reader of
+    the Cartan matrix.
     """
 
-    __slots__ = ("type", "rho_pairings", "rho_product", "center", "_rho", "_increments", "_factors",
-                 "_numerator")
+    __slots__ = ("type", "rho_product", "center", "_rho", "_increments", "_factors")
 
     def __init__(self, type: SimpleType):
         check_cell_budget(_instance(type, SimpleType))
         form = _FAMILIES[type.family].form
         if form:
-            increments, factors, numerator = form[0](type.rank), form[1], form[2]
+            increments, factors = form[0](type.rank), form[1]
         else:
-            increments = list(zip(*_positive_roots(tuple(zip(*_cartan(type))))))
-            factors, numerator = list, _product
+            increments, factors = list(zip(*_positive_roots(tuple(zip(*_cartan(type)))))), list
         rho = [sum(column) for column in zip(*increments)]
-        pairings = sorted(factors(rho))
+        rho_factors = factors(rho)
+        # Each x_i**2 - x_j**2 of B-D stands for the two coroots x_i -+ x_j.
+        count = len(rho_factors) + (len(rho) * (len(rho) - 1) // 2 if type.family in "BCD" else 0)
         expected = positive_root_count(type)
-        if len(pairings) != expected:
-            raise AssertionError(f"{type}: {len(pairings)} positive coroots, expected {expected}")
+        if count != expected:
+            raise AssertionError(f"{type}: {count} positive coroots, expected {expected}")
         object.__setattr__(self, "type", type)
-        object.__setattr__(self, "rho_pairings", tuple(pairings))
-        object.__setattr__(self, "rho_product", _product(pairings))
+        object.__setattr__(self, "rho_product", _product(rho_factors))
         object.__setattr__(self, "center", _center(type))
         object.__setattr__(self, "_rho", tuple(rho))
         object.__setattr__(self, "_increments", tuple(increments))
         object.__setattr__(self, "_factors", factors)
-        object.__setattr__(self, "_numerator", numerator)
 
     @property
     def rank(self) -> int:
@@ -382,32 +367,26 @@ class _CorootView:
 def build_root_datum(stype: SimpleType) -> RootDatum:
     """The root datum of a simple type, refused past the cell budget before
     anything is built: O(rank**2) numbers for A-D, and at most 120 coroots
-    for E-G.  Its count of Weyl factors is checked against the closed-form
-    root count, so a wrong table entry or matrix cannot slip through quietly."""
+    for E-G.  The coroots its factors stand for, two for each x_i**2 - x_j**2
+    of B-D, are counted against the closed-form root count, so a wrong table
+    entry or matrix cannot slip through quietly."""
     return RootDatum(stype)
 
 
 def _weyl_dim(datum: RootDatum, coords, x) -> int:
     """Weyl dimension of coords (any rank integers) from x = coords + rho in
-    the datum's basis: the product of the factors <coords + rho, c> over the
-    positive coroots c, over that of the <rho, c>.  A factor is at most (max
-    coordinate + 1) times <rho, c>, so at most that times the last of the
-    ascending rho_pairings.  Short answers clear the digit guard at once, and
-    the family's numerator multiplies their factors, for B-D as
-    x_i**2 - x_j**2; longer ones go to _guarded_weyl_dim as per-coroot factors.
-    """
-    rho = datum.rho_pairings
-    top = (max(coords) + 1).bit_length() + rho[-1].bit_length()
-    if len(rho) * top <= 3 * _FORMED_PER_PRINTED * _digit_budget():  # 8**k < 10**k
-        return _quotient(datum, coords, datum._numerator(x))
-    return _guarded_weyl_dim(datum, coords, datum._factors(x))
-
-
-def _guarded_weyl_dim(datum: RootDatum, coords, factors) -> int:
-    """Weyl dimension of coords from its factors <coords + rho, c>, refused when it has more
-    digits than exact integers are kept with: before their product is formed when the factors
-    show it (a factor f is at least 2**(f.bit_length() - 1)), else after."""
-    bits = sum(f.bit_length() - 1 - r.bit_length() for f, r in zip(factors, datum.rho_pairings))
+    the datum's basis: the product of the family's factors of x over
+    rho_product.  Each ratio <coords + rho, c> / <rho, c> over a positive
+    coroot c is at most max(coords) + 1, so the dimension is at most that
+    to the power |positive roots|; when that clears the digit guard the
+    product is formed at once.  Otherwise it is refused before it is formed
+    when its factors already show too many digits (a factor f is at least
+    2**(f.bit_length() - 1)), and else after."""
+    factors = datum._factors(x)
+    most = positive_root_count(datum.type) * (max(coords) + 1).bit_length()  # 2**most > dim
+    if most <= 3 * _FORMED_PER_PRINTED * _digit_budget():  # 8**k < 10**k
+        return _quotient(datum, coords, _product(factors))
+    bits = sum([f.bit_length() - 1 for f in factors]) - datum.rho_product.bit_length()
     return _formed(bits, lambda: _quotient(datum, coords, _product(factors)))
 
 
@@ -516,7 +495,11 @@ def enumerate_dominant_weights(
 def check_cell_budget(stype: SimpleType):
     """Refuse a type whose data would pass the cell budget, from the family
     table before any of it is built: rank**2 Cartan cells, d * rank cells
-    for the d center classes and |positive roots| * rank coroot cells."""
+    for the d center classes and |positive roots| * rank coroot cells.  No
+    A-D datum holds its coroots, so there the count stands in for the build
+    time, which grows with it: in process on Python 3.11, B215, the largest
+    B under the default budget, counts 10M cells and builds in 15 ms, B400
+    64M in 0.13 s and B600 216M in 0.49 s."""
     family, l = _FAMILIES[stype.family], stype.rank
     cells = l * (l + family.order(l) + family.roots(l))
     budget = _budget(CELLS_ENV_VAR, DEFAULT_MAX_CELLS)
@@ -525,19 +508,6 @@ def check_cell_budget(stype: SimpleType):
             f"type {stype.family}{_echo(l)} takes {_echo(cells)} cells (Cartan matrix, center "
             f"classes and coroots), more than the budget of {_echo(budget)}; "
             f"set {CELLS_ENV_VAR} to raise it")
-
-
-def _instance(value, cls):
-    """value, refused unless it is an instance of cls: a root-system argument of the wrong type."""
-    if not isinstance(value, cls):
-        raise ValueError(f"expected a {cls.__name__}, got {_echo(value)}")
-    return value
-
-
-def _check_flag(name: str, value) -> None:
-    """Refuse a flag that is not a bool, since any object has a truth value."""
-    if type(value) is not bool:
-        raise ValueError(f"{name} must be True or False, got {_echo(value)}")
 
 
 def check_rank_budget(stype: SimpleType, override: bool = False):

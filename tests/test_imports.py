@@ -1,7 +1,8 @@
 """Each CLI subcommand loads only the strands it runs, and no command loads
 dataclasses; the package's public names resolve on first use, the CLI
-reaches the strands through their public names only, and the package reads
-the family table's rows by field name only."""
+reaches the strands through their public names only, the package reads
+the family table's rows by field name only, and every name it binds at
+top level has a reader or is public."""
 import ast
 import inspect
 import os
@@ -149,3 +150,41 @@ def test_family_rows_are_read_by_field_name_only():
                   if isinstance(node, (ast.Subscript, ast.Starred)) and is_row(node.value)]
     assert found == []
     assert named
+
+
+def _top_level_names(statement):
+    """The names a top-level statement of a module binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return [statement.name]
+    targets = {ast.Assign: lambda s: s.targets, ast.AnnAssign: lambda s: [s.target]}
+    return [node.id for target in targets.get(type(statement), lambda s: [])(statement)
+            for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def _names_read(statement):
+    """The names a statement reads: bare names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def test_every_top_level_name_is_read_or_public():
+    # A helper, constant or class left behind when its last reader goes is
+    # flagged: each name a module of the package binds at top level must be
+    # read by another top-level statement of the package, be public in
+    # _EXPORTS, or be a module dunder.
+    statements = [(path.name, statement)
+                  for path in sorted((ROOT / "src" / "liejordan").glob("*.py"))
+                  for statement in ast.parse(path.read_text()).body]
+    reads = [_names_read(statement) for _, statement in statements]
+    unread = [f"{module}:{name}" for i, (module, statement) in enumerate(statements)
+              for name in _top_level_names(statement)
+              if name not in liejordan._EXPORTS and not name.startswith("__")
+              and not any(name in read for j, read in enumerate(reads) if j != i)]
+    assert unread == []

@@ -6,15 +6,18 @@ values as the oracle's if/elif chains, which the family table replaced.
 The oracle (old_rootdata.py) also recomputes each pairing in the coroot closure,
 multiplies the Weyl factors with no digit guard and evaluates every weight
 it keeps twice.  The code under test carries the pairings through the
-closure, forms the product from the family's numerator (B-D multiply
-x_i**2 - x_j**2) or, past the guard's short path, from the per-coroot
-factors in one guarded routine, and carries lambda + rho down the
+closure, multiplies the family's one factor list (B-D take one factor
+x_i**2 - x_j**2 per pair of coroots), and carries lambda + rho down the
 enumeration so that each vector is evaluated once.  Their coroot
 lists, values and ordered (weight, dim) lists must agree; past the
 kept-digit limit the code under test refuses instead, before the product
-is formed.
+is formed when its factors show the size.  Where the code's factors are
+checked on their own, the oracle is the per-coroot product formed here
+from the datum's positive_coroots.
 """
+import math
 import random
+import re
 import sys
 import time
 from itertools import combinations
@@ -47,6 +50,20 @@ def _datum(fam, rank):
 
 def _kept_digits():
     return 10 * (sys.get_int_max_str_digits() or DEFAULT_DIGITS)
+
+
+def _coroot_product(coroots, shifted):
+    """The product of the pairings <shifted, c> over the positive coroots c,
+    for shifted = lambda + rho in the fundamental-weight basis."""
+    return math.prod([sum(map(mul, shifted, c)) for c in coroots])
+
+
+def _digit_count(n):
+    """Decimal digits of n >= 1, with no str() past the int->str limit."""
+    digits = n.bit_length() * 30103 // 100000  # never more than the count
+    while 10 ** digits <= n:
+        digits += 1
+    return digits
 
 
 @pytest.mark.parametrize("fam", ["A", "B", "C", "D", "E", "F", "G", "H", "a", ""])
@@ -96,17 +113,20 @@ def _orthonormal_fundamental_dim(fam, l, k):
 
 
 def test_fundamental_dimensions_match_the_weyl_formula():
-    # The family table's column against the guarded Weyl routine at each unit
-    # weight, whose Weyl factors <omega_i + rho, c> are <rho, c> + c_i, at every node of
-    # every type of rank <= 24.  At ranks 60 and 100, where a datum has up to
-    # 10**4 coroots, the first, middle and last two nodes of A-D are checked
-    # against the formula in the orthonormal basis instead.
+    # The family table's column, and weyl_dim, against the per-coroot Weyl
+    # product at each unit weight, whose factors <omega_i + rho, c> are
+    # <rho, c> + c_i, at every node of every type of rank <= 24.  At ranks 60
+    # and 100, where a datum has up to 10**4 coroots, the first, middle and
+    # last two nodes of A-D are checked against the formula in the
+    # orthonormal basis instead.
     for fam, rank in _types(24):
         d = _datum(fam, rank)
-        assert rootdata._FAMILIES[fam].fundamentals(rank) == [
-            rootdata._guarded_weyl_dim(d, (0,) * i + (1,) + (0,) * (rank - i - 1),
-                                       list(map(add, d.rho_pairings, column)))
-            for i, column in enumerate(zip(*d.positive_coroots))]
+        coroots = tuple(d.positive_coroots)
+        rho = _coroot_product(coroots, [1] * rank)
+        units = [(0,) * i + (1,) + (0,) * (rank - i - 1) for i in range(rank)]
+        want = [_coroot_product(coroots, [u + 1 for u in unit]) // rho for unit in units]
+        assert rootdata._FAMILIES[fam].fundamentals(rank) == want
+        assert [weyl_dim(d, DominantWeight(unit)) for unit in units] == want
     for fam in "ABCD":
         for rank in (60, 100):
             table = rootdata._FAMILIES[fam].fundamentals(rank)
@@ -116,24 +136,33 @@ def test_fundamental_dimensions_match_the_weyl_formula():
 
 
 NUMERATOR_TYPES = _types(24)[:-5] + [(fam, rank) for fam in "ABCD" for rank in (33, 60, 100)]
+_COROOTS = {}  # (family, rank) -> (positive coroots, product of their pairings with rho)
 
 
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_numerators_are_the_products_of_the_factors(data):
-    # Each A-D numerator, which multiplies x_i**2 - x_j**2 for B-D, against the
-    # product of the per-coroot factors at a random dominant lambda + rho, at
-    # every rank <= 24 and at ranks 33, 60 and 100: numerators and factor
-    # lists reach both sides of _product's switch at 512 factors.
+    # The product of each A-D factor list, which holds one x_i**2 - x_j**2 per
+    # pair of B-D coroots, against the per-coroot product at a random dominant
+    # lambda + rho, at every rank <= 24 and at ranks 33, 60 and 100: the
+    # products reach both sides of _product's switch at 512 factors.  B and D
+    # scale their factors, so the two are compared as ratios to their values
+    # at rho.
     for fam, rank in NUMERATOR_TYPES:
         d = _datum(fam, rank)
+        if (fam, rank) not in _COROOTS:
+            coroots = tuple(d.positive_coroots)
+            _COROOTS[fam, rank] = coroots, _coroot_product(coroots, [1] * rank)
+        coroots, rho = _COROOTS[fam, rank]
         top = data.draw(st.sampled_from([0, 1, 3, 100, 10 ** 6]))
         rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+        coords = [rng.randint(0, top) for _ in range(rank)]
         x = list(d._rho)
-        for increment in d._increments:
-            c = rng.randint(0, top)
+        for c, increment in zip(coords, d._increments):
             x = [a + c * b for a, b in zip(x, increment)]
-        assert d._numerator(x) == rootdata._product(d._factors(x)), (fam, rank, x)
+        got = rootdata._product(d._factors(x)) * rho
+        want = _coroot_product(coroots, [c + 1 for c in coords]) * d.rho_product
+        assert got == want, (fam, rank, coords)
 
 
 @pytest.mark.parametrize("fam,rank", _types(12))
@@ -188,35 +217,32 @@ def test_weyl_dim_matches_oracle(fam, rank):
             assert weyl_dim(d, w) == old.weyl_dim(d, w), w
 
 
-def _coroot_weyl_dim(d, coords):
-    """weyl_dim with each factor formed as the oracle forms it, the dot
-    product of coords + 1 with a positive coroot, through the same guard."""
-    shifted = [x + 1 for x in coords]
-    factors = [sum(map(mul, shifted, c)) for c in d.positive_coroots]
-    return rootdata._guarded_weyl_dim(d, coords, factors)
-
-
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_epsilon_factors_match_the_coroot_formula(data):
-    # The epsilon form of A-D against the coroot dot products of the oracle,
+    # The epsilon form of A-D against the oracle's unguarded coroot product,
     # at every type of rank <= 12.  Near the guard, where coordinates of about
-    # M give about N * log10(M) digits over N positive coroots, both sides
-    # answer alike or refuse with the same message.
+    # M give about N * log10(M) digits over N positive coroots, the code
+    # answers alike, or refuses exactly when the product has more digits than
+    # are kept, with an "at least" count that the product does reach.
     fam, rank = data.draw(st.sampled_from(_types(12)[:-5]))
     d = _datum(fam, rank)
-    k = (_kept_digits() - 1) // len(d.positive_coroots)
+    kept = _kept_digits()
+    k = (kept - 1) // len(d.positive_coroots)
     coordinate = data.draw(st.sampled_from([st.integers(0, 3), st.integers(0, 10 ** 6),
                                             st.integers(10 ** (k - 1), 10 ** (k + 1))]))
     w = DominantWeight(tuple(data.draw(st.lists(coordinate, min_size=rank, max_size=rank))))
-    try:
-        want = _coroot_weyl_dim(d, w.coords)
-    except ResourceGuardError as refused:
-        with pytest.raises(ResourceGuardError) as got:
-            weyl_dim(d, w)
-        assert str(got.value) == str(refused)
-    else:
-        assert weyl_dim(d, w) == want == old.weyl_dim(d, w)
+    want = old.weyl_dim(d, w)
+    digits = _digit_count(want)
+    if digits <= kept:
+        assert weyl_dim(d, w) == want
+        return
+    with pytest.raises(ResourceGuardError) as refused:
+        weyl_dim(d, w)
+    message = str(refused.value)
+    least = int(re.fullmatch(r"the exact value has at least (\d+) decimal digits, more than "
+                             rf"{kept}, 10 times the {kept // 10} allowed by .*", message)[1])
+    assert kept < least <= digits, message
 
 
 @pytest.mark.parametrize("fam,rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5),
@@ -250,6 +276,54 @@ def test_huge_e8_weight_refused_before_the_product_is_formed():
     with pytest.raises(ResourceGuardError, match="PYTHONINTMAXSTRDIGITS"):
         weyl_dim(d, weight)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("fam", ["B", "D"])
+def test_huge_rank_16_weights_refused_before_the_product_is_formed(fam):
+    # B16 and D16 have the most factors of any lie-search type, and each
+    # x_i**2 - x_j**2 of coordinates 10**4300 has about 8600 digits.
+    digits = sys.get_int_max_str_digits() or DEFAULT_DIGITS
+    weight = DominantWeight((10 ** digits,) * 16)
+    d = _datum(fam, 16)
+    start = time.perf_counter()
+    with pytest.raises(ResourceGuardError, match="PYTHONINTMAXSTRDIGITS"):
+        weyl_dim(d, weight)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("fam,rank", [("A", 1), ("A", 2), ("B", 3), ("D", 4), ("G", 2)])
+def test_weyl_dim_answers_on_both_sides_of_the_short_path_edge(monkeypatch, fam, rank):
+    # The product is formed unguarded while N * bits(M + 1) <= 3 * kept for
+    # coordinates at most M over N positive coroots, since then the dimension
+    # is below 2**(3 * kept) < 10**kept; past that edge the guard checks it.
+    # At all coordinates M the dimension is (M + 1)**N, and on both sides of
+    # the edge it has fewer digits than are kept, so both answer.
+    guarded = []
+    formed = rootdata._formed
+    monkeypatch.setattr(rootdata, "_formed", lambda bits, make: guarded.append(bits)
+                        or formed(bits, make))
+    d = _datum(fam, rank)
+    n = len(d.positive_coroots)
+    width = 3 * _kept_digits() // n  # the most bits of M + 1 on the short path
+    for bits, checks in ((width, 0), (width + 1, 1)):
+        weight = DominantWeight((2 ** (bits - 1) - 1,) * rank)
+        guarded.clear()
+        assert weyl_dim(d, weight) == old.weyl_dim(d, weight) == 2 ** ((bits - 1) * n)
+        assert len(guarded) == checks
+
+
+def test_a_factor_list_short_of_the_root_count_is_caught(monkeypatch):
+    # B's factor list without its x_i factors, and G2 with a simple bond in
+    # place of its triple one, no longer stand for every positive coroot.
+    b = rootdata._FAMILIES["B"]
+    short = b._replace(form=(b.form[0], rootdata._differences))
+    monkeypatch.setitem(rootdata._FAMILIES, "B", short)
+    with pytest.raises(AssertionError, match="B3: 6 positive coroots, expected 9"):
+        build_root_datum(SimpleType("B", 3))
+    g = rootdata._FAMILIES["G"]
+    monkeypatch.setitem(rootdata._FAMILIES, "G", g._replace(bonds=lambda l: [(0, 1, 1, 1)]))
+    with pytest.raises(AssertionError, match="G2: 3 positive coroots, expected 6"):
+        build_root_datum(SimpleType("G", 2))
 
 
 @pytest.mark.parametrize("fam,rank", _types(9))

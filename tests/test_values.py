@@ -4,6 +4,7 @@ with the same fields and compare/repr flags, and each constructor refuses
 what it refused before, with the same message."""
 import copy
 import dataclasses
+import math
 import pickle
 import sys
 from decimal import Decimal
@@ -11,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
-from liejordan.bounds import Bound, GroupDims, bound
+from liejordan.bounds import Bound, GroupDims, bound, expr_to_json
 from liejordan.center import CenterClass, WeightSet, center_classes, is_faithful, pair
-from liejordan.finitegroup import FiniteGroup, Subgroup
+from liejordan.finitegroup import (FiniteGroup, Subgroup, jordan_constant,
+                                   jordan_constant_with_witness, parse_group)
 from liejordan.minfaithful import RdimResult, rdim, rdim_table
 from liejordan.rootdata import (DominantWeight, RootDatum, SimpleType, build_root_datum,
                                 enumerate_dominant_weights, weyl_dim)
@@ -43,8 +45,7 @@ SPECS = {
     "DominantWeight": (DominantWeight, [("coords", True, True)],
                        [((1, 0),), ([1, 0],), ((0, 2, 1),), ((),)]),
     "RootDatum": (RootDatum, [("type", True, True), ("cartan", False, False),
-                              ("rho_pairings", False, False), ("rho_product", False, False),
-                              ("center", False, False)],
+                              ("rho_product", False, False), ("center", False, False)],
                   [(SimpleType(f, r),) for f, r in (("A", 2), ("A", 2), ("G", 2), ("B", 3))]),
     "CenterClass": (CenterClass, [("coords", True, True)],
                     [((Fraction(1, 2), 0),), ((Fraction(1, 2), Fraction(0)),), (("1/3", "1/2"),),
@@ -113,6 +114,13 @@ REFUSALS = [
     (enumerate_dominant_weights, ("A3", 5), "expected a RootDatum, got 'A3'"),
     (enumerate_dominant_weights, (None, 5, True), "expected a RootDatum, got None"),
     (build_root_datum, ("A3",), "expected a SimpleType, got 'A3'"),
+    (WeightSet, ((1,),), "expected a DominantWeight, got 1"),
+    (WeightSet, ((W((1,)), (0, 1)),), "expected a DominantWeight, got (0, 1)"),
+    (jordan_constant, ("table 1\n0",), "expected a FiniteGroup, got 'table 1\\n0'"),
+    (jordan_constant_with_witness, (None,), "expected a FiniteGroup, got None"),
+    (expr_to_json, ("J(54)",), "expected a Bound, got 'J(54)'"),
+    (parse_group, (123,), "expected a str, got 123"),
+    (parse_group, (b"table 1\n0",), "expected a str, got b'table 1\\n0'"),
     (RootDatum, ("A3",), "expected a SimpleType, got 'A3'"),
     (RootDatum, (("A", 3),), "expected a SimpleType, got (A, 3)"),
     (GroupDims, (-1,), "dimension must be a non-negative integer, got -1"),
@@ -268,7 +276,8 @@ def test_normalised_fields():
     assert all(type(c) is Fraction for c in coords)
     assert [w.coords for w in WeightSet((W((0, 1)), W((1, 0))))] == [(0, 1), (1, 0)]
     datum = build_root_datum(SimpleType("A", 2))
-    assert (datum.rho_pairings, datum.rho_product) == ((1, 1, 2), 2)
+    # The product of the heights of A2's coroots (0, 1), (1, 0) and (1, 1).
+    assert datum.rho_product == math.prod(map(sum, datum.positive_coroots)) == 2
     assert Subgroup((0, 1)).generators == ()
 
 
