@@ -124,7 +124,7 @@ def bound(family: str, n: int, components: int | None = None) -> Bound:
 
 def bound_lie(dims: GroupDims) -> Bound:
     """Lie group with an n-dimensional identity component and b components."""
-    return bound("lie", dims.n, dims.b)
+    return bound("lie", _instance(dims, GroupDims).n, dims.b)
 
 
 def bound_lie_connected(n: int) -> Bound:
@@ -134,7 +134,7 @@ def bound_lie_connected(n: int) -> Bound:
 
 def bound_algebraic(dims: GroupDims) -> Bound:
     """Complex algebraic group, n-dimensional identity component, b components."""
-    return bound("algebraic", dims.n, dims.b)
+    return bound("algebraic", _instance(dims, GroupDims).n, dims.b)
 
 
 def bound_compact_complex(n: int) -> Bound:

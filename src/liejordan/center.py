@@ -137,9 +137,10 @@ def pair(weight: DominantWeight, element) -> Fraction:
 
 def is_faithful(datum: RootDatum, weight_set: WeightSet) -> bool:
     """Whether the direct sum over the weight set has trivial kernel: whether
-    every nonidentity central class is detected by some weight in the set."""
+    every nonidentity central class is detected by some weight in the set.
+    It takes a WeightSet, which holds no zero weight and is never empty."""
     d, classes = _instance(datum, RootDatum).center
-    for w in weight_set:
+    for w in _instance(weight_set, WeightSet):
         if len(w.coords) != datum.rank:
             raise ValueError(
                 f"weight {_echo(w.coords)} does not match rank {datum.rank} of {datum.type}")

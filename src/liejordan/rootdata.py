@@ -332,36 +332,21 @@ class RootDatum(FrozenValue, shown=("type",)):
 
 class _CorootView:
     """The positive coroots of a root datum over the simple coroots, by
-    height and then lexicographically, as a read-only sequence equal to
-    the tuple of them.  Its length is the closed-form root count, which
-    forms nothing; the coroots are formed on each read, as the roots of the
-    transposed Cartan matrix that the reflection closure finds."""
+    height and then lexicographically, as a sized iterable.  Its length is
+    the closed-form root count, which forms nothing; iterating forms the
+    coroots, as the roots of the transposed Cartan matrix that the
+    reflection closure finds."""
 
     __slots__ = ("_datum",)
 
     def __init__(self, datum: RootDatum):
         self._datum = datum
 
-    def _formed(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_positive_roots(tuple(zip(*_cartan(self._datum.type)))))
-
     def __len__(self) -> int:
         return positive_root_count(self._datum.type)
 
     def __iter__(self):
-        return iter(self._formed())
-
-    def __getitem__(self, index):
-        return self._formed()[index]
-
-    def __eq__(self, other):
-        return self._formed() == (other._formed() if isinstance(other, _CorootView) else other)
-
-    def __hash__(self):
-        return hash(self._formed())
-
-    def __repr__(self) -> str:
-        return repr(self._formed())
+        return iter(_positive_roots(tuple(zip(*_cartan(self._datum.type)))))
 
 
 def build_root_datum(stype: SimpleType) -> RootDatum:

@@ -2,6 +2,7 @@
 import copy
 import pickle
 import random
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -287,6 +288,13 @@ def test_table_validation():
         parse_group("table 3\n0 1 2\n2 0 1\n1 2 0\n")
     with pytest.raises(ValueError, match="at least the identity"):
         FiniteGroup([])
+    # False and True pass every permutation check as 0 and 1, and sum to an
+    # int, but are not indices.
+    s3 = [[{0: False, 1: True}.get(x, x) for x in row] for row in load("s3.grp").mult]
+    for table, i in ((s3, 0), ([[False]], 0), ([[0, 1], [1, False]], 1),
+                     ([[0, 1, 2], [True, 2, 0], [2, 0, 1]], 1)):
+        with pytest.raises(ValueError, match=f"^row {i} has non-integer entries$"):
+            FiniteGroup(table)
 
 
 def test_nonassociative_loop_rejected():
@@ -356,13 +364,16 @@ def near_groups(draw):
 @settings(max_examples=150, deadline=None)
 @given(loops() | near_groups())
 def test_lights_test_agrees_with_the_full_scan(table):
-    triple = first_nonassociative_triple(table)
-    if triple is None:
+    # A table is refused exactly when the full scan finds a failing triple,
+    # and the triple the refusal names fails too.
+    if first_nonassociative_triple(table) is None:
         assert FiniteGroup(table).mult == tuple(map(tuple, table))
     else:
-        a, b, c = triple
-        with pytest.raises(ValueError, match=rf"^associativity fails at \({a}, {b}, {c}\)$"):
+        with pytest.raises(ValueError) as err:
             FiniteGroup(table)
+        named = re.fullmatch(r"associativity fails at \((\d+), (\d+), (\d+)\)", str(err.value))
+        a, b, c = map(int, named.groups())
+        assert table[table[a][b]][c] != table[a][table[b][c]]
 
 
 def test_closure_limit_guard():

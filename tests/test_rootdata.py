@@ -40,7 +40,7 @@ def test_invalid_types_rejected(fam, rank):
 def test_a1_is_the_smallest_case():
     d = _datum("A", 1)
     assert d.cartan == ((2,),)
-    assert d.positive_coroots == ((1,),)
+    assert tuple(d.positive_coroots) == ((1,),)
     assert weyl_dim(d, DominantWeight((0,))) == 1
     assert weyl_dim(d, DominantWeight((5,))) == 6
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from liejordan.bounds import Bound, GroupDims, bound, expr_to_json
+from liejordan.bounds import Bound, GroupDims, bound, bound_algebraic, bound_lie, expr_to_json
 from liejordan.center import CenterClass, WeightSet, center_classes, is_faithful, pair
 from liejordan.finitegroup import (FiniteGroup, Subgroup, jordan_constant,
                                    jordan_constant_with_witness, parse_group)
@@ -67,7 +67,9 @@ SPECS = {
 # Each constructor, and each function that checks the same field, refuses
 # with the same message; a bool is not an integer anywhere, and a center
 # coordinate is an int, a Fraction or a str, never a float, bool or Decimal.
-# A flag is a bool, and center_classes and is_faithful take a RootDatum only.
+# A flag is a bool, and center_classes and is_faithful take a RootDatum only;
+# is_faithful takes a WeightSet only, so neither an empty set nor a zero weight
+# passes as faithful, and bound_lie and bound_algebraic take a GroupDims only.
 INEXACT = "coordinates must be integers, Fractions or strings, got"
 A1 = build_root_datum(SimpleType("A", 1))
 ELEMENTS = "subgroup elements must be a tuple of distinct ints in ascending order from 0, got"
@@ -104,6 +106,10 @@ REFUSALS = [
     (center_classes, (SimpleType("A", 3),), "expected a RootDatum, got A3"),
     (is_faithful, ("A1", WeightSet((W((1,)),))), "expected a RootDatum, got 'A1'"),
     (is_faithful, (None, WeightSet((W((1,)),))), "expected a RootDatum, got None"),
+    (is_faithful, (build_root_datum(SimpleType("E", 8)), ()), "expected a WeightSet, got ()"),
+    (is_faithful, (build_root_datum(SimpleType("F", 4)), (W((0, 0, 0, 0)),)),
+     "expected a WeightSet, got (0,0,0,0,)"),
+    (is_faithful, (A1, [W((1,))]), "expected a WeightSet, got [1]"),
     (rdim, ("A3",), "expected a RootDatum, got 'A3'"),
     (rdim, (SimpleType("A", 3), True), "expected a RootDatum, got A3"),
     (weyl_dim, ("A3", W((1, 0, 0))), "expected a RootDatum, got 'A3'"),
@@ -130,6 +136,8 @@ REFUSALS = [
     (GroupDims, (1, True), "component count must be a positive integer, got True"),
     (bound, ("lie", True), "dimension must be a non-negative integer, got True"),
     (bound, ("lie", 3, True), "component count must be a positive integer, got True"),
+    (bound_lie, (3,), "expected a GroupDims, got 3"),
+    (bound_algebraic, ((3, 1),), "expected a GroupDims, got (3, 1)"),
     (enumerate_dominant_weights, (A1, True), "cap must be a positive integer, got True"),
     (SimpleType, ("H", 2), "unknown family 'H', expected one of A..G"),
     (SimpleType, ("A", 0), "family A requires rank >= 1, got 0"),
@@ -302,7 +310,7 @@ def test_root_datum_equality_still_reads_the_coroots():
     datum = build_root_datum(SimpleType("A", 2))
     twin = RootDatum(SimpleType("A", 2))
     assert twin == datum and hash(twin) == hash(datum)
-    assert twin.positive_coroots == datum.positive_coroots == ((0, 1), (1, 0), (1, 1))
+    assert tuple(twin.positive_coroots) == tuple(datum.positive_coroots) == ((0, 1), (1, 0), (1, 1))
     other = RootDatum(SimpleType("A", 3))
     assert other != datum and hash(other) != hash(datum)
 
