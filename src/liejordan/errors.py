@@ -167,15 +167,16 @@ def _echo(value) -> str:
 
 def _head(value) -> str:
     """str(value), or a start of it longer than 40 characters: a tuple or
-    list stops once that long, and an integer of more than 4 * 40 bits shows
-    its leading digits, also as a fraction's numerator or denominator, so no
+    list stops once that long and shows a value object in it by its repr,
+    as _field_echo does, and an integer of more than 4 * 40 bits shows its
+    leading digits, also as a fraction's numerator or denominator, so no
     integer past the int->str limit is converted."""
     if isinstance(value, (tuple, list)):
         parts, size = [], 0
         for x in value:
             if size > _ECHO_CHARS:
                 break
-            parts.append(_head(x))
+            parts.append(_field_repr(x) if isinstance(x, FrozenValue) else _head(x))
             size += len(parts[-1]) + 2
         inner = ", ".join(parts)
         if isinstance(value, list):

@@ -19,14 +19,27 @@ normal in G, with |F| = J |B|.  For generators t1..tk of G modulo A,
 F = <B, t1 a1, ..., tk ak> for some aj in A that matter only through
 their cosets aj B.  So B runs over the G-normal subgroups of A, unions
 of classes found by the search for A, one order at a time from the
-least; each choice of cosets is closed up to J |B| elements, and the
-least nonabelian closure with no normal abelian subgroup larger than B,
-at the first order that has one, is the witness.  For J = |G|, A is
+least; each choice of cosets is closed over B up to J cosets of it, and
+the least nonabelian closure with no normal abelian subgroup larger than
+B, at the first order that has one, is the witness.  For J = |G|, A is
 trivial, so the witness has at least |G| elements and is G itself.
 
+Three skips leave out only candidates that fail:
+* a B centralised by some g whose coset generates a normal cyclic
+  subgroup N/A != 1 of G/A, as a central coset does.  As FA = G, F∩N
+  is B<f> for an f = ga in F, normal in F, abelian since A centralises
+  B, and larger than B, so J(F) < J;
+* lifts that commute with each other and with B, since F would be
+  abelian, with J(F) = 1;
+* the search for a normal abelian subgroup of a closed nonabelian F
+  when J = 2, as one larger than B, of index 2, would be F itself.
+
 Subgroups are int bitmasks over the element indices, so a subset test is
-a & ~b == 0, and a join is grown from a normal subgroup coset by coset.
-One search for A serves both J and the witness.
+a & ~b == 0.  Every subgroup is grown by one closure, coset by coset over
+a subgroup H that its generators normalise: the union of right cosets
+Hy is closed under H, so it is the subgroup once it holds x*s for each
+representative x and each generator s.  Over the trivial H it grows
+element by element.  One search for A serves both J and the witness.
 
 One order limit guards it all.  It is checked on a table's header,
 during a permutation closure, and before any Jordan constant is computed.
@@ -62,10 +75,10 @@ def _closed_group(mult, G=None) -> FiniteGroup:
     rows that form a group, which is not checked here: FiniteGroup checks its
     table around this call, and a permutation closure's is one by construction."""
     G = object.__new__(FiniteGroup) if G is None else G
-    fields = (mult, len(mult), tuple(row.index(0) for row in mult), tuple(zip(*mult)),  # slot order
-              _greedy_generators(mult, range(len(mult))))
+    fields = (mult, len(mult), tuple(row.index(0) for row in mult), tuple(zip(*mult)))  # slot order
     for name, value in zip(FiniteGroup.__slots__, fields):
         object.__setattr__(G, name, value)
+    object.__setattr__(G, "_generators", _greedy_generators(G, range(len(mult))))
     return G
 
 
@@ -275,34 +288,47 @@ def parse_group(text: str, max_order: int = DEFAULT_JORDAN_LIMIT) -> FiniteGroup
     raise ValueError(f"unknown format {_echo(kind)}, expected 'perm' or 'table'")
 
 
-def _closure(mult, gens, limit, start=(1, (0,))):
-    """Mask and elements of the closure of start, a subgroup as (mask,
-    elements), under right multiplication by gens, or None once it outgrows
-    limit elements.  For a normal start, or the trivial one, that is the
-    subgroup generated by start and gens."""
-    mask, reached = start[0], list(start[1])
-    for x in reached:
+def _closure(G: FiniteGroup, gens, start=(1, (0,)), limit=None):
+    """The subgroup K generated by start, a subgroup H as (mask, elements)
+    with the identity first, and gens, as (mask, elements), grown coset by
+    coset; or None once it needs more than limit cosets of H.
+
+    The union of right cosets Hy, each listed as h*y for h in H's order,
+    is closed under H on the left, so it is K once x*s lies in it for every
+    representative x and s in gens, if it is closed under H on the right
+    too: when gens normalise H, or when H is generated by some of gens over
+    a subgroup they normalise.  Over the trivial H each coset is one
+    element.  That costs [K:H] * (|gens| + |H|) table lookups.
+    """
+    mult, cols = G.mult, G._cols
+    mask, base = start
+    reps, elements = [0], list(base)
+    for x in reps:
         row = mult[x]
         for s in gens:
             y = row[s]
             if not mask >> y & 1:
-                if len(reached) == limit:
+                if len(reps) == limit:
                     return None
-                mask |= 1 << y
-                reached.append(y)
-    return mask, reached
+                col = cols[y]
+                for h in base:
+                    z = col[h]
+                    mask |= 1 << z
+                    elements.append(z)
+                reps.append(y)
+    return mask, elements
 
 
-def _greedy_generators(mult, elements, start=(1, (0,))) -> tuple[int, ...]:
-    """The least of the elements outside the subgroup generated by start, a
+def _greedy_generators(G: FiniteGroup, elements, start=(1, (0,))) -> tuple[int, ...]:
+    """The first of the elements outside the subgroup generated by start, a
     normal subgroup as (mask, elements), and those before it, added until
     that subgroup holds all of them; in a group, each one at least doubles
-    it."""
-    gens, mask = [], start[0]
+    it.  Each subgroup is closed over the one before."""
+    gens = []
     for g in elements:
-        if not mask >> g & 1:
+        if not start[0] >> g & 1:
             gens.append(g)
-            mask = _closure(mult, gens, len(mult), start)[0]
+            start = _closure(G, gens, start)
     return tuple(gens)
 
 
@@ -339,34 +365,20 @@ def _class_unions(G: FiniteGroup, members, classes):
     complete once every smaller one has been extended.
 
     Each subgroup H reached is normal, so its join K with a class C is
-    grown as a union of right cosets Hy: such a union contains the
-    identity and is closed under H, so it is K once y*c lies in it for
-    every coset representative y and c in C.  That costs |K| + [K:H]*|C|
-    table lookups.
+    closed over H coset by coset, at |K| + [K:H]*|C| table lookups.
     """
-    mult, cols = G.mult, G._cols
-    bits = [1 << i for i in range(G.order)]
-    start = sum(map(bits.__getitem__, members))
+    start = sum(1 << x for x in members)
     seen, levels = {start}, {len(members): [(start, members)]}
     while levels:
         level = sorted(levels.pop(min(levels)))
         yield level
         for mask, base in level:
             for omask, orbit, commuting in classes:
-                if not omask & ~mask or mask & ~commuting:
-                    continue
-                bigger, reps = mask, [0]
-                for x in reps:
-                    row = mult[x]
-                    for c in orbit:
-                        y = row[c]
-                        if not bigger >> y & 1:
-                            bigger |= sum(map(bits.__getitem__, map(cols[y].__getitem__, base)))
-                            reps.append(y)
-                if bigger not in seen:
-                    seen.add(bigger)
-                    grown = [z for y in reps for z in map(cols[y].__getitem__, base)]
-                    levels.setdefault(len(grown), []).append((bigger, grown))
+                if omask & ~mask and not mask & ~commuting:
+                    bigger, grown = _closure(G, orbit, (mask, base))
+                    if bigger not in seen:
+                        seen.add(bigger)
+                        levels.setdefault(len(grown), []).append((bigger, grown))
 
 
 def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
@@ -397,36 +409,63 @@ def _largest_normal_abelian(G: FiniteGroup, elements, gens) -> int:
     return level[-1][0]
 
 
+def _cyclic_centralisers(G: FiniteGroup, A: int, in_a, tops) -> list[int]:
+    """For each coset gA != A of the normal abelian A, a mask with these
+    sorted elements, that generates a normal cyclic subgroup of G/A, the
+    mask of the elements of A that commute with g; tops generate G modulo
+    A.  As A is abelian, each element of gA centralises the same part of A."""
+    mult, inv = G.mult, G.inverses
+    cosets = _closure(G, tops, (A, in_a))[1]  # A, then one coset of A after another
+    centralisers = []
+    for g in cosets[len(in_a)::len(in_a)]:
+        cyclic = _closure(G, (g,), (A, in_a))[0]  # <g>A
+        if all(cyclic >> mult[mult[inv[t]][g]][t] & 1 for t in tops):
+            centralisers.append(sum(1 << a for a in in_a if mult[g][a] == mult[a][g]))
+    return centralisers
+
+
 def _least_supplement(G: FiniteGroup, value: int, A: int) -> Subgroup:
     """The witness when J = value is neither 1 nor |G|: the supplement
     search of the module docstring over the largest normal abelian A, a
-    mask.  A closure holds B and meets every coset of A, so one that stops
-    at value * |B| elements has that order and meets A in B.  B = A gives
-    G itself, which passes unchecked, since A is a largest normal abelian
-    subgroup of G.  An abelian closure has J = 1 < value and fails at once.
-    The B come one level of _class_unions at a time, and a level that holds
-    a witness is never extended.
+    mask.  The B come one level of _class_unions at a time, and a level
+    that holds a witness is never extended.  Each candidate F = <B, lifts>
+    is closed over B from its lifts alone, which normalise it, and one
+    that stops within value cosets of B has value * |B| elements, as it
+    meets every coset of A, and meets A in B.
+
+    The three skips of the module docstring leave out only candidates that
+    fail: a B inside a centraliser from _cyclic_centralisers, whose F all
+    have a normal abelian subgroup B<f> larger than B; lifts that commute
+    with each other and with B, since F would be abelian; and, for value
+    = 2, the search for a normal abelian subgroup of a closed F, whose
+    only candidate larger than B would be the nonabelian F itself.  F = G,
+    from B = A, passes unchecked too, since A is largest in G.
     """
     mult, n = G.mult, G.order
     in_a = [x for x in range(n) if A >> x & 1]
-    tops = _greedy_generators(mult, range(n), (A, in_a))
+    tops = _greedy_generators(G, range(n), (A, in_a))
+    centralisers = _cyclic_centralisers(G, A, in_a, tops)
     classes = [(omask, orbit, A) for omask, orbit in _conjugacy_classes(G, in_a, G._generators)]
     for level in _class_unions(G, [0], classes):
         size, found = len(level[0][1]), []
-        for _, members in level:
+        for B in level:
+            if any(not B[0] & ~c for c in centralisers):
+                continue
+            members = B[1]
+            base = _greedy_generators(G, members)
             cosets, covered = [], set()
             for a in in_a:  # the least element of each coset aB comes first
                 if a not in covered:
                     cosets.append(a)
                     covered.update(map(mult[a].__getitem__, members))
-            base = _greedy_generators(mult, members)
             for lifts in product(cosets, repeat=len(tops)):
                 gens = base + tuple(mult[t][a] for t, a in zip(tops, lifts))
-                F = _closure(mult, gens, value * size)
-                if F is not None:
-                    found.append((sorted(F[1]), gens))
+                if not _commute(mult, gens):
+                    F = _closure(G, gens[len(base):], B, value)
+                    if F is not None:
+                        found.append((sorted(F[1]), gens))
         for elements, gens in sorted(found):
-            if len(elements) == n or not _commute(mult, gens) and (
+            if len(elements) == n or value == 2 or (
                     _largest_normal_abelian(G, elements, gens).bit_count() == size):
                 return Subgroup(tuple(elements), gens)
     raise AssertionError("G itself is a witness")

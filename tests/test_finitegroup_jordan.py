@@ -9,6 +9,7 @@ attains J, which for J = |G| is G itself.
 import itertools
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -18,21 +19,27 @@ from hypothesis import strategies as st
 import old_finitegroup as old
 from liejordan import finitegroup
 from liejordan.errors import OrderLimitError
-from liejordan.finitegroup import (FiniteGroup, _commute, jordan_constant,
+from liejordan.finitegroup import (FiniteGroup, Subgroup, _commute, _greedy_generators,
+                                   _jordan, _largest_normal_abelian, jordan_constant,
                                    jordan_constant_with_witness, parse_group)
-from test_finitegroup import KNOB, _oracle_close, corpus
+from test_finitegroup import KNOB, _oracle_close, corpus, subgroup_group
 from test_finitegroup_engine import CORPUS, PERM_GROUPS, S5, group_text, perm_text
 
-# Groups of order 128 whose lattices have 29212 and 7420 subgroups.
+# Groups of order 128 whose lattices have 29212 and 7420 subgroups, and
+# D4 x S3 x C2^2 of order 192, where the supplement search closed 9134
+# candidates and searched 728 of them for a normal abelian subgroup.
 BIG_GROUPS = {
     "c2^7": (14, [[(2 * i + 1, 2 * i + 2)] for i in range(7)]),
     "d4xc2^4": (12, [[(1, 3)], [(1, 2, 3, 4)], [(5, 6)], [(7, 8)], [(9, 10)], [(11, 12)]]),
+    "d4xs3xc2^2": (11, [[(1, 3)], [(1, 2, 3, 4)], [(5, 6)], [(5, 6, 7)], [(8, 9)], [(10, 11)]]),
 }
-# J and witness elements as the lattice-and-scan engine gave them, in
-# about 19 s and 5 s.
+# J, witness elements and witness generators.  The elements of the first
+# two are as the lattice-and-scan engine gave them, in about 19 s and 5 s;
+# the rest as the supplement search gave them before it skipped anything.
 BIG_ANSWERS = {
-    "c2^7": (1, (0,)),
-    "d4xc2^4": (2, (0, 16, 32, 48, 64, 80, 96, 112)),
+    "c2^7": (1, (0,), ()),
+    "d4xc2^4": (2, (0, 16, 32, 48, 64, 80, 96, 112), (32, 112, 16)),
+    "d4xs3xc2^2": (4, tuple(range(0, 192, 4)), (60, 180, 4, 24)),
 }
 NAMES = CORPUS + ["s3", "s4", "a5"] + list(PERM_GROUPS)
 # S4 x C2^3, order 192: J = 6, and the witness is the first S4, which the
@@ -49,7 +56,7 @@ def test_big_groups_answer_without_their_lattice(name):
         start = time.perf_counter()
         value, witness = jordan_constant_with_witness(parse_group(text))
         times.append(time.perf_counter() - start)
-    assert (value, witness.elements) == BIG_ANSWERS[name]
+    assert (value, witness.elements, witness.generators) == BIG_ANSWERS[name]
     assert min(times) < 0.2, f"{name} took {min(times):.3f} s"
 
 
@@ -134,6 +141,125 @@ def test_a_witness_of_j_equal_to_the_order_starts_no_closure(monkeypatch, name, 
     assert (value, witness.elements, witness.generators) == (
         G.order, tuple(range(G.order)), generators)
     assert closures == []
+
+
+def counted_work(monkeypatch, groups):
+    """The _closure and _largest_normal_abelian calls that
+    jordan_constant_with_witness makes on these groups."""
+    calls = {"_closure": 0, "_largest_normal_abelian": 0}
+    for name in calls:
+        def counted(*args, name=name, function=getattr(finitegroup, name)):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(finitegroup, name, counted)
+    for G in groups:
+        jordan_constant_with_witness(G)
+    return calls["_closure"], calls["_largest_normal_abelian"]
+
+
+def test_the_witness_search_work_is_pinned(monkeypatch):
+    # Before the search closed its candidates over B and skipped B that a
+    # normal cyclic subgroup of G/A centralises, lifts that commute, and the
+    # normal abelian search at J = 2, these groups took 804 closures and 68
+    # searches, and D4 x S3 x C2^2 took 9134 and 728.  A join of
+    # _class_unions is a closure too now; counted with them, those were
+    # 1406 and 14664 closures.
+    groups = [parse_group(group_text(name)) for name in CORPUS + ["s3", "s4", "a5"]]
+    assert counted_work(monkeypatch, groups) == (876, 41)
+    big = parse_group(perm_text(*BIG_GROUPS["d4xs3xc2^2"]))
+    assert counted_work(monkeypatch, [big]) == (880, 2)
+
+
+def generated(mult, gens, limit=None):
+    """The sorted elements of the subgroup the gens generate, closed one
+    element at a time, or None past limit elements."""
+    reached, seen = [0], {0}
+    for x in reached:
+        for s in gens:
+            y = mult[x][s]
+            if y not in seen:
+                if len(reached) == limit:
+                    return None
+                seen.add(y)
+                reached.append(y)
+    return tuple(sorted(reached))
+
+
+def recorded_search(monkeypatch, G):
+    """J of G, its witness, the levels of B its supplement search walked,
+    and each candidate it closed, as {mask of B: {lifts: closure}}."""
+    levels, closed = [], {}
+    walk, close = finitegroup._class_unions, finitegroup._closure
+
+    def walked(*args):
+        if sys._getframe(1).f_code.co_name != "_least_supplement":
+            return walk(*args)
+        return (levels.append(level) or level for level in walk(*args))
+
+    def closing(H, gens, start=(1, (0,)), limit=None):
+        F = close(H, gens, start, limit)
+        if limit is not None:
+            closed.setdefault(start[0], {})[gens] = F
+        return F
+    monkeypatch.setattr(finitegroup, "_class_unions", walked)
+    monkeypatch.setattr(finitegroup, "_closure", closing)
+    value, witness = jordan_constant_with_witness(G)
+    monkeypatch.undo()
+    return value, witness, levels, closed
+
+
+# D4 x D4 is the one where the search for a normal abelian subgroup turns
+# candidates down: J = 4, and four F of order 32 have one of order 16.
+LEMMA_GROUPS = {name: group_text(name) for name in NAMES}
+LEMMA_GROUPS.update((name, perm_text(*BIG_GROUPS[name])) for name in ("d4xc2^4", "d4xs3xc2^2"))
+LEMMA_GROUPS["d4xd4"] = perm_text(8, [[(1, 3)], [(1, 2, 3, 4)], [(5, 7)], [(5, 6, 7, 8)]])
+
+
+@pytest.mark.parametrize("name", list(LEMMA_GROUPS))
+def test_the_witness_search_skips_only_candidates_that_fail(monkeypatch, name):
+    """Against the search without skips, over each B it walked: where it
+    closed no lifts, no candidate of order J |B| has J(F) = J, by F's own
+    table; lifts it did not close generate an abelian F; those it closed
+    give the subgroup they generate; at J = 2, each F it closed has a
+    normal abelian subgroup of index 2; and the witness attains J."""
+    G = parse_group(LEMMA_GROUPS[name])
+    mult, n = G.mult, G.order
+    value, A = _jordan(G, n)
+    if value in (1, n):
+        return
+    found, witness, levels, closed = recorded_search(monkeypatch, G)
+    assert found == value and levels
+    assert jordan_constant(subgroup_group(G, witness)) == value
+    in_a = [x for x in range(n) if A >> x & 1]
+    tops = _greedy_generators(G, range(n), (A, in_a))
+    failing = set()
+    for level in levels:
+        for mask, members in level:
+            base = _greedy_generators(G, members)
+            cosets, covered = [], set()
+            for a in in_a:
+                if a not in covered:
+                    cosets.append(a)
+                    covered.update(mult[a][b] for b in members)
+            candidates = {}
+            for lifts in itertools.product(cosets, repeat=len(tops)):
+                lifted = tuple(mult[t][a] for t, a in zip(tops, lifts))
+                candidates[lifted] = generated(mult, base + lifted, value * len(members))
+            if mask not in closed:
+                failing.update(F for F in candidates.values() if F is not None)
+                continue
+            for lifted, F in candidates.items():
+                if lifted not in closed[mask]:
+                    whole = generated(mult, base + lifted)
+                    assert _largest_normal_abelian(G, whole, base + lifted).bit_count() == len(whole)
+                    continue
+                assert (F is None) == (closed[mask][lifted] is None)
+                if F is not None:
+                    assert tuple(sorted(closed[mask][lifted][1])) == F
+                    if value == 2:
+                        assert _largest_normal_abelian(G, F, base + lifted).bit_count() == len(members)
+    for F in failing:
+        assert jordan_constant(subgroup_group(G, Subgroup(F))) < value
 
 
 def test_the_order_limit_comes_before_any_work(monkeypatch):

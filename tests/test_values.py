@@ -108,8 +108,10 @@ REFUSALS = [
     (is_faithful, (None, WeightSet((W((1,)),))), "expected a RootDatum, got None"),
     (is_faithful, (build_root_datum(SimpleType("E", 8)), ()), "expected a WeightSet, got ()"),
     (is_faithful, (build_root_datum(SimpleType("F", 4)), (W((0, 0, 0, 0)),)),
-     "expected a WeightSet, got (0,0,0,0,)"),
-    (is_faithful, (A1, [W((1,))]), "expected a WeightSet, got [1]"),
+     "expected a WeightSet, got (DominantWeight(coords=(0, 0, 0, 0)),)"),
+    (is_faithful, (A1, [W((1,))]), "expected a WeightSet, got [DominantWeight(coords=(1,))]"),
+    (is_faithful, (A1, [W((1,)), W((2,))]),
+     "expected a WeightSet, got [DominantWeight(coords=(1,)), DominantWe..."),
     (rdim, ("A3",), "expected a RootDatum, got 'A3'"),
     (rdim, (SimpleType("A", 3), True), "expected a RootDatum, got A3"),
     (weyl_dim, ("A3", W((1, 0, 0))), "expected a RootDatum, got 'A3'"),
